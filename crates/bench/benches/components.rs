@@ -236,67 +236,6 @@ fn bench_core_cycle(c: &mut Criterion) {
     });
 }
 
-fn bench_swar_probe(c: &mut Criterion) {
-    use cachesim::swar::{digest, TagFilter};
-    // One 16-way set probe, the inner loop of every cache lookup. The
-    // scalar line compares all 16 tags; the SWAR line asks the digest
-    // filter for a candidate mask first (one XOR-multiply over packed
-    // bytes) and only compares the surviving ways — usually zero or one.
-    // The two must pick the same way (pinned by the proptest suite).
-    const WAYS: usize = 16;
-    let mut rng = SimRng::seed_from(10);
-    let mut tags = [0u64; WAYS];
-    let mut filter = TagFilter::new(1, WAYS);
-    for (w, tag) in tags.iter_mut().enumerate() {
-        *tag = rng.below(1 << 30);
-        filter.record(0, w, digest(*tag));
-    }
-    // 1-in-4 probes hit; the rest miss, which is where the filter's
-    // early-out pays (no tag compares at all on most misses).
-    let probes: Vec<u64> = (0..1024usize)
-        .map(|i| {
-            if i % 4 == 0 {
-                tags[(i / 4) % WAYS]
-            } else {
-                rng.below(1 << 30)
-            }
-        })
-        .collect();
-    c.bench_function("swar_probe_16way", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % probes.len();
-            let t = black_box(probes[i]);
-            let mut mask = filter.candidates(0, digest(t));
-            let mut found = None;
-            while mask != 0 {
-                let w = mask.trailing_zeros() as usize;
-                if tags[w] == t {
-                    found = Some(w);
-                    break;
-                }
-                mask &= mask - 1;
-            }
-            found
-        });
-    });
-    c.bench_function("scalar_probe_16way", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % probes.len();
-            let t = black_box(probes[i]);
-            let mut found = None;
-            for (w, &tag) in tags.iter().enumerate() {
-                if tag == t {
-                    found = Some(w);
-                    break;
-                }
-            }
-            found
-        });
-    });
-}
-
 fn bench_l3_batch(c: &mut Criterion) {
     // The batched warm path against the one-access-at-a-time reference
     // on the same chip and instruction budget: the gap is what queueing
@@ -404,19 +343,6 @@ fn bench_fast_path(c: &mut Criterion) {
         l1.fill(addr, false, CoreId::from_index(0));
         b.iter(|| fused_hit(black_box(&mut tlb), black_box(&mut l1), addr, false));
     });
-    // One full 64-op slab refill + drain against `tracegen_next_op`
-    // (above), which measures the same decode one op at a time.
-    c.bench_function("slab_decode_64", |b| {
-        let mut gen = TraceGenerator::new(SpecApp::Gzip.profile(), SimRng::seed_from(3));
-        gen.set_slab(true);
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..64 {
-                acc = acc.wrapping_add(gen.next_op().dep1 as u64);
-            }
-            acc
-        });
-    });
     // The detailed stepping loop with and without the hit fast path on
     // the same warmed chip: the gap between these two lines is what the
     // fused probe + memos + issue hint buy on hit-heavy windows.
@@ -456,7 +382,6 @@ criterion_group!(
     bench_telemetry_overhead,
     bench_shadow_tags,
     bench_core_cycle,
-    bench_swar_probe,
     bench_l3_batch,
     bench_cycle_skip,
     bench_functional_window,

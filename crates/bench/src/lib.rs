@@ -77,9 +77,9 @@ pub fn jobs() -> usize {
 
 /// Whether the exact core-side hit fast path is enabled:
 /// `--no-fast-path` on the command line or `NUCA_BENCH_FAST_PATH=0`
-/// turns it off, forcing the reference TLB/L1 walks and one-at-a-time
-/// trace decode. Results are bit-identical either way (the CI
-/// fast-path-differential job enforces it); the escape hatch mirrors
+/// turns it off, forcing the reference TLB/L1 walks and full trace
+/// decode. Results are bit-identical either way (the CI
+/// exactness-differential job enforces it); the escape hatch mirrors
 /// `--no-skip`. Shared by every figure binary and `perf`, like [`jobs`].
 pub fn fast_path() -> bool {
     if std::env::args().skip(1).any(|arg| arg == "--no-fast-path") {

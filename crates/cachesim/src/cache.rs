@@ -24,12 +24,6 @@ use simcore::stats::HitMiss;
 use simcore::types::{Address, BlockAddr, CoreId};
 
 use crate::lru::Recency;
-use crate::swar::{self, TagFilter};
-
-/// Associativity at or above which lookups go through the SWAR digest
-/// filter. Below this a scalar walk of at most three tags is already
-/// cheaper than maintaining and probing packed digests.
-const WIDE_PROBE_MIN_WAYS: usize = 4;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,16 +91,12 @@ pub struct Cache {
     dirty: Vec<u32>,
     /// One recency word per set (packed when the associativity fits).
     lru: Vec<Recency>,
-    /// Packed per-way tag digests for the SWAR wide probe.
-    filter: TagFilter,
-    /// Whether `find` consults the filter (associativity ≥ 4).
-    wide: bool,
     /// Last-hit-way memo: `way + 1` per set, 0 = empty. A validated memo
     /// hit answers `find` without walking the set; because a set never
     /// holds duplicate block addresses (see [`Invariant::audit`]), the
-    /// memo'd way and the walk always agree — pure search-order
-    /// optimization, like the SWAR filter one level down. Maintained
-    /// unconditionally; *read* only when `memo_on`.
+    /// memo'd way and the walk always agree — a pure search-order
+    /// optimization. Maintained unconditionally; *read* only when
+    /// `memo_on`.
     memo: Vec<u8>,
     /// Whether `find` consults the last-hit-way memo (the fast path).
     memo_on: bool,
@@ -127,9 +117,7 @@ impl Cache {
             valid: vec![0; sets],                       // lint:allow(L7): constructor
             dirty: vec![0; sets],                       // lint:allow(L7): constructor
             lru: vec![Recency::for_ways(ways); sets],   // lint:allow(L7): constructor
-            filter: TagFilter::new(sets, ways),
-            wide: ways >= WIDE_PROBE_MIN_WAYS,
-            memo: vec![0; sets], // lint:allow(L7): constructor
+            memo: vec![0; sets],                        // lint:allow(L7): constructor
             memo_on: true,
             stats: HitMiss::new(),
             writebacks: 0,
@@ -157,12 +145,9 @@ impl Cache {
             .index_bits(0, self.geom.index_bits()) as usize
     }
 
-    /// The way holding `blk` in `set`, if resident. Wide caches first
-    /// narrow the valid mask to SWAR digest candidates (one or two packed
-    /// `u64` compares across all ways), then confirm each candidate with an
-    /// exact tag compare; the confirm step makes the filter strictly exact,
-    /// and candidate bits are walked in the same low-to-high way order as
-    /// the scalar loop, so results are bit-identical.
+    /// The way holding `blk` in `set`, if resident: the validated
+    /// last-hit-way memo first (when enabled), then a low-to-high walk of
+    /// the set's valid ways.
     #[inline]
     fn find(&self, set: usize, blk: BlockAddr) -> Option<usize> {
         let base = set * self.ways;
@@ -176,9 +161,6 @@ impl Cache {
             }
         }
         let mut m = self.valid[set];
-        if self.wide {
-            m &= self.filter.candidates(set, swar::digest(blk.raw()));
-        }
         while m != 0 {
             let w = m.trailing_zeros() as usize;
             if self.tags[base + w] == blk {
@@ -307,7 +289,6 @@ impl Cache {
         if free != 0 {
             let w = free.trailing_zeros() as usize;
             self.tags[base + w] = blk;
-            self.filter.record(set, w, swar::digest(blk.raw()));
             self.owners[base + w] = owner;
             self.valid[set] |= 1 << w;
             self.dirty[set] = (self.dirty[set] & !(1 << w)) | (u32::from(dirty) << w);
@@ -330,7 +311,6 @@ impl Cache {
             owner: self.owners[base + w],
         };
         self.tags[base + w] = blk;
-        self.filter.record(set, w, swar::digest(blk.raw()));
         self.owners[base + w] = owner;
         self.dirty[set] = (self.dirty[set] & !(1 << w)) | (u32::from(dirty) << w);
         self.lru[set].push_mru(w as u8);
@@ -409,7 +389,7 @@ impl Cache {
     }
 
     /// Writes the mutable contents (tags, owners, valid/dirty bits,
-    /// recency, digests, statistics) to a snapshot. Geometry-derived
+    /// recency, statistics) to a snapshot. Geometry-derived
     /// fields are not written — the restoring cache supplies its own.
     pub fn save_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
         w.put_usize(self.tags.len());
@@ -426,7 +406,6 @@ impl Cache {
         for r in &self.lru {
             r.save_state(w);
         }
-        self.filter.save_state(w);
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
         w.put_u64(self.writebacks);
@@ -472,7 +451,6 @@ impl Cache {
         for rec in &mut self.lru {
             rec.load_state(r)?;
         }
-        self.filter.load_state(r)?;
         // The memo is derived, unsnapshotted state; stale entries are
         // validated before use, but start the restored cache clean.
         self.memo.fill(0);
@@ -512,14 +490,6 @@ impl Invariant for Cache {
                 if !lru.contains(w) {
                     out.push(
                         Violation::new(self.component(), "valid block missing from LRU stack")
-                            .at_set(si)
-                            .at_way(usize::from(w)),
-                    );
-                }
-                let d = swar::digest(self.tags[base + usize::from(w)].raw());
-                if self.wide && self.filter.candidates(si, d) & (1u32 << w) == 0 {
-                    out.push(
-                        Violation::new(self.component(), "SWAR digest stale for valid way")
                             .at_set(si)
                             .at_way(usize::from(w)),
                     );
@@ -695,8 +665,8 @@ mod tests {
 
     #[test]
     fn access_fill_matches_access_then_fill() {
-        // The fused entry must evolve tags, recency, dirty bits, digests
-        // and statistics exactly like the two-call sequence, hit or miss.
+        // The fused entry must evolve tags, recency, dirty bits and
+        // statistics exactly like the two-call sequence, hit or miss.
         use simcore::rng::SimRng;
         let mut rng = SimRng::seed_from(42);
         let mut fused = Cache::new(CacheGeometry::new(4096, 4, 64, 1).unwrap());

@@ -16,9 +16,6 @@
 //!   low-index set sampling of Section 4.6.
 //! - [`percore`] — a tiny fixed-size per-core table type used for the
 //!   counters of Figure 4c and the partition parameters of Figure 4d.
-//! - [`swar`] — packed one-byte tag digests and the SWAR wide-way probe
-//!   used by [`cache`] and the adaptive organization to compare all ≤16
-//!   ways of a set in chunked `u64` passes.
 //!
 //! # Example
 //!
@@ -41,11 +38,9 @@ pub mod lru;
 pub mod mshr;
 pub mod percore;
 pub mod shadow;
-pub mod swar;
 
 pub use cache::{Cache, EvictedBlock, Lookup};
 pub use lru::LruStack;
 pub use mshr::MshrFile;
 pub use percore::PerCore;
 pub use shadow::{SetSampling, ShadowTags};
-pub use swar::TagFilter;

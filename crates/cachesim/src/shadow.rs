@@ -16,7 +16,6 @@ use simcore::rng::SimRng;
 use simcore::types::{BlockAddr, CoreId};
 
 use crate::percore::PerCore;
-use crate::swar;
 
 /// Which subset of sets carries shadow-tag registers.
 ///
@@ -144,15 +143,6 @@ pub struct ShadowTags {
     /// A flat `u64` array keeps the per-miss probe a single load and
     /// compare (no `Option` discriminant in the hot path).
     tags: Vec<u64>,
-    /// Packed one-byte digests of the registers, *slot-major*: word
-    /// `slot * dwords_per_slot + core/8` holds core `core`'s digest in
-    /// byte `core % 8`. All cores' digests for one set share a word, so
-    /// the common non-matching miss probe reads this one word instead of
-    /// reaching into the core-major tag stripe — the same SWAR wide
-    /// compare the cache lookups use (`cachesim::swar`).
-    digests: Vec<u64>,
-    /// `⌈cores / 8⌉` digest words per monitored set.
-    dwords_per_slot: usize,
     hits: PerCore<u64>,
 }
 
@@ -199,18 +189,12 @@ impl ShadowTags {
             }
         }
         assert!(monitored_sets > 0, "sampling leaves no monitored sets");
-        let dwords_per_slot = cores.div_ceil(swar::LANES);
         ShadowTags {
             cores,
             monitored_sets,
             factor: (sets / monitored_sets) as u64,
             slot_of,
             tags: vec![EMPTY_TAG; cores * monitored_sets],
-            // Zero digests with EMPTY_TAG registers are safe: an empty
-            // register can never pass the exact confirm, so any digest
-            // verdict for it is correct.
-            digests: vec![0; monitored_sets * dwords_per_slot],
-            dwords_per_slot,
             hits: PerCore::filled(cores, 0),
         }
     }
@@ -239,38 +223,20 @@ impl ShadowTags {
         core.index() * self.monitored_sets + self.slot_of[set] as usize
     }
 
-    #[inline]
-    fn dword(&self, set: usize, core: CoreId) -> usize {
-        self.slot_of[set] as usize * self.dwords_per_slot + core.index() / swar::LANES
-    }
-
     /// Records the tag of a block evicted on behalf of `owner` from `set`.
     /// Ignored for unmonitored sets.
     pub fn record_eviction(&mut self, set: usize, owner: CoreId, addr: BlockAddr) {
         if self.monitors(set) {
             let slot = self.slot(set, owner);
             self.tags[slot] = addr.raw();
-            let idx = self.dword(set, owner);
-            let shift = (owner.index() % swar::LANES) * 8;
-            self.digests[idx] = (self.digests[idx] & !(0xffu64 << shift))
-                | (u64::from(swar::digest(addr.raw())) << shift);
         }
     }
 
     /// Called on a last-level miss by `requester` in `set` for `addr`.
     /// Returns `true` (and counts a shadow hit) when the shadow tag
     /// matches, i.e. one more block per set would have made this a hit.
-    ///
-    /// The probe first compares one-byte digests in the slot-major packed
-    /// word; only a digest match (1/256 of misses plus true hits) loads
-    /// the full register from the core-major tag stripe.
     pub fn check_miss(&mut self, set: usize, requester: CoreId, addr: BlockAddr) -> bool {
         if !self.monitors(set) {
-            return false;
-        }
-        let word = self.digests[self.dword(set, requester)];
-        let lane = (requester.index() % swar::LANES) * 8;
-        if (word >> lane) as u8 != swar::digest(addr.raw()) {
             return false;
         }
         let slot = self.slot(set, requester);
@@ -280,37 +246,6 @@ impl ShadowTags {
         } else {
             false
         }
-    }
-
-    /// Bitmask of cores whose shadow register in `set` holds `addr` —
-    /// one SWAR pass over the set's packed digest words (all cores at
-    /// once), candidates confirmed with exact tag compares. `0` for
-    /// unmonitored sets. Read-only: no hit counters are touched.
-    pub fn matching_cores(&self, set: usize, addr: BlockAddr) -> u64 {
-        if !self.monitors(set) {
-            return 0;
-        }
-        let base = self.slot_of[set] as usize * self.dwords_per_slot;
-        let d = swar::digest(addr.raw());
-        let mut candidates = 0u64;
-        for k in 0..self.dwords_per_slot {
-            candidates |=
-                u64::from(swar::match_mask(self.digests[base + k], d)) << (k * swar::LANES);
-        }
-        let mut confirmed = 0u64;
-        let mut m = candidates;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            // Lanes past the core count carry zero digests; the bounds
-            // check plus exact confirm keeps them out of the result.
-            if c < self.cores
-                && self.tags[c * self.monitored_sets + self.slot_of[set] as usize] == addr.raw()
-            {
-                confirmed |= 1u64 << c;
-            }
-            m &= m - 1;
-        }
-        confirmed
     }
 
     /// Raw shadow-hit count for `core` since the last reset.
@@ -339,12 +274,10 @@ impl ShadowTags {
         (self.monitored_sets * self.cores) as u64 * tag_bits
     }
 
-    /// Writes the mutable state (registers, digests, hit counters) to a
-    /// snapshot. The membership map is derived from configuration and
-    /// not written.
+    /// Writes the mutable state (registers, hit counters) to a snapshot.
+    /// The membership map is derived from configuration and not written.
     pub fn save_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
         w.put_u64_slice(&self.tags);
-        w.put_u64_slice(&self.digests);
         w.put_usize(self.cores);
         for core in CoreId::all(self.cores) {
             w.put_u64(self.hits[core]);
@@ -363,12 +296,10 @@ impl ShadowTags {
     ) -> Result<(), simcore::snapshot::SnapshotError> {
         use simcore::snapshot::SnapshotError;
         let tags = r.get_u64_vec()?;
-        let digests = r.get_u64_vec()?;
-        if tags.len() != self.tags.len() || digests.len() != self.digests.len() {
+        if tags.len() != self.tags.len() {
             return Err(SnapshotError::Mismatch("shadow tag geometry"));
         }
         self.tags = tags;
-        self.digests = digests;
         let cores = r.get_usize()?;
         if cores != self.cores {
             return Err(SnapshotError::Mismatch("shadow tag core count"));
@@ -490,21 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn matching_cores_reports_exact_bitmask() {
-        let mut st = ShadowTags::new(64, 4, 0);
-        let a = BlockAddr::new(0x123);
-        st.record_eviction(5, c(1), a);
-        st.record_eviction(5, c(3), a);
-        st.record_eviction(5, c(2), BlockAddr::new(0x456));
-        assert_eq!(st.matching_cores(5, a), 0b1010);
-        assert_eq!(st.matching_cores(5, BlockAddr::new(0x456)), 0b0100);
-        assert_eq!(st.matching_cores(5, BlockAddr::new(0x789)), 0);
-        assert_eq!(st.matching_cores(6, a), 0, "other sets untouched");
-        assert_eq!(st.hits(c(1)), 0, "read-only probe");
-    }
-
-    #[test]
-    fn digest_fast_reject_never_loses_hits() {
+    fn check_miss_matches_a_register_model() {
+        // One register per (monitored set, core): a miss is a shadow hit
+        // exactly when the requester's register holds the address.
         use simcore::rng::SimRng;
         let mut st = ShadowTags::new(32, 4, 1);
         let mut model = vec![u64::MAX; 4 * 32];

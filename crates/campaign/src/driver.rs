@@ -127,7 +127,11 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
                 parsed.opts.fail_after = Some(parse_u64("--fail-after", it.next())? as usize);
             }
             "--sample-sets" => {
-                parsed.sample_override = Some(parse_u64("--sample-sets", it.next())? as u32);
+                let k = parse_u64("--sample-sets", it.next())?;
+                let k = u32::try_from(k).map_err(|_| {
+                    CampaignError::Config(format!("--sample-sets {k}: out of range"))
+                })?;
+                parsed.sample_override = Some(k);
             }
             "--time-sample" => {
                 let v = it.next().ok_or_else(|| {
@@ -315,6 +319,16 @@ mod tests {
         assert_eq!(parsed.sample_override, Some(4));
         let pair = parsed.time_override.unwrap();
         assert_eq!((pair.detail, pair.gap), (10_000, 40_000));
+    }
+
+    #[test]
+    fn sample_sets_override_rejects_out_of_range_shifts() {
+        // 2^32 + 1 must not truncate to shift 1.
+        let err = match parse_args(&strings(&["s.toml", "--sample-sets", "4294967297"])) {
+            Err(e) => e,
+            Ok(_) => panic!("4294967297 must be rejected"),
+        };
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

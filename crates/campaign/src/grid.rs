@@ -123,7 +123,10 @@ impl CampaignSpec {
 /// [`CampaignError::Config`] when the axis values describe an invalid
 /// geometry (e.g. an associativity the set math cannot honor).
 pub fn machine_for(cell: &Cell) -> Result<MachineConfig, CampaignError> {
-    let capacity = cell.l3_mb * 1024 * 1024;
+    let capacity = cell
+        .l3_mb
+        .checked_mul(1024 * 1024)
+        .ok_or_else(|| CampaignError::Config(format!("l3_mb {} is out of range", cell.l3_mb)))?;
     let mut machine = MachineConfigBuilder::new()
         .l3_capacity(capacity)
         .l3_private_latency(cell.l3_latency.private)
@@ -258,6 +261,17 @@ mod tests {
         assert_eq!(m.l3.private.total_ways(), 4);
         assert_eq!(m.memory.first_chunk_private, 258);
         assert_eq!(m.l3.sample_shift, None);
+    }
+
+    #[test]
+    fn oversized_l3_is_an_error_not_a_wrap() {
+        // (2^44 + 4) MiB wraps to 4 MiB in unchecked u64 arithmetic.
+        let mut cell = two_by_two().cells()[0];
+        cell.l3_mb = (1 << 44) + 4;
+        match machine_for(&cell) {
+            Err(CampaignError::Config(msg)) => assert!(msg.contains("out of range"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -475,6 +475,22 @@ fn int_axis(e: &RawEntry) -> Result<Vec<u64>, CampaignError> {
         .collect()
 }
 
+/// [`int_axis`] for `u32` axes: a value that does not fit is an error,
+/// never a truncation.
+fn u32_axis(e: &RawEntry) -> Result<Vec<u32>, CampaignError> {
+    int_axis(e)?
+        .into_iter()
+        .map(|v| {
+            u32::try_from(v).map_err(|_| {
+                err(
+                    e.line,
+                    format!("axis `{}` value {v} is out of range", e.key),
+                )
+            })
+        })
+        .collect()
+}
+
 fn lat_axis(e: &RawEntry) -> Result<Vec<LatPair>, CampaignError> {
     as_arr(e)?
         .iter()
@@ -612,16 +628,12 @@ impl CampaignSpec {
                         .collect::<Result<_, _>>()?;
                 }
                 "l3_mb" => self.axes.l3_mb = int_axis(e)?,
-                "l3_assoc" => {
-                    self.axes.l3_assoc = int_axis(e)?.into_iter().map(|v| v as u32).collect();
-                }
+                "l3_assoc" => self.axes.l3_assoc = u32_axis(e)?,
                 "l3_latency" => self.axes.l3_latency = lat_axis(e)?,
                 "l2_latency" => self.axes.l2_latency = int_axis(e)?,
                 "mem_latency" => self.axes.mem_latency = lat_axis(e)?,
                 "mix_seed" => self.axes.mix_seed = int_axis(e)?,
-                "sample_shift" => {
-                    self.axes.sample_shift = int_axis(e)?.into_iter().map(|v| v as u32).collect();
-                }
+                "sample_shift" => self.axes.sample_shift = u32_axis(e)?,
                 "time_sample" => self.axes.time_sample = ts_axis(e)?,
                 other => return Err(err(e.line, format!("unknown [axes] key `{other}`"))),
             }
@@ -777,6 +789,16 @@ mem_latency = ["258/260"]
 sample_shift = [0, 4]
 time_sample = ["0:0", "20000:80000"]
 "#;
+
+    #[test]
+    fn u32_axes_reject_out_of_range_values() {
+        // 2^32 + 16 must not truncate to a 16-way L3, nor 2^32 + 1 to
+        // shift 1.
+        let l3_assoc = SMOKE.replace("l3_mb = [4, 8]", "l3_mb = [4]\nl3_assoc = [4294967312]");
+        expect_err(&l3_assoc, "`l3_assoc` value 4294967312 is out of range");
+        let shift = SMOKE.replace("sample_shift = [0, 4]", "sample_shift = [4294967297]");
+        expect_err(&shift, "`sample_shift` value 4294967297 is out of range");
+    }
 
     #[test]
     fn parses_a_spec_with_defaults_for_missing_axes() {

@@ -299,7 +299,7 @@ impl<S: Sink> Cmp<S> {
     }
 
     /// Enables or disables the exact core-side hit fast path (fused
-    /// TLB+L1 probe, memo-served lookups, slab-decoded traces, issue-scan
+    /// TLB+L1 probe, memo-served lookups, warm trace decode, issue-scan
     /// hint) on every core. Results are bit-identical either way; this is
     /// the `--no-fast-path` escape hatch the differential CI job flips.
     pub fn set_fast_path(&mut self, enabled: bool) {
@@ -950,7 +950,7 @@ mod tests {
 
     #[test]
     fn hit_fast_path_matches_reference_walk_exactly() {
-        // The core-side hit fast path (fused TLB+L1 probe, memos, slab
+        // The core-side hit fast path (fused TLB+L1 probe, memos, warm
         // decode, issue hint) must be bit-identical to the reference
         // walks across warm + detailed + reset + detailed, for every
         // organization, including the chip snapshot encoding.

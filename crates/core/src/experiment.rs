@@ -45,14 +45,14 @@ pub struct ExperimentConfig {
     /// Whether [`Cmp::run`] may use the event-driven cycle-skipping fast
     /// path. Like `jobs`, an execution policy: results are bit-identical
     /// either way (enforced by the differential tests and the CI
-    /// skip-equivalence job); `false` is the `--no-skip` escape hatch
+    /// exactness-differential job); `false` is the `--no-skip` escape hatch
     /// that keeps the reference stepping loop alive.
     pub cycle_skip: bool,
     /// Whether cores may use the exact hit fast path (fused TLB+L1
-    /// probe, memo-served lookups, slab-decoded traces, issue-scan
+    /// probe, memo-served lookups, warm trace decode, issue-scan
     /// hint). Another execution policy: results are bit-identical
     /// either way (enforced by the differential tests and the CI
-    /// fast-path-differential job); `false` is the `--no-fast-path`
+    /// exactness-differential job); `false` is the `--no-fast-path`
     /// escape hatch that keeps the reference walks alive.
     pub fast_path: bool,
     /// Set-sampled simulation: `Some(k)` simulates `1/2^k` of the

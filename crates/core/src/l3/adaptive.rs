@@ -36,7 +36,6 @@
 
 use cachesim::lru::Recency;
 use cachesim::percore::{PerCore, PerCoreTable};
-use cachesim::swar::{self, TagFilter};
 use cpusim::l3iface::{L3Outcome, L3Source, LastLevel};
 use memsim::{MainMemory, MemoryStats};
 use simcore::config::MachineConfig;
@@ -121,10 +120,6 @@ pub struct AdaptiveL3<S: Sink = NullSink> {
     valid: Vec<u32>,
     /// One dirty bit per way, per set.
     dirty: Vec<u32>,
-    /// Packed per-way tag digests: [`find`](Self::find) narrows the valid
-    /// mask to SWAR digest candidates before touching the tag stripe.
-    /// Maintained in [`install`](Self::install), the sole tag-write site.
-    filter: TagFilter,
     /// The shared partition's recency word, per set.
     shared: Vec<Recency>,
     /// Core-major private-partition recency words: core `c`'s stack for
@@ -175,7 +170,6 @@ impl<S: Sink> AdaptiveL3<S> {
             owners: vec![CoreId::from_index(0); sets * ways], // lint:allow(L7): constructor
             valid: vec![0; sets],                       // lint:allow(L7): constructor
             dirty: vec![0; sets],                       // lint:allow(L7): constructor
-            filter: TagFilter::new(sets, ways),
             shared: vec![Recency::for_ways(ways); sets], // lint:allow(L7): constructor
             private: PerCoreTable::filled(cfg.cores, sets, Recency::for_ways(ways)), // lint:allow(D4): constructor
             owned: PerCoreTable::filled(cfg.cores, sets, 0), // lint:allow(D4): constructor
@@ -261,16 +255,12 @@ impl<S: Sink> AdaptiveL3<S> {
         (blk.raw() & self.index_mask) as usize
     }
 
-    /// The way holding `blk` in `set_idx`, if resident: one SWAR probe
-    /// compares all ways' packed digests against the broadcast digest of
-    /// `blk` (see `cachesim::swar`), and only the surviving candidates are
-    /// confirmed against the full tag stripe. Candidates are walked in the
-    /// same low-to-high way order as the scalar loop this replaces, so the
-    /// result is bit-identical.
+    /// The way holding `blk` in `set_idx`, if resident: a low-to-high walk
+    /// of the set's valid ways.
     #[inline]
     fn find(&self, set_idx: usize, blk: BlockAddr) -> Option<usize> {
         let base = set_idx * self.ways;
-        let mut m = self.valid[set_idx] & self.filter.candidates(set_idx, swar::digest(blk.raw()));
+        let mut m = self.valid[set_idx];
         while m != 0 {
             let w = m.trailing_zeros() as usize;
             if self.tags[base + w] == blk {
@@ -386,7 +376,6 @@ impl<S: Sink> AdaptiveL3<S> {
         }
         *self.owned.get_mut(core, set_idx) += 1;
         self.tags[base + way] = blk;
-        self.filter.record(set_idx, way, swar::digest(blk.raw()));
         self.owners[base + way] = core;
         self.dirty[set_idx] = (self.dirty[set_idx] & !bit) | (u32::from(dirty) << way);
         if capacity == 0 {
@@ -509,7 +498,6 @@ impl<S: Sink> AdaptiveL3<S> {
         }
         w.put_u32_slice(&self.valid);
         w.put_u32_slice(&self.dirty);
-        self.filter.save_state(w);
         w.put_usize(self.shared.len());
         for rec in &self.shared {
             rec.save_state(w);
@@ -571,7 +559,6 @@ impl<S: Sink> AdaptiveL3<S> {
             return Err(SnapshotError::Mismatch("adaptive L3 set count"));
         }
         self.dirty = dirty;
-        self.filter.load_state(r)?;
         if r.get_usize()? != self.shared.len() {
             return Err(SnapshotError::Mismatch("adaptive L3 recency array size"));
         }
@@ -685,19 +672,6 @@ impl<S: Sink> Invariant for AdaptiveL3<S> {
                         )
                         .at_set(si)
                         .for_core(ci),
-                    );
-                }
-            }
-            for w in 0..self.ways {
-                if mask & (1 << w) == 0 {
-                    continue;
-                }
-                let d = swar::digest(self.tags[base + w].raw());
-                if self.filter.candidates(si, d) & (1u32 << w) == 0 {
-                    out.push(
-                        Violation::new(self.component(), "SWAR digest stale for valid way")
-                            .at_set(si)
-                            .at_way(w),
                     );
                 }
             }

@@ -213,12 +213,6 @@ impl<S: Sink> Core<S> {
     /// sequence; results are bit-identical in both modes, so this only
     /// exists as the `--no-fast-path` escape hatch the differential CI
     /// job flips.
-    ///
-    /// Slab (block) decode is deliberately *not* tied to this switch:
-    /// measured on the warm path it costs ~20 ns/op net because decode
-    /// is generate-then-copy — nothing amortizes — so the exact,
-    /// pinned mechanism stays available through
-    /// [`TraceGenerator::set_slab`] but off in production runs.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
         self.itlb.set_memo(enabled);
@@ -912,9 +906,7 @@ impl<S: Sink> Core<S> {
             return;
         }
         // The detailed pipeline reads dependency distances: leave warm
-        // decode. The switch collapses any decoded-ahead slab, so every
-        // op fetched here is full-decoded. No-op when already in full
-        // mode (the common case — one flag compare per fetch call).
+        // decode, so every op fetched here is full-decoded.
         self.gen.set_warm_decode(false);
         let width = self.cfg.pipeline.width;
         for _ in 0..width {

@@ -4,8 +4,8 @@
 //! Storage is a pair of flat vectors (`pages`/`stamps`) plus a small
 //! direct-mapped *residency memo* that remembers the slot of the last
 //! translation per low-page-bits bucket. The memo is a pure search-order
-//! optimization in the spirit of `cachesim::swar::TagFilter`: a memo hit
-//! skips the linear scan, a memo mismatch falls back to it, and because
+//! optimization, like the last-hit-way memo in `cachesim::cache`: a memo
+//! hit skips the linear scan, a memo mismatch falls back to it, and because
 //! pages are unique within the TLB both paths find the same slot. The
 //! memo read is gated by [`Tlb::set_memo`] (the `--no-fast-path` escape
 //! hatch); the memo is *maintained* unconditionally so toggling is free.

@@ -207,7 +207,6 @@ impl Default for Scopes {
             hot_files: vec![
                 "crates/core/src/l3/adaptive.rs".to_string(),
                 "crates/cachesim/src/cache.rs".to_string(),
-                "crates/cachesim/src/swar.rs".to_string(),
                 "crates/cachesim/src/lru.rs".to_string(),
                 "crates/cpusim/src/core.rs".to_string(),
                 "crates/cpusim/src/core/functional.rs".to_string(),

@@ -57,79 +57,6 @@ fn wrap_inc(x: u64, k: u64) -> u64 {
     wrap_once(x + 1, k)
 }
 
-/// Ops per decode slab (see [`TraceGenerator::set_slab`]).
-pub const SLAB_OPS: usize = 64;
-
-/// One pre-decoded micro-op in a slab: [`MicroOp`] flattened to plain
-/// words so the slab is a fixed-size, pointer-free array the consumer
-/// loop walks linearly. The conversion is exact — addresses are bounded
-/// well below the `u64::MAX` "no address" sentinel and dependency
-/// distances fit a byte — so `MicroOp -> DecodedOp -> MicroOp`
-/// round-trips bit-identically.
-#[derive(Debug, Clone, Copy)]
-struct DecodedOp {
-    pc: u64,
-    /// Data address, `u64::MAX` when the op carries none.
-    addr: u64,
-    class: OpClass,
-    taken: bool,
-    dep1: u8,
-    dep2: u8,
-}
-
-impl DecodedOp {
-    const EMPTY: DecodedOp = DecodedOp {
-        pc: 0,
-        addr: u64::MAX,
-        class: OpClass::IntAlu,
-        taken: false,
-        dep1: 0,
-        dep2: 0,
-    };
-
-    #[inline]
-    fn pack(op: &MicroOp) -> DecodedOp {
-        DecodedOp {
-            pc: op.pc.raw(),
-            addr: op.addr.map_or(u64::MAX, Address::raw),
-            class: op.class,
-            taken: op.taken,
-            dep1: op.dep1 as u8,
-            dep2: op.dep2 as u8,
-        }
-    }
-
-    #[inline]
-    fn unpack(&self) -> MicroOp {
-        MicroOp {
-            pc: Address::new(self.pc),
-            class: self.class,
-            addr: if self.addr == u64::MAX {
-                None
-            } else {
-                Some(Address::new(self.addr))
-            },
-            taken: self.taken,
-            dep1: u32::from(self.dep1),
-            dep2: u32::from(self.dep2),
-            latency: self.class.base_latency(),
-        }
-    }
-}
-
-/// The mutable cursor state of a generator at a slab boundary: enough to
-/// re-derive any logical mid-slab position by replaying decoded ops.
-#[derive(Debug, Clone)]
-struct SlabBase {
-    rng: SimRng,
-    pc_offset: u64,
-    stream_offset: u64,
-    hot_head: u64,
-    hot_loop_pos: u64,
-    shared_head: u64,
-    ops_generated: u64,
-}
-
 /// A deterministic generator of [`MicroOp`]s for one application.
 ///
 /// # Example
@@ -162,24 +89,12 @@ pub struct TraceGenerator {
     /// Taken-probability of each static branch.
     branch_bias: Vec<f64>,
     ops_generated: u64,
-    /// Block-decode slab: [`SLAB_OPS`] pre-generated ops the consumer
-    /// loop walks as a flat array (see [`set_slab`](Self::set_slab)).
-    slab: [DecodedOp; SLAB_OPS],
-    /// Valid ops in `slab` (0 when empty or slab mode is off).
-    slab_len: usize,
-    /// Next unconsumed slab entry; `slab_pos == slab_len` means empty.
-    slab_pos: usize,
-    /// Whether [`next_op`](Self::next_op) decodes in slabs.
-    slab_on: bool,
     /// Whether decode runs in warm mode (see
     /// [`set_warm_decode`](Self::set_warm_decode)): dependency distances
     /// come out as placeholders while the RNG consumes the identical
     /// draw sequence, so the pc/class/addr/taken stream and the cursor
     /// are bit-identical to full decode.
     warm_decode: bool,
-    /// Cursor state at the last slab refill, so snapshots and mode
-    /// switches can collapse back to the logical (consumed) position.
-    slab_base: SlabBase,
     // Precomputed thresholds over the unit interval for class selection.
     t_load: f64,
     t_store: f64,
@@ -234,15 +149,6 @@ impl TraceGenerator {
         let m_hot = m_l2 + profile.mix.l3_hot;
         let stream_offset = rng.below(profile.regions.stream_kb * 1024) & !63;
         let hot_head = rng.below(profile.regions.hot_kb * 16); // blocks
-        let slab_base = SlabBase {
-            rng: rng.clone(), // lint:allow(L7): stack copy, no heap
-            pc_offset: 0,
-            stream_offset,
-            hot_head,
-            hot_loop_pos: 0,
-            shared_head: 0,
-            ops_generated: 0,
-        };
         TraceGenerator {
             profile: profile.clone(), // lint:allow(L7): once per generator, construction only
             rng,
@@ -253,12 +159,7 @@ impl TraceGenerator {
             shared_head: 0,
             branch_bias,
             ops_generated: 0,
-            slab: [DecodedOp::EMPTY; SLAB_OPS],
-            slab_len: 0,
-            slab_pos: 0,
-            slab_on: false,
             warm_decode: false,
-            slab_base,
             t_load,
             t_store,
             t_branch,
@@ -280,25 +181,9 @@ impl TraceGenerator {
         &self.profile
     }
 
-    /// Number of micro-ops generated so far. In slab mode, ops decoded
-    /// ahead into the slab but not yet consumed do not count — the
-    /// logical position is what the consumer has pulled.
+    /// Number of micro-ops generated so far.
     pub fn ops_generated(&self) -> u64 {
-        self.ops_generated - (self.slab_len - self.slab_pos) as u64
-    }
-
-    /// Enables or disables block decoding: with slabs on,
-    /// [`next_op`](Self::next_op) pre-generates [`SLAB_OPS`] ops at a
-    /// time into a flat array and hands them out from there — the same
-    /// stream, pinned by test, with the per-op RNG dispatch amortized
-    /// over the slab. Disabling collapses any decoded-ahead ops back to
-    /// the logical cursor, so the mode switch is invisible to the
-    /// stream.
-    pub fn set_slab(&mut self, enabled: bool) {
-        if !enabled {
-            self.collapse_slab();
-        }
-        self.slab_on = enabled;
+        self.ops_generated
     }
 
     /// Switches between full and warm decode. Warm decode is for
@@ -307,39 +192,11 @@ impl TraceGenerator {
     /// come out as placeholders (`dep1 = 1`, `dep2 = 0`) while the RNG
     /// consumes the *identical* draw sequence, skipping only the
     /// logarithm math — so the fields the consumer reads, the cursor,
-    /// and every snapshot are bit-identical to full decode. Any
-    /// decode-ahead is collapsed at a switch, so ops handed out after it
-    /// are always decoded in the new mode. Cheap no-op when the mode
-    /// already matches — callers may set it per op.
+    /// and every snapshot are bit-identical to full decode. Cheap enough
+    /// that callers may set it per op.
     #[inline]
     pub fn set_warm_decode(&mut self, enabled: bool) {
-        if self.warm_decode != enabled {
-            self.collapse_slab();
-            self.warm_decode = enabled;
-        }
-    }
-
-    /// Rewinds decode-ahead: re-derives the logical cursor (what the
-    /// consumer has actually pulled) by replaying the consumed prefix of
-    /// the current slab from its base, then empties the slab. No-op when
-    /// nothing is decoded ahead. Cold path — runs at snapshots and mode
-    /// switches, never per op.
-    fn collapse_slab(&mut self) {
-        if self.slab_pos < self.slab_len {
-            let consumed = self.slab_pos;
-            self.rng = self.slab_base.rng.clone(); // lint:allow(L7): stack copy, no heap
-            self.pc_offset = self.slab_base.pc_offset;
-            self.stream_offset = self.slab_base.stream_offset;
-            self.hot_head = self.slab_base.hot_head;
-            self.hot_loop_pos = self.slab_base.hot_loop_pos;
-            self.shared_head = self.slab_base.shared_head;
-            self.ops_generated = self.slab_base.ops_generated;
-            for _ in 0..consumed {
-                self.gen_op();
-            }
-        }
-        self.slab_len = 0;
-        self.slab_pos = 0;
+        self.warm_decode = enabled;
     }
 
     /// Emulates the paper's random fast-forward (0.5–1.5 billion
@@ -347,7 +204,6 @@ impl TraceGenerator {
     /// cursor advances as it statistically would and the random stream is
     /// re-seeded deterministically from `instructions`.
     pub fn fast_forward(&mut self, instructions: u64) {
-        self.collapse_slab();
         let stream_bytes = self.profile.regions.stream_kb * 1024;
         let expected_stream_refs =
             (instructions as f64 * self.profile.mem_frac() * self.profile.mix.streaming) as u64;
@@ -358,20 +214,8 @@ impl TraceGenerator {
     /// Writes the mutable generator state (random stream and region
     /// cursors) to a snapshot. Profile-derived fields (thresholds,
     /// spans, branch biases) are reconstructed from the profile and are
-    /// not encoded. The encoding is the *logical* cursor — decode-ahead
-    /// is collapsed first — so snapshots are byte-identical whether or
-    /// not slab mode is on, and restore into either mode.
+    /// not encoded.
     pub fn save_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
-        if self.slab_pos < self.slab_len {
-            let mut logical = self.clone(); // lint:allow(L7): cold snapshot path
-            logical.collapse_slab();
-            logical.emit_cursor(w);
-        } else {
-            self.emit_cursor(w);
-        }
-    }
-
-    fn emit_cursor(&self, w: &mut simcore::snapshot::SnapshotWriter) {
         self.rng.save_state(w);
         w.put_u64(self.pc_offset);
         w.put_u64(self.stream_offset);
@@ -398,8 +242,6 @@ impl TraceGenerator {
         self.hot_loop_pos = r.get_u64()?;
         self.shared_head = r.get_u64()?;
         self.ops_generated = r.get_u64()?;
-        self.slab_len = 0;
-        self.slab_pos = 0;
         Ok(())
     }
 
@@ -449,45 +291,8 @@ impl TraceGenerator {
         1 + self.rng.geometric_from_ln(self.dep_ln).min(63) as u32
     }
 
-    /// Generates the next micro-op in program order. In slab mode the op
-    /// comes out of the decode-ahead array, refilled [`SLAB_OPS`] at a
-    /// time; the stream is bit-identical either way.
-    #[inline]
+    /// Generates the next micro-op in program order.
     pub fn next_op(&mut self) -> MicroOp {
-        if !self.slab_on {
-            return self.gen_op();
-        }
-        if self.slab_pos == self.slab_len {
-            self.refill_slab();
-        }
-        let op = self.slab[self.slab_pos].unpack();
-        self.slab_pos += 1;
-        op
-    }
-
-    /// Decodes the next [`SLAB_OPS`] ops into the slab, recording the
-    /// cursor state at the refill point so snapshots can collapse back
-    /// to any mid-slab position.
-    fn refill_slab(&mut self) {
-        self.slab_base = SlabBase {
-            rng: self.rng.clone(), // lint:allow(L7): stack copy, no heap
-            pc_offset: self.pc_offset,
-            stream_offset: self.stream_offset,
-            hot_head: self.hot_head,
-            hot_loop_pos: self.hot_loop_pos,
-            shared_head: self.shared_head,
-            ops_generated: self.ops_generated,
-        };
-        for i in 0..SLAB_OPS {
-            let op = self.gen_op();
-            self.slab[i] = DecodedOp::pack(&op);
-        }
-        self.slab_len = SLAB_OPS;
-        self.slab_pos = 0;
-    }
-
-    /// The per-op generation engine behind both modes.
-    fn gen_op(&mut self) -> MicroOp {
         let code_bytes = self.code_bytes;
         let pc = Address::new(CODE_BASE + self.pc_offset);
         let r = self.rng.next_f64();
@@ -637,53 +442,20 @@ mod tests {
     }
 
     #[test]
-    fn slab_decode_matches_one_at_a_time() {
-        let mut direct = generator(23);
-        let mut slabbed = generator(23);
-        slabbed.set_slab(true);
-        for i in 0..10_000 {
-            assert_eq!(direct.next_op(), slabbed.next_op(), "op {i}");
-            assert_eq!(direct.ops_generated(), slabbed.ops_generated());
-        }
-    }
-
-    #[test]
-    fn slab_mode_toggles_mid_stream_without_disturbing_the_stream() {
-        let mut reference = generator(29);
-        let reference_ops: Vec<MicroOp> = (0..3_000).map(|_| reference.next_op()).collect();
-        let mut toggled = generator(29);
-        // Flip modes at awkward (non-slab-aligned) points.
-        let mut produced = Vec::new();
-        for (i, chunk) in [37usize, 200, 64, 1, 513, 900, 128, 1157]
-            .iter()
-            .enumerate()
-        {
-            toggled.set_slab(i % 2 == 0);
-            for _ in 0..*chunk {
-                produced.push(toggled.next_op());
-            }
-        }
-        assert_eq!(produced, reference_ops);
-    }
-
-    #[test]
     fn warm_decode_preserves_the_functional_stream_and_the_cursor() {
         // Warm decode must keep every field the functional consumers
         // read (pc/class/addr/taken) and the whole cursor bit-identical
         // to full decode — only dep1/dep2 become placeholders. Run both
-        // modes in lockstep (slabbed, as the core uses them), then
-        // switch the warm generator back to full mid-stream at an
-        // unaligned point: from there the streams must agree on every
-        // field, and snapshots must be byte-identical throughout.
+        // modes in lockstep, then switch the warm generator back to full
+        // mid-stream: from there the streams must agree on every field,
+        // and snapshots must be byte-identical throughout.
         let snap = |g: &TraceGenerator| {
             let mut w = simcore::snapshot::SnapshotWriter::new();
             g.save_state(&mut w);
             w.finish()
         };
         let mut full = generator(37);
-        full.set_slab(true);
         let mut warm = generator(37);
-        warm.set_slab(true);
         warm.set_warm_decode(true);
         for i in 0..3_000 {
             let f = full.next_op();
@@ -701,10 +473,9 @@ mod tests {
             assert_eq!(full.next_op(), warm.next_op(), "full-mode op {i}");
         }
         assert_eq!(snap(&full), snap(&warm), "cursor after switch back");
-        // Toggling at unaligned points must not disturb the stream.
+        // Toggling mid-stream must not disturb the stream.
         let mut reference = generator(41);
         let mut toggled = generator(41);
-        toggled.set_slab(true);
         for (i, chunk) in [53usize, 64, 1, 700, 129].iter().enumerate() {
             toggled.set_warm_decode(i % 2 == 0);
             for _ in 0..*chunk {
@@ -717,42 +488,6 @@ mod tests {
             }
         }
         assert_eq!(snap(&reference), snap(&toggled));
-    }
-
-    #[test]
-    fn slab_snapshots_collapse_to_the_logical_cursor() {
-        // A snapshot taken mid-slab must be byte-identical to one taken
-        // from a slab-free generator at the same logical position, and
-        // must restore into either mode.
-        let take = |slab: bool, ops: usize| {
-            let mut g = generator(31);
-            g.set_slab(slab);
-            for _ in 0..ops {
-                g.next_op();
-            }
-            let mut w = simcore::snapshot::SnapshotWriter::new();
-            g.save_state(&mut w);
-            w.finish()
-        };
-        for ops in [0usize, 1, 63, 64, 65, 1_000, 1_037] {
-            assert_eq!(take(true, ops), take(false, ops), "after {ops} ops");
-        }
-        // Restore a mid-slab snapshot into a slabbed generator and
-        // resume: the stream must continue exactly.
-        let bytes = take(true, 1_037);
-        let p = AppProfileBuilder::new("t").build().unwrap();
-        let mut resumed = TraceGenerator::new(&p, SimRng::seed_from(999));
-        resumed.set_slab(true);
-        let mut r = simcore::snapshot::SnapshotReader::open(&bytes).unwrap();
-        resumed.load_state(&mut r).unwrap();
-        assert_eq!(resumed.ops_generated(), 1_037);
-        let mut reference = generator(31);
-        for _ in 0..1_037 {
-            reference.next_op();
-        }
-        for i in 0..500 {
-            assert_eq!(resumed.next_op(), reference.next_op(), "resume op {i}");
-        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct SimRequest {
     /// `--no-skip` forces the reference stepping loop.
     pub cycle_skip: bool,
     /// Use the exact core-side hit fast path (fused TLB+L1 probe,
-    /// memo-served lookups, slab-decoded traces). Execution policy only:
+    /// memo-served lookups, warm trace decode). Execution policy only:
     /// results are bit-identical either way, and `--no-fast-path` forces
     /// the reference walks.
     pub fast_path: bool,
@@ -151,7 +151,7 @@ OPTIONS:
                            slower; exists as a differential check)
     --no-fast-path         disable the exact core-side hit fast path
                            (fused TLB+L1 probe, memo-served lookups,
-                           slab-decoded traces) and run the reference
+                           warm trace decode) and run the reference
                            walks (bit-identical output, slower; exists
                            as a differential check)
     --sample-sets <K>      simulate only 1/2^K of the L3 sets in full
@@ -241,7 +241,12 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
             "--jobs" => {
                 jobs = simcore::parallel::resolve_jobs(parse_u64(value("--jobs")?)? as usize)
             }
-            "--sample-sets" => sample_shift = Some(parse_u64(value("--sample-sets")?)? as u32),
+            "--sample-sets" => {
+                let k = parse_u64(value("--sample-sets")?)?;
+                let k = u32::try_from(k)
+                    .map_err(|_| CliError::new(format!("--sample-sets {k} is out of range")))?;
+                sample_shift = Some(k);
+            }
             "--time-sample" => {
                 let v = value("--time-sample")?;
                 let (d, g) = v
@@ -267,8 +272,11 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
         }
     }
 
+    let l3_bytes = l3_mb
+        .checked_mul(1024 * 1024)
+        .ok_or_else(|| CliError::new(format!("--l3-mb {l3_mb} is out of range")))?;
     let mut machine = simcore::config::MachineConfigBuilder::new()
-        .l3_capacity(l3_mb * 1024 * 1024)
+        .l3_capacity(l3_bytes)
         .build()?;
     if tech_scaled {
         machine = machine.technology_scaled();
@@ -747,6 +755,19 @@ mod tests {
             "--org adaptive --apps ammp,gzip,crafty,eon --parallel a:1:1"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_integers_instead_of_truncating() {
+        // 2^32 + 1 would truncate to shift 1, and (2^44 + 4) MiB would
+        // wrap the byte count back to a 4 MB L3.
+        let base = "--org shared --apps ammp,gzip,crafty,eon";
+        for flag in ["--sample-sets 4294967297", "--l3-mb 17592186044420"] {
+            match parse_args(&argv(&format!("{base} {flag}"))) {
+                Err(e) => assert!(e.to_string().contains("out of range"), "{flag}: {e}"),
+                Ok(_) => panic!("{flag} must be rejected"),
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! out-of-order cores → last-level organizations → contended memory,
 //! driven through the experiment harness.
 
-use nuca_repro::nuca_core::cmp::Cmp;
+// Test-harness helpers may panic freely; clippy's in-tests exemption only
+// covers #[test] fns, not integration-test helpers.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use nuca_repro::nuca_core::cmp::{Cmp, CmpResult};
 use nuca_repro::nuca_core::experiment::{
     compare_schemes, run_mix, run_mix_traced, ExperimentConfig,
 };
@@ -193,158 +197,6 @@ fn eight_megabyte_l3_reduces_misses() {
 }
 
 #[test]
-fn sample_sets_zero_is_byte_identical_to_a_full_run() {
-    // `--sample-sets 0` means "every set is a member": the estimator
-    // wrapper forwards every access, so both the simulated quantities
-    // and the CLI's rendered report must match a run without the flag
-    // byte for byte (the report prints a sampling line only for a real
-    // shift). This pins the wrapper as a true identity at shift 0.
-    use nuca_repro::cli::{parse_args, render, run};
-    let to_args = |extra: &[&str]| -> Vec<String> {
-        let mut v: Vec<String> = [
-            "--org",
-            "adaptive",
-            "--apps",
-            "ammp,gzip,crafty,mcf",
-            "--warm",
-            "200000",
-            "--warmup",
-            "10000",
-            "--measure",
-            "60000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
-    };
-    let full_req = parse_args(&to_args(&[])).unwrap();
-    let samp_req = parse_args(&to_args(&["--sample-sets", "0"])).unwrap();
-    let full = run(&full_req).unwrap();
-    let samp = run(&samp_req).unwrap();
-    assert_eq!(full.per_core, samp.per_core);
-    assert_eq!(full.ipc, samp.ipc);
-    assert_eq!(full.memory, samp.memory);
-    assert_eq!(full.quotas, samp.quotas);
-    let report = samp.sampling.expect("sampled run carries a report");
-    assert_eq!(report.shift, 0);
-    assert_eq!(report.sampled_sets, report.total_sets);
-    assert_eq!(report.estimated_accesses, 0);
-    assert_eq!(
-        render(&full_req, "adaptive", &full),
-        render(&samp_req, "adaptive", &samp),
-        "rendered reports must be byte-identical at shift 0"
-    );
-}
-
-#[test]
-fn cycle_skip_is_invisible_end_to_end() {
-    // The event-driven fast path must be a pure execution policy: for
-    // every organization, the measured window, the figure-feeding rows
-    // and the *byte-rendered* telemetry stream match the reference
-    // stepping loop exactly.
-    let machine = MachineConfig::baseline();
-    for org in [
-        Organization::Private,
-        Organization::Shared,
-        Organization::adaptive(),
-    ] {
-        let (fast, fast_trace) =
-            run_mix_traced(&machine, org, &mixed(), &exp().with_cycle_skip(true), 4096).unwrap();
-        let (slow, slow_trace) =
-            run_mix_traced(&machine, org, &mixed(), &exp().with_cycle_skip(false), 4096).unwrap();
-        assert_eq!(fast.result, slow.result, "{} window differs", org.label());
-        assert_eq!(
-            render_jsonl(std::slice::from_ref(&fast_trace)),
-            render_jsonl(std::slice::from_ref(&slow_trace)),
-            "{} telemetry JSONL differs",
-            org.label()
-        );
-    }
-    // And through the multi-cell figure harness: the scheme-comparison
-    // rows (what every figure consumes) are bit-identical too.
-    let orgs = [
-        Organization::Private,
-        Organization::Shared,
-        Organization::adaptive(),
-    ];
-    let rows_fast =
-        compare_schemes(&machine, &orgs, &mixed(), &exp().with_cycle_skip(true)).unwrap();
-    let rows_slow =
-        compare_schemes(&machine, &orgs, &mixed(), &exp().with_cycle_skip(false)).unwrap();
-    assert_eq!(rows_fast, rows_slow);
-}
-
-#[test]
-fn time_sample_zero_gap_is_byte_identical_end_to_end() {
-    // A `detail:0` schedule has no functional gaps: the scheduler must
-    // collapse to the plain detailed path, so the measured window, the
-    // byte-rendered telemetry stream and the CLI report all match a run
-    // without the flag exactly — for every organization kind.
-    let machine = MachineConfig::baseline();
-    for org in [
-        Organization::Private,
-        Organization::Shared,
-        Organization::adaptive(),
-        Organization::Cooperative { seed: 1 },
-    ] {
-        let (full, full_trace) = run_mix_traced(&machine, org, &mixed(), &exp(), 4096).unwrap();
-        let (ts, ts_trace) = run_mix_traced(
-            &machine,
-            org,
-            &mixed(),
-            &exp().with_time_sample(Some((5_000, 0))),
-            4096,
-        )
-        .unwrap();
-        assert_eq!(full.result, ts.result, "{} window differs", org.label());
-        assert!(
-            ts.result.time_sampling.is_none(),
-            "a 0-gap schedule is full detail and reports no estimate"
-        );
-        assert_eq!(
-            render_jsonl(std::slice::from_ref(&full_trace)),
-            render_jsonl(std::slice::from_ref(&ts_trace)),
-            "{} telemetry JSONL differs",
-            org.label()
-        );
-    }
-
-    // And the CLI surface: stdout must be byte-identical too.
-    use nuca_repro::cli::{parse_args, render, run};
-    let to_args = |extra: &[&str]| -> Vec<String> {
-        let mut v: Vec<String> = [
-            "--org",
-            "adaptive",
-            "--apps",
-            "ammp,gzip,crafty,mcf",
-            "--warm",
-            "200000",
-            "--warmup",
-            "10000",
-            "--measure",
-            "60000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
-    };
-    let full_req = parse_args(&to_args(&[])).unwrap();
-    let ts_req = parse_args(&to_args(&["--time-sample", "5000:0"])).unwrap();
-    let full = run(&full_req).unwrap();
-    let ts = run(&ts_req).unwrap();
-    assert_eq!(full, ts);
-    assert_eq!(
-        render(&full_req, "adaptive", &full),
-        render(&ts_req, "adaptive", &ts),
-        "rendered reports must be byte-identical at gap 0"
-    );
-}
-
-#[test]
 fn time_sampling_composes_with_set_sampling() {
     // The two sampling dimensions are orthogonal: a run can estimate
     // over time (detailed windows) and over space (a subset of L3 sets)
@@ -386,36 +238,45 @@ fn time_sampling_composes_with_set_sampling() {
     assert_eq!(a.result, b.result, "composition must stay deterministic");
 }
 
-#[test]
-fn no_fast_path_is_invisible_end_to_end() {
-    // The fused TLB+L1 probe, way/page memos, slab decode and pipeline
-    // bookkeeping bypass are pure search-order optimizations: turning
-    // them off with `--no-fast-path` must change nothing — not the
-    // measured window, not the byte-rendered telemetry stream, not the
-    // CLI report — for every organization kind.
+/// One exactness switch: an execution policy that must leave every
+/// output of a run byte-identical to the default.
+struct Variant {
+    /// The nuca-sim flags that select it.
+    flags: &'static [&'static str],
+    /// The same switch on the library surface.
+    exp: fn(ExperimentConfig) -> ExperimentConfig,
+    /// Whether the run carries a (shift-0, identity) sampling report the
+    /// default run does not.
+    set_sampled: bool,
+}
+
+/// Strips the report a `--sample-sets 0` run carries after checking it
+/// is the identity: every set simulated, nothing estimated.
+fn take_identity_sampling(result: &mut CmpResult) {
+    let report = result.sampling.take();
+    assert!(
+        matches!(&report, Some(r) if r.shift == 0
+            && r.sampled_sets == r.total_sets
+            && r.estimated_accesses == 0),
+        "a shift-0 run must carry the identity sampling report, got {report:?}"
+    );
+}
+
+/// Checks that `v` is invisible end to end: for every organization kind,
+/// the measured window, the byte-rendered telemetry stream, the
+/// scheme-comparison rows every figure consumes and the CLI report all
+/// match the default run exactly.
+fn assert_invisible_end_to_end(v: &Variant) {
+    use nuca_repro::cli::{parse_args, render, run};
     let machine = MachineConfig::baseline();
-    for org in [
+    let orgs = [
         Organization::Private,
         Organization::Shared,
         Organization::adaptive(),
         Organization::Cooperative { seed: 1 },
-    ] {
-        let (fast, fast_trace) = run_mix_traced(&machine, org, &mixed(), &exp(), 4096).unwrap();
-        let (slow, slow_trace) =
-            run_mix_traced(&machine, org, &mixed(), &exp().with_fast_path(false), 4096).unwrap();
-        assert_eq!(fast.result, slow.result, "{} window differs", org.label());
-        assert_eq!(
-            render_jsonl(std::slice::from_ref(&fast_trace)),
-            render_jsonl(std::slice::from_ref(&slow_trace)),
-            "{} telemetry JSONL differs",
-            org.label()
-        );
-    }
-
-    // And the CLI surface: stdout must be byte-identical too.
-    use nuca_repro::cli::{parse_args, render, run};
+    ];
     let to_args = |extra: &[&str]| -> Vec<String> {
-        let mut v: Vec<String> = [
+        [
             "--org",
             "adaptive",
             "--apps",
@@ -428,19 +289,90 @@ fn no_fast_path_is_invisible_end_to_end() {
             "60000",
         ]
         .iter()
+        .chain(extra)
         .map(|s| s.to_string())
-        .collect();
-        v.extend(extra.iter().map(|s| s.to_string()));
-        v
+        .collect()
     };
-    let fast_req = parse_args(&to_args(&[])).unwrap();
-    let slow_req = parse_args(&to_args(&["--no-fast-path"])).unwrap();
-    let fast = run(&fast_req).unwrap();
-    let slow = run(&slow_req).unwrap();
-    assert_eq!(fast, slow);
+    let traced = |org, exp: &ExperimentConfig| {
+        let (run, trace) = run_mix_traced(&machine, org, &mixed(), exp, 4096).unwrap();
+        (run.result, render_jsonl(std::slice::from_ref(&trace)))
+    };
+    let name = v.flags.join(" ");
+    let cfg = (v.exp)(exp());
+
+    for org in orgs {
+        let (ref_result, ref_trace) = traced(org, &exp());
+        let (mut result, trace) = traced(org, &cfg);
+        if v.set_sampled {
+            take_identity_sampling(&mut result);
+        }
+        assert_eq!(result, ref_result, "{name}: {} window", org.label());
+        assert_eq!(trace, ref_trace, "{name}: {} telemetry JSONL", org.label());
+    }
+
+    let reference_rows = compare_schemes(&machine, &orgs, &mixed(), &exp()).unwrap();
+    let mut rows = compare_schemes(&machine, &orgs, &mixed(), &cfg).unwrap();
+    if v.set_sampled {
+        rows.iter_mut()
+            .for_each(|r| take_identity_sampling(&mut r.result));
+    }
+    assert_eq!(rows, reference_rows, "{name}: scheme-comparison rows");
+
+    let reference_req = parse_args(&to_args(&[])).unwrap();
+    let reference_cli = run(&reference_req).unwrap();
+    let req = parse_args(&to_args(v.flags)).unwrap();
+    let mut cli = run(&req).unwrap();
     assert_eq!(
-        render(&fast_req, "adaptive", &fast),
-        render(&slow_req, "adaptive", &slow),
-        "rendered reports must be byte-identical without the fast path"
+        render(&req, "adaptive", &cli),
+        render(&reference_req, "adaptive", &reference_cli),
+        "{name}: rendered CLI report"
     );
+    if v.set_sampled {
+        take_identity_sampling(&mut cli);
+    }
+    assert_eq!(cli, reference_cli, "{name}: CLI result");
+}
+
+#[test]
+fn cycle_skip_is_invisible_end_to_end() {
+    // Event skip jumps over idle cycles; the reference stepping loop
+    // walks every one of them.
+    assert_invisible_end_to_end(&Variant {
+        flags: &["--no-skip"],
+        exp: |e| e.with_cycle_skip(false),
+        set_sampled: false,
+    });
+}
+
+#[test]
+fn no_fast_path_is_invisible_end_to_end() {
+    // The fused TLB+L1 probe, way/page memos, warm decode and pipeline
+    // bookkeeping bypass are pure search-order optimizations.
+    assert_invisible_end_to_end(&Variant {
+        flags: &["--no-fast-path"],
+        exp: |e| e.with_fast_path(false),
+        set_sampled: false,
+    });
+}
+
+#[test]
+fn sample_sets_zero_is_byte_identical_to_a_full_run() {
+    // Shift 0 makes every set a member: the estimator wrapper forwards
+    // every access, so its sampling report is the identity.
+    assert_invisible_end_to_end(&Variant {
+        flags: &["--sample-sets", "0"],
+        exp: |e| e.with_sample_sets(Some(0)),
+        set_sampled: true,
+    });
+}
+
+#[test]
+fn time_sample_zero_gap_is_byte_identical_end_to_end() {
+    // A `D:0` schedule never leaves the detailed path, so it also
+    // reports no time-sampling estimate (the default run has none).
+    assert_invisible_end_to_end(&Variant {
+        flags: &["--time-sample", "5000:0"],
+        exp: |e| e.with_time_sample(Some((5_000, 0))),
+        set_sampled: false,
+    });
 }

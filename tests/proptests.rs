@@ -289,73 +289,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// SWAR digest probes vs the scalar reference walk.
-
-use nuca_repro::cachesim::swar::LANES;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-    #[test]
-    fn swar_probe_matches_scalar_reference(
-        tags in proptest::collection::vec(0u64..(1 << 40), 1..17),
-        probes in proptest::collection::vec(0u64..(1 << 40), 1..64),
-    ) {
-        use nuca_repro::cachesim::swar::{digest, TagFilter};
-        // One set holding `tags`; the filter mirrors it digest-for-digest.
-        let ways = tags.len();
-        let mut filter = TagFilter::new(1, ways);
-        for (w, &t) in tags.iter().enumerate() {
-            filter.record(0, w, digest(t));
-        }
-        for probe in probes.iter().chain(tags.iter()) {
-            // Reference: first way whose tag matches, low to high.
-            let scalar = tags.iter().position(|&t| t == *probe);
-            // SWAR: walk the candidate mask low-to-high, confirming each
-            // digest hit against the real tag.
-            // The cache pairs the mask with its valid mask: lanes past
-            // the recorded ways hold the zero digest and must be ignored.
-            let valid = (1u32 << ways) - 1;
-            let mut mask = filter.candidates(0, digest(*probe)) & valid;
-            let mut swar = None;
-            while mask != 0 {
-                let w = mask.trailing_zeros() as usize;
-                if tags[w] == *probe {
-                    swar = Some(w);
-                    break;
-                }
-                mask &= mask - 1;
-            }
-            prop_assert_eq!(swar, scalar, "probe {:#x} against {:?}", probe, tags);
-            // The filter can never miss a real match (no false negatives):
-            // every way whose tag equals the probe must be in the mask.
-            let mask = filter.candidates(0, digest(*probe)) & valid;
-            for (w, &t) in tags.iter().enumerate() {
-                if t == *probe {
-                    prop_assert!(mask & (1 << w) != 0, "way {} dropped", w);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn match_mask_flags_exactly_the_matching_lanes(
-        digests in proptest::collection::vec(any::<u8>(), LANES..LANES + 1),
-        needle in any::<u8>(),
-    ) {
-        use nuca_repro::cachesim::swar::match_mask;
-        let mut word = 0u64;
-        for (lane, &d) in digests.iter().enumerate() {
-            word |= (d as u64) << (lane * 8);
-        }
-        let mask = match_mask(word, needle);
-        for (lane, &d) in digests.iter().enumerate() {
-            let flagged = mask & (1 << lane) != 0;
-            prop_assert_eq!(flagged, d == needle, "lane {} digest {:#x}", lane, d);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Campaign snapshot/fork (DESIGN.md §9): functional warm-up, snapshot,
 // restore into a fresh chip, timed run — bit-identical to warming and
 // running straight through, across randomized organizations, latency
@@ -572,56 +505,5 @@ proptest! {
         };
         prop_assert_eq!(enc(&|w| ft.save_state(w)), enc(&|w| rt.save_state(w)));
         prop_assert_eq!(enc(&|w| fc.save_state(w)), enc(&|w| rc.save_state(w)));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Block (slab) trace decode vs the one-at-a-time reference decode.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn slab_decode_equals_one_at_a_time(
-        seed in any::<u64>(),
-        loads in 0.05f64..0.35,
-        stores in 0.02f64..0.15,
-        branches in 0.02f64..0.25,
-        hot_kb in 64u64..2048,
-        skew in 1.0f64..3.0,
-        loop_frac in 0.0f64..1.0,
-        ops in 65usize..300,
-        ff in 0u64..200,
-    ) {
-        // The 64-op decoded slab must be invisible: same op stream, same
-        // logical position, same snapshot — for any profile, any seed,
-        // any fast-forward offset, and op counts that cross slab
-        // boundaries.
-        use nuca_repro::tracegen::profile::AppProfileBuilder;
-        use nuca_repro::tracegen::TraceGenerator;
-        let profile = AppProfileBuilder::new("prop-slab")
-            .loads(loads)
-            .stores(stores)
-            .branches(branches)
-            .hot_kb(hot_kb)
-            .hot_skew(skew)
-            .hot_loop(loop_frac)
-            .build()
-            .unwrap();
-        let mut slab = TraceGenerator::new(&profile, SimRng::seed_from(seed));
-        slab.set_slab(true);
-        let mut one = TraceGenerator::new(&profile, SimRng::seed_from(seed));
-        one.set_slab(false);
-        slab.fast_forward(ff);
-        one.fast_forward(ff);
-        for i in 0..ops {
-            prop_assert_eq!(slab.next_op(), one.next_op(), "op {}", i);
-            prop_assert_eq!(slab.ops_generated(), one.ops_generated());
-        }
-        let enc = |g: &TraceGenerator| {
-            let mut w = nuca_repro::simcore::snapshot::SnapshotWriter::new();
-            g.save_state(&mut w);
-            w.finish()
-        };
-        prop_assert_eq!(enc(&slab), enc(&one));
     }
 }
