@@ -1,7 +1,9 @@
-//! End-to-end benchmarks of every figure driver at a heavily reduced
-//! scale, so `cargo bench` exercises each table/figure code path and
-//! reports how long one downscaled experiment takes. Full-fidelity runs
-//! are the `fig*` binaries (see EXPERIMENTS.md).
+//! End-to-end benchmarks of every simulating figure driver at a heavily
+//! reduced scale, so `cargo bench` exercises each of their code paths
+//! and reports how long one downscaled experiment takes. Figures 6–12
+//! are left out: they render campaign manifests and simulate nothing.
+//! Full-fidelity runs are the `fig*` binaries and `run_figures.sh` (see
+//! EXPERIMENTS.md).
 
 // Bench harness: failing fast on setup errors is intended.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -77,34 +79,6 @@ fn bench_figures(c: &mut Criterion) {
             )
             .unwrap()
         })
-    });
-    g.bench_function("fig6_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig6(&machine, &exp, 1).unwrap())
-    });
-    g.bench_function("fig7_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig7(&machine, &exp, 1).unwrap())
-    });
-    g.bench_function("fig8_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig8(&machine, &exp, 1).unwrap())
-    });
-    g.bench_function("fig9_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig9(&machine, &exp, 1).unwrap())
-    });
-    g.bench_function("fig10_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig10(&machine, &exp, 1).unwrap())
-    });
-    g.bench_function("fig11_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig11(&machine, &exp, 1).unwrap())
-    });
-    g.bench_function("fig12_one_mix", |b| {
-        let exp = tiny();
-        b.iter(|| figures::fig12(&machine, &exp, 1).unwrap())
     });
     g.bench_function("shadow_sampling_one_mix", |b| {
         let exp = tiny();

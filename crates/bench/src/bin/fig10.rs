@@ -1,34 +1,22 @@
-//! Figure 10: the impact of technology scaling.
+//! Figure 10: the impact of technology scaling, rendered from the
+//! `specs/paper.toml` (baseline) and `specs/fig10.toml` (scaled)
+//! campaign manifests.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig10;
-use nuca_bench::report::{pct, Table};
-use simcore::config::MachineConfig;
+use nuca_bench::figures::{fig10, render_fig10};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let r = fig10(&machine, &exp, nuca_bench::mix_count()).expect("figure 10 experiment");
-    let mut t = Table::new(
-        "Figure 10 — mean harmonic speedup vs private, baseline vs scaled technology",
-        &["scheme", "baseline", "scaled tech", "delta"],
-    );
-    for (label, base, scaled) in &r.schemes {
-        t.row(&[
-            label,
-            &pct(*base),
-            &pct(*scaled),
-            &format!("{:+.1} pp", (scaled - base) * 100.0),
-        ]);
+fn main() -> ExitCode {
+    let rendered =
+        nuca_bench::render_manifests("fig10 <paper.jsonl> <fig10.jsonl>", |[paper, scaled]| {
+            Ok(render_fig10(&fig10(paper, scaled)?))
+        });
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-    println!();
-    println!("Paper shape: as memory latency grows (258/260 -> 330/338 cycles) the");
-    println!("adaptive scheme gains the most, because it removes the most memory accesses.");
-
-    tele.export("fig10").expect("telemetry export");
+    ExitCode::SUCCESS
 }

@@ -1,37 +1,24 @@
-//! Figure 11: the adaptive scheme vs cooperative caching, intensive mixes.
+//! Figure 11: the adaptive scheme vs cooperative caching, intensive
+//! mixes, rendered from the `specs/paper.toml` campaign manifest.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig11;
-use nuca_bench::report::{f4, pct, Table};
-use simcore::config::MachineConfig;
-use simcore::stats::arithmetic_mean;
+use nuca_bench::figures::{fig11, render_vs_cooperative};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let rows = fig11(&machine, &exp, nuca_bench::mix_count()).expect("figure 11 experiment");
-    let mut t = Table::new(
-        "Figure 11 — adaptive vs \"random replacement\" (Chang & Sohi), intensive mixes",
-        &["mix", "adaptive", "cooperative", "relative"],
-    );
-    for r in &rows {
-        t.row(&[
-            &r.label,
-            &f4(r.adaptive),
-            &f4(r.cooperative),
-            &pct(r.relative),
-        ]);
+fn main() -> ExitCode {
+    let rendered = nuca_bench::render_manifests("fig11 <paper.jsonl>", |[paper]| {
+        Ok(render_vs_cooperative(
+            "Figure 11 — adaptive vs \"random replacement\" (Chang & Sohi), intensive mixes",
+            "adaptive generally better",
+            &fig11(paper)?,
+        ))
+    });
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-    let mean = arithmetic_mean(&rows.iter().map(|r| r.relative).collect::<Vec<_>>());
-    println!(
-        "\nmean relative performance: {} (paper: adaptive generally better)",
-        pct(mean)
-    );
-
-    tele.export("fig11").expect("telemetry export");
+    ExitCode::SUCCESS
 }

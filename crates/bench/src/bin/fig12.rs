@@ -1,37 +1,25 @@
-//! Figure 12: adaptive vs cooperative caching over all applications.
+//! Figure 12: adaptive vs cooperative caching over all applications —
+//! the Figure 11 table rendered from the `specs/fig8.toml` campaign
+//! manifest.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig12;
-use nuca_bench::report::{f4, pct, Table};
-use simcore::config::MachineConfig;
-use simcore::stats::arithmetic_mean;
+use nuca_bench::figures::{fig11, render_vs_cooperative};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let rows = fig12(&machine, &exp, nuca_bench::mix_count()).expect("figure 12 experiment");
-    let mut t = Table::new(
-        "Figure 12 — adaptive vs \"random replacement\", mixes from all applications",
-        &["mix", "adaptive", "cooperative", "relative"],
-    );
-    for r in &rows {
-        t.row(&[
-            &r.label,
-            &f4(r.adaptive),
-            &f4(r.cooperative),
-            &pct(r.relative),
-        ]);
+fn main() -> ExitCode {
+    let rendered = nuca_bench::render_manifests("fig12 <fig8.jsonl>", |[all]| {
+        Ok(render_vs_cooperative(
+            "Figure 12 — adaptive vs \"random replacement\", mixes from all applications",
+            "advantage shrinks vs Figure 11",
+            &fig11(all)?,
+        ))
+    });
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-    let mean = arithmetic_mean(&rows.iter().map(|r| r.relative).collect::<Vec<_>>());
-    println!(
-        "\nmean relative performance: {} (paper: advantage shrinks vs Figure 11)",
-        pct(mean)
-    );
-
-    tele.export("fig12").expect("telemetry export");
+    ExitCode::SUCCESS
 }

@@ -1,45 +1,20 @@
-//! Figure 6: harmonic mean of IPC per experiment (LLC-intensive mixes).
+//! Figure 6: harmonic mean of IPC per experiment (LLC-intensive mixes),
+//! rendered from the `specs/paper.toml` campaign manifest.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig6;
-use nuca_bench::report::{f4, pct, Table};
-use simcore::config::MachineConfig;
-use simcore::stats::speedup;
+use nuca_bench::figures::{fig6, render_fig6};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let r = fig6(&machine, &exp, nuca_bench::mix_count()).expect("figure 6 experiment");
-    let mut t = Table::new(
-        "Figure 6 — harmonic-mean IPC per experiment, sorted by adaptive/private",
-        &["mix", "private", "shared", "adaptive", "adp/priv", "quotas"],
-    );
-    for row in &r.rows {
-        t.row(&[
-            &row.label,
-            &f4(row.private),
-            &f4(row.shared),
-            &f4(row.adaptive),
-            &pct(speedup(row.adaptive, row.private)),
-            &format!("{:?}", row.quotas),
-        ]);
+fn main() -> ExitCode {
+    let rendered = nuca_bench::render_manifests("fig6 <paper.jsonl>", |[paper]| {
+        Ok(render_fig6(&fig6(paper)?))
+    });
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-    println!();
-    println!(
-        "adaptive vs private: harmonic {} / arithmetic {}   (paper: +21% / +13%)",
-        pct(r.adaptive.hmean_speedup),
-        pct(r.adaptive.amean_speedup)
-    );
-    println!(
-        "adaptive vs shared : harmonic {} / arithmetic {}   (paper: +2% / +5%)",
-        pct(r.adaptive.hmean_speedup / r.shared.hmean_speedup),
-        pct(r.adaptive.amean_speedup / r.shared.amean_speedup)
-    );
-
-    tele.export("fig6").expect("telemetry export");
+    ExitCode::SUCCESS
 }

@@ -1,35 +1,25 @@
-//! Figure 7: per-application speedup for the LLC-intensive applications.
+//! Figure 7: per-application speedup for the LLC-intensive applications,
+//! rendered from the `specs/paper.toml` campaign manifest.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig7;
-use nuca_bench::report::{pct, Table};
-use simcore::config::MachineConfig;
+use nuca_bench::figures::{fig7, render_per_app};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let rows = fig7(&machine, &exp, nuca_bench::mix_count()).expect("figure 7 experiment");
-    let mut t = Table::new(
-        "Figure 7 — adaptive speedup per intensive application",
-        &["app", "vs private", "vs shared", "vs 4x private", "n"],
-    );
-    for r in &rows {
-        t.row(&[
-            r.app,
-            &pct(r.vs_private),
-            &pct(r.vs_shared),
-            &pct(r.vs_private4x),
-            &r.appearances.to_string(),
-        ]);
+fn main() -> ExitCode {
+    let rendered = nuca_bench::render_manifests("fig7 <paper.jsonl>", |[paper]| {
+        Ok(render_per_app(
+            "Figure 7 — adaptive speedup per intensive application",
+            "Paper shape: ammp/art/twolf/vpr lose to the 4x-larger private cache\n\
+             (they want more capacity) but beat plain private caches.\n",
+            &fig7(paper)?,
+        ))
+    });
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-    println!();
-    println!("Paper shape: ammp/art/twolf/vpr lose to the 4x-larger private cache");
-    println!("(they want more capacity) but beat plain private caches.");
-
-    tele.export("fig7").expect("telemetry export");
+    ExitCode::SUCCESS
 }

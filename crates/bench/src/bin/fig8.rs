@@ -1,35 +1,19 @@
-//! Figure 8: speedup vs private caches for all applications.
+//! Figure 8: speedup vs private caches for all applications, rendered
+//! from the `specs/fig8.toml` campaign manifest.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig8;
-use nuca_bench::report::{pct, Table};
-use simcore::config::MachineConfig;
+use nuca_bench::figures::{fig8, render_fig8};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let rows = fig8(&machine, &exp, nuca_bench::mix_count()).expect("figure 8 experiment");
-    let mut t = Table::new(
-        "Figure 8 — adaptive speedup vs private, all applications",
-        &["app", "speedup", "class", "n"],
-    );
-    for r in &rows {
-        t.row(&[
-            r.app,
-            &pct(r.speedup),
-            if r.intensive {
-                "intensive"
-            } else {
-                "non-intensive"
-            },
-            &r.appearances.to_string(),
-        ]);
+fn main() -> ExitCode {
+    let rendered =
+        nuca_bench::render_manifests("fig8 <fig8.jsonl>", |[all]| Ok(render_fig8(&fig8(all)?)));
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-
-    tele.export("fig8").expect("telemetry export");
+    ExitCode::SUCCESS
 }

@@ -1,35 +1,25 @@
-//! Figure 9: the per-application comparison with an 8-MByte L3.
+//! Figure 9: the per-application comparison with an 8-MByte L3 — the
+//! Figure 7 table rendered from the `specs/fig9.toml` campaign manifest.
 
-// Figure-harness binary: failing fast on experiment errors is intended.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::process::ExitCode;
 
-use nuca_bench::figures::fig9;
-use nuca_bench::report::{pct, Table};
-use simcore::config::MachineConfig;
+use nuca_bench::figures::{fig7, render_per_app};
 
-fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
-    let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
-    let rows = fig9(&machine, &exp, nuca_bench::mix_count()).expect("figure 9 experiment");
-    let mut t = Table::new(
-        "Figure 9 — 8-MByte L3 (2 MB/core slices, same timing model)",
-        &["app", "vs private", "vs shared", "vs 4x private", "n"],
-    );
-    for r in &rows {
-        t.row(&[
-            r.app,
-            &pct(r.vs_private),
-            &pct(r.vs_shared),
-            &pct(r.vs_private4x),
-            &r.appearances.to_string(),
-        ]);
+fn main() -> ExitCode {
+    let rendered = nuca_bench::render_manifests("fig9 <fig9.jsonl>", |[big]| {
+        Ok(render_per_app(
+            "Figure 9 — 8-MByte L3 (2 MB/core slices, same timing model)",
+            "Paper shape: with ample capacity the adaptive scheme's constraints\n\
+             stop paying off and can slightly degrade performance.\n",
+            &fig7(big)?,
+        ))
+    });
+    match rendered {
+        Ok(text) => print!("{text}"),
+        Err((status, message)) => {
+            eprintln!("{message}");
+            return ExitCode::from(status);
+        }
     }
-    t.print();
-    println!();
-    println!("Paper shape: with ample capacity the adaptive scheme's constraints");
-    println!("stop paying off and can slightly degrade performance.");
-
-    tele.export("fig9").expect("telemetry export");
+    ExitCode::SUCCESS
 }

@@ -33,6 +33,9 @@
 //!                           is more than 15% below FILE's
 //! ```
 //!
+//! A flag's missing or malformed value exits 2 with a message; it never
+//! falls back to the default, so no gate can switch itself off.
+//!
 //! The matrix is fixed (intensive-pool mixes x private/shared/adaptive)
 //! so numbers are comparable across commits; wall-clock values move
 //! with the host, the schema must not. The serial pass is the reference
@@ -108,7 +111,12 @@ struct Args {
     check_regression: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Parses perf's arguments (program name excluded). A flag's missing or
+/// malformed value is an error, never a fallback to its default: a gate
+/// such as `--max-sample-error` or `--check-regression` would otherwise
+/// switch itself off, and a bare `--out` would overwrite the committed
+/// baseline.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         quick: false,
         jobs: 0,
@@ -123,46 +131,61 @@ fn parse_args() -> Args {
         check_schema: None,
         check_regression: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--quick" => args.quick = true,
-            "--jobs" => args.jobs = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--repeat" => {
-                args.repeat = it.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-            }
             "--no-skip" => args.cycle_skip = false,
             "--no-fast-path" => args.fast_path = false,
-            "--sample-sets" => {
-                args.sample_shift = it.next().and_then(|v| v.parse().ok()).unwrap_or(4);
-            }
-            "--max-sample-error" => {
-                args.max_sample_error = it.next().and_then(|v| v.parse().ok());
-            }
-            "--time-sample" => {
-                let v = it.next().unwrap_or_default();
-                args.time_sample = parse_time_sample(&v).unwrap_or_else(|| {
-                    eprintln!("perf: --time-sample wants D:G with D > 0 (got {v:?})");
-                    std::process::exit(2);
-                });
-            }
-            "--max-time-sample-error" => {
-                args.max_time_sample_error = it.next().and_then(|v| v.parse().ok());
-            }
-            "--out" => args.out = it.next(),
-            "--check-schema" => args.check_schema = it.next(),
-            "--check-regression" => args.check_regression = it.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--jobs=") {
-                    args.jobs = v.parse().unwrap_or(0);
-                } else {
-                    eprintln!("perf: unknown argument {other} (see the module docs)");
-                    std::process::exit(2);
+            "--jobs" => args.jobs = number(flag, &value(flag, it.next())?)?,
+            "--repeat" => {
+                args.repeat = number(flag, &value(flag, it.next())?)?;
+                if args.repeat == 0 {
+                    return Err("--repeat wants a positive count".to_string());
                 }
             }
+            "--sample-sets" => args.sample_shift = number(flag, &value(flag, it.next())?)?,
+            "--max-sample-error" => args.max_sample_error = Some(percent(flag, it.next())?),
+            "--time-sample" => {
+                let v = value(flag, it.next())?;
+                args.time_sample = parse_time_sample(&v)
+                    .ok_or_else(|| format!("--time-sample wants D:G with D > 0 (got {v:?})"))?;
+            }
+            "--max-time-sample-error" => {
+                args.max_time_sample_error = Some(percent(flag, it.next())?);
+            }
+            "--out" => args.out = Some(value(flag, it.next())?),
+            "--check-schema" => args.check_schema = Some(value(flag, it.next())?),
+            "--check-regression" => args.check_regression = Some(value(flag, it.next())?),
+            other => match other.strip_prefix("--jobs=") {
+                Some(v) => args.jobs = number("--jobs", v)?,
+                None => return Err(format!("unknown argument {other} (see the module docs)")),
+            },
         }
     }
-    args
+    Ok(args)
+}
+
+/// The value after `flag`: present and not another flag.
+fn value(flag: &str, next: Option<String>) -> Result<String, String> {
+    next.filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} wants a non-negative integer (got {v:?})"))
+}
+
+/// An error budget in percent: finite and non-negative, so the gate it
+/// arms can fail.
+fn percent(flag: &str, next: Option<String>) -> Result<f64, String> {
+    let v = value(flag, next)?;
+    match v.parse::<f64>() {
+        Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct),
+        _ => Err(format!("{flag} wants a percentage such as 12 (got {v:?})")),
+    }
 }
 
 /// Parses a `D:G` schedule; a zero detail with a non-zero gap is
@@ -206,7 +229,10 @@ fn sampling_error(full: &[MixResult], sampled: &[MixResult]) -> (f64, f64) {
 fn main() {
     let tele = nuca_bench::trace_out::TelemetryArgs::parse();
     tele.install();
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("perf: {e}");
+        std::process::exit(2);
+    });
     let machine = MachineConfig::baseline();
     let (n_mixes, exp) = if args.quick {
         (2, ExperimentConfig::quick())
@@ -771,5 +797,78 @@ fn main() {
 
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parses_defaults_and_the_ci_invocations() {
+        let d = parse(&[]).unwrap();
+        assert_eq!((d.jobs, d.repeat, d.sample_shift), (0, 1, 4));
+        assert_eq!(d.time_sample, (10_000, 40_000));
+        assert!(d.out.is_none() && d.max_sample_error.is_none());
+        let a = parse(&[
+            "--quick",
+            "--sample-sets",
+            "2",
+            "--max-sample-error",
+            "12",
+            "--repeat",
+            "2",
+            "--jobs=3",
+            "--out",
+            "-",
+            "--check-regression",
+            "BENCH_quick_baseline.json",
+        ])
+        .unwrap();
+        assert!(a.quick);
+        assert_eq!((a.jobs, a.repeat, a.sample_shift), (3, 2, 2));
+        assert_eq!(a.max_sample_error, Some(12.0));
+        assert_eq!(a.out.as_deref(), Some("-"));
+        assert_eq!(
+            a.check_regression.as_deref(),
+            Some("BENCH_quick_baseline.json")
+        );
+        let t = parse(&[
+            "--time-sample",
+            "10000:40000",
+            "--max-time-sample-error",
+            "10",
+        ])
+        .unwrap();
+        assert_eq!(t.time_sample, (10_000, 40_000));
+        assert_eq!(t.max_time_sample_error, Some(10.0));
+    }
+
+    #[test]
+    fn rejects_missing_and_malformed_values_instead_of_defaulting() {
+        for argv in [
+            &["--max-sample-error", "12%"][..],
+            &["--max-time-sample-error", "ten"],
+            &["--max-sample-error", "NaN"],
+            &["--max-sample-error", "-1"],
+            &["--max-sample-error"],
+            &["--check-regression"],
+            &["--check-schema"],
+            &["--out"],
+            &["--out", "--quick"],
+            &["--sample-sets", "four"],
+            &["--repeat", "x"],
+            &["--repeat", "0"],
+            &["--jobs", "-1"],
+            &["--jobs=many"],
+            &["--time-sample", "0:10"],
+            &["--bogus"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?} must be rejected");
+        }
     }
 }

@@ -1,19 +1,32 @@
 //! Drivers for every table and figure of the paper's evaluation section.
 //!
-//! Each function runs the corresponding experiment at the requested scale
-//! and returns structured results; the `fig*` binaries print them as the
-//! paper's rows/series, and `EXPERIMENTS.md` records paper-vs-measured.
+//! Figures 3 and 5, the §4.6 shadow-tag study and the ablations simulate
+//! at the requested scale. Figures 6–12 never simulate: they project the
+//! finished cells of the campaign manifests `nuca-sim campaign` writes
+//! for the committed specs — `specs/paper.toml` (Figures 6, 7, 11 and
+//! the baseline half of 10), `specs/fig8.toml` (Figures 8 and 12),
+//! `specs/fig9.toml` (Figure 9) and `specs/fig10.toml` (the scaled half
+//! of Figure 10). Drivers return structured results, the `render_*`
+//! functions format them as the `fig*` binaries print them, and
+//! `EXPERIMENTS.md` records paper-vs-measured.
 
+use std::collections::BTreeMap;
+
+use campaign::manifest::{DoneCell, Manifest};
+use campaign::spec::OrgKind;
+use campaign::CampaignError;
 use nuca_core::experiment::{
-    classify, per_app_speedup, run_cells, sensitivity_grid, Classification, ExperimentConfig,
-    MixResult, SensitivityPoint, SimCell,
+    classify, run_cells, sensitivity_grid, Classification, ExperimentConfig, SensitivityPoint,
+    SimCell,
 };
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
-use simcore::error::Result;
+use simcore::error::ConfigError;
 use simcore::stats::{arithmetic_mean, speedup};
 use tracegen::spec::SpecApp;
-use tracegen::workload::{Mix, WorkloadPool};
+use tracegen::workload::WorkloadPool;
+
+use crate::report::{f4, pct, Table};
 
 /// The applications whose miss curves Figure 3 plots (the paper names
 /// `mcf` and `gzip`; the others are representative of its five curves).
@@ -27,24 +40,6 @@ pub const FIG3_APPS: [SpecApp; 5] = [
 
 /// Blocks-per-set grid for the Figure 3 sweep.
 pub const FIG3_WAYS: [u32; 7] = [1, 2, 3, 4, 6, 8, 16];
-
-/// Flattens a `mixes x orgs` grid into independent cells, row-major
-/// (every organization of mix 0, then mix 1, ...), for
-/// [`run_cells`]. Callers recover rows with `chunks(orgs.len())`.
-fn mix_org_grid<'a>(
-    machine: &'a MachineConfig,
-    mixes: &'a [Mix],
-    orgs: &[Organization],
-) -> Vec<SimCell<'a>> {
-    mixes
-        .iter()
-        .flat_map(|mix| {
-            orgs.iter()
-                .map(move |&org| SimCell { machine, org, mix })
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
 
 /// One Figure 3 series.
 #[derive(Debug, Clone)]
@@ -62,7 +57,10 @@ pub struct Fig3Series {
 /// # Errors
 ///
 /// Propagates configuration errors from the experiment harness.
-pub fn fig3(machine: &MachineConfig, exp: &ExperimentConfig) -> Result<Vec<Fig3Series>> {
+pub fn fig3(
+    machine: &MachineConfig,
+    exp: &ExperimentConfig,
+) -> Result<Vec<Fig3Series>, ConfigError> {
     let rows = sensitivity_grid(machine, &FIG3_APPS, &FIG3_WAYS, exp)?;
     Ok(FIG3_APPS
         .into_iter()
@@ -77,7 +75,10 @@ pub fn fig3(machine: &MachineConfig, exp: &ExperimentConfig) -> Result<Vec<Fig3S
 /// # Errors
 ///
 /// Propagates configuration errors from the experiment harness.
-pub fn fig5(machine: &MachineConfig, exp: &ExperimentConfig) -> Result<Vec<Classification>> {
+pub fn fig5(
+    machine: &MachineConfig,
+    exp: &ExperimentConfig,
+) -> Result<Vec<Classification>, ConfigError> {
     classify(machine, exp)
 }
 
@@ -117,38 +118,47 @@ pub struct Fig6Result {
     pub adaptive: SchemeSummary,
 }
 
-/// Figure 6: harmonic-mean IPC per experiment over LLC-intensive mixes.
+/// Mean over the manifest's mixes of `org`'s IPC over private's, with
+/// `ipc` picking the harmonic or the arithmetic mean of a cell.
+fn mean_speedup(
+    m: &Manifest,
+    org: OrgKind,
+    ipc: fn(&DoneCell) -> f64,
+) -> Result<f64, CampaignError> {
+    let mut speedups = Vec::with_capacity(m.mixes());
+    for i in 0..m.mixes() {
+        speedups.push(speedup(
+            ipc(m.cell(org, i)?),
+            ipc(m.cell(OrgKind::Private, i)?),
+        ));
+    }
+    Ok(arithmetic_mean(&speedups))
+}
+
+fn summary(m: &Manifest, org: OrgKind) -> Result<SchemeSummary, CampaignError> {
+    Ok(SchemeSummary {
+        hmean_speedup: mean_speedup(m, org, |c| c.hmean_ipc)?,
+        amean_speedup: mean_speedup(m, org, |c| c.amean_ipc)?,
+    })
+}
+
+/// Figure 6: harmonic-mean IPC per experiment over LLC-intensive mixes,
+/// from the `specs/paper.toml` manifest.
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig6(machine: &MachineConfig, exp: &ExperimentConfig, n_mixes: usize) -> Result<Fig6Result> {
-    let mixes =
-        WorkloadPool::random_mixes(&SpecApp::intensive_pool(), machine.cores, n_mixes, exp.seed);
-    let orgs = [
-        Organization::Private,
-        Organization::Shared,
-        Organization::adaptive(),
-    ];
-    let cells = mix_org_grid(machine, &mixes, &orgs);
-    let results = run_cells(&cells, exp)?;
-    let mut rows = Vec::new();
-    let mut sh_h = Vec::new();
-    let mut sh_a = Vec::new();
-    let mut ad_h = Vec::new();
-    let mut ad_a = Vec::new();
-    for (mix, rs) in mixes.iter().zip(results.chunks(orgs.len())) {
-        let (p, s, a) = (&rs[0].result, &rs[1].result, &rs[2].result);
-        sh_h.push(speedup(s.hmean_ipc, p.hmean_ipc));
-        sh_a.push(speedup(s.amean_ipc, p.amean_ipc));
-        ad_h.push(speedup(a.hmean_ipc, p.hmean_ipc));
-        ad_a.push(speedup(a.amean_ipc, p.amean_ipc));
+/// [`CampaignError::Manifest`] if a private, shared or adaptive cell is
+/// missing or pruned.
+pub fn fig6(m: &Manifest) -> Result<Fig6Result, CampaignError> {
+    let mut rows = Vec::with_capacity(m.mixes());
+    for i in 0..m.mixes() {
+        let adaptive = m.cell(OrgKind::Adaptive, i)?;
         rows.push(Fig6Row {
-            label: mix.label(),
-            private: p.hmean_ipc,
-            shared: s.hmean_ipc,
-            adaptive: a.hmean_ipc,
-            quotas: a.quotas.clone().unwrap_or_default(),
+            label: adaptive.label(),
+            private: m.cell(OrgKind::Private, i)?.hmean_ipc,
+            shared: m.cell(OrgKind::Shared, i)?.hmean_ipc,
+            adaptive: adaptive.hmean_ipc,
+            quotas: adaptive.quotas.clone().unwrap_or_default(),
         });
     }
     rows.sort_by(|x, y| {
@@ -158,19 +168,40 @@ pub fn fig6(machine: &MachineConfig, exp: &ExperimentConfig, n_mixes: usize) -> 
     });
     Ok(Fig6Result {
         rows,
-        shared: SchemeSummary {
-            hmean_speedup: arithmetic_mean(&sh_h),
-            amean_speedup: arithmetic_mean(&sh_a),
-        },
-        adaptive: SchemeSummary {
-            hmean_speedup: arithmetic_mean(&ad_h),
-            amean_speedup: arithmetic_mean(&ad_a),
-        },
+        shared: summary(m, OrgKind::Shared)?,
+        adaptive: summary(m, OrgKind::Adaptive)?,
     })
 }
 
+/// Figure 6 as the `fig6` binary prints it.
+pub fn render_fig6(r: &Fig6Result) -> String {
+    let mut t = Table::new(
+        "Figure 6 — harmonic-mean IPC per experiment, sorted by adaptive/private",
+        &["mix", "private", "shared", "adaptive", "adp/priv", "quotas"],
+    );
+    for row in &r.rows {
+        t.row(&[
+            &row.label,
+            &f4(row.private),
+            &f4(row.shared),
+            &f4(row.adaptive),
+            &pct(speedup(row.adaptive, row.private)),
+            &format!("{:?}", row.quotas),
+        ]);
+    }
+    format!(
+        "{}\nadaptive vs private: harmonic {} / arithmetic {}   (paper: +21% / +13%)\n\
+         adaptive vs shared : harmonic {} / arithmetic {}   (paper: +2% / +5%)\n",
+        t.render(),
+        pct(r.adaptive.hmean_speedup),
+        pct(r.adaptive.amean_speedup),
+        pct(r.adaptive.hmean_speedup / r.shared.hmean_speedup),
+        pct(r.adaptive.amean_speedup / r.shared.amean_speedup)
+    )
+}
+
 /// Per-application speedups of the adaptive scheme against three
-/// yardsticks (Figure 7 and Figure 9).
+/// yardsticks (Figures 7 and 9).
 #[derive(Debug, Clone)]
 pub struct PerAppRow {
     /// Application name.
@@ -185,32 +216,43 @@ pub struct PerAppRow {
     pub appearances: usize,
 }
 
-fn per_app_rows(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    mixes: &[Mix],
-) -> Result<Vec<PerAppRow>> {
-    let orgs = [
-        Organization::adaptive(),
-        Organization::Private,
-        Organization::Shared,
-        Organization::PrivateScaled { factor: 4 },
-    ];
-    let cells = mix_org_grid(machine, mixes, &orgs);
-    let results = run_cells(&cells, exp)?;
-    let column = |k: usize| -> Vec<MixResult> {
-        results
-            .iter()
-            .skip(k)
-            .step_by(orgs.len())
-            .cloned()
-            .collect()
-    };
-    let (adaptive, private, shared, private4) = (column(0), column(1), column(2), column(3));
-    let vs_p = per_app_speedup(&adaptive, &private);
-    let vs_s = per_app_speedup(&adaptive, &shared);
-    let vs_4 = per_app_speedup(&adaptive, &private4);
-    Ok(vs_p
+/// For every application, the mean over all its appearances of its IPC
+/// under the adaptive scheme over its IPC under `baseline`, with the
+/// appearance count, in name order.
+fn per_app_speedup(
+    m: &Manifest,
+    baseline: OrgKind,
+) -> Result<Vec<(&'static str, f64, usize)>, CampaignError> {
+    let mut acc: BTreeMap<&'static str, (f64, usize)> = BTreeMap::new();
+    for i in 0..m.mixes() {
+        let (new, base) = (m.cell(OrgKind::Adaptive, i)?, m.cell(baseline, i)?);
+        for ((app, s_new), s_base) in new.apps.iter().zip(&new.ipc).zip(&base.ipc) {
+            if *s_base > 0.0 {
+                let e = acc.entry(app.name()).or_insert((0.0, 0));
+                e.0 += s_new / s_base;
+                e.1 += 1;
+            }
+        }
+    }
+    Ok(acc
+        .into_iter()
+        .map(|(app, (sum, n))| (app, sum / n as f64, n))
+        .collect())
+}
+
+/// Figures 7 and 9: per-application speedup of the adaptive scheme
+/// against private, shared and 4x private caches — Figure 7 from the
+/// `specs/paper.toml` manifest, Figure 9 from `specs/fig9.toml`'s
+/// (8-MByte L3).
+///
+/// # Errors
+///
+/// [`CampaignError::Manifest`] if an adaptive, private, shared or
+/// private4x cell is missing or pruned.
+pub fn fig7(m: &Manifest) -> Result<Vec<PerAppRow>, CampaignError> {
+    let vs_s = per_app_speedup(m, OrgKind::Shared)?;
+    let vs_4 = per_app_speedup(m, OrgKind::Private4x)?;
+    Ok(per_app_speedup(m, OrgKind::Private)?
         .into_iter()
         .map(|(app, sp, n)| {
             let find = |v: &[(&'static str, f64, usize)]| {
@@ -230,20 +272,23 @@ fn per_app_rows(
         .collect())
 }
 
-/// Figure 7: per-application speedup of the adaptive scheme for the
-/// LLC-intensive applications, against private, shared and 4x private.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig7(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    n_mixes: usize,
-) -> Result<Vec<PerAppRow>> {
-    let mixes =
-        WorkloadPool::random_mixes(&SpecApp::intensive_pool(), machine.cores, n_mixes, exp.seed);
-    per_app_rows(machine, exp, &mixes)
+/// A Figure 7/9 table as the `fig7`/`fig9` binaries print it: `title`,
+/// the rows, a blank line and `note`.
+pub fn render_per_app(title: &str, note: &str, rows: &[PerAppRow]) -> String {
+    let mut t = Table::new(
+        title,
+        &["app", "vs private", "vs shared", "vs 4x private", "n"],
+    );
+    for r in rows {
+        t.row(&[
+            r.app,
+            &pct(r.vs_private),
+            &pct(r.vs_shared),
+            &pct(r.vs_private4x),
+            &r.appearances.to_string(),
+        ]);
+    }
+    format!("{}\n{note}", t.render())
 }
 
 /// One Figure 8 row: an application's speedup under the adaptive scheme
@@ -261,23 +306,15 @@ pub struct Fig8Row {
 }
 
 /// Figure 8: speedup vs private caches for all applications (both
-/// categories), over mixes drawn from the full suite.
+/// categories), from the `specs/fig8.toml` manifest (mixes drawn from
+/// the full suite).
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig8(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    n_mixes: usize,
-) -> Result<Vec<Fig8Row>> {
-    let mixes = WorkloadPool::random_mixes(&SpecApp::ALL, machine.cores, n_mixes, exp.seed);
-    let orgs = [Organization::adaptive(), Organization::Private];
-    let cells = mix_org_grid(machine, &mixes, &orgs);
-    let results = run_cells(&cells, exp)?;
-    let adaptive: Vec<MixResult> = results.iter().step_by(2).cloned().collect();
-    let private: Vec<MixResult> = results.iter().skip(1).step_by(2).cloned().collect();
-    Ok(per_app_speedup(&adaptive, &private)
+/// [`CampaignError::Manifest`] if an adaptive or private cell is
+/// missing or pruned.
+pub fn fig8(m: &Manifest) -> Result<Vec<Fig8Row>, CampaignError> {
+    Ok(per_app_speedup(m, OrgKind::Private)?
         .into_iter()
         .map(|(app, sp, n)| Fig8Row {
             app,
@@ -291,21 +328,25 @@ pub fn fig8(
         .collect())
 }
 
-/// Figure 9: the Figure 7 experiment with an 8-MByte last-level cache
-/// (same timing model, as the paper notes).
-///
-/// # Errors
-///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig9(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    n_mixes: usize,
-) -> Result<Vec<PerAppRow>> {
-    let big = machine.with_l3_scale(2)?;
-    let mixes =
-        WorkloadPool::random_mixes(&SpecApp::intensive_pool(), big.cores, n_mixes, exp.seed);
-    per_app_rows(&big, exp, &mixes)
+/// Figure 8 as the `fig8` binary prints it.
+pub fn render_fig8(rows: &[Fig8Row]) -> String {
+    let mut t = Table::new(
+        "Figure 8 — adaptive speedup vs private, all applications",
+        &["app", "speedup", "class", "n"],
+    );
+    for r in rows {
+        t.row(&[
+            r.app,
+            &pct(r.speedup),
+            if r.intensive {
+                "intensive"
+            } else {
+                "non-intensive"
+            },
+            &r.appearances.to_string(),
+        ]);
+    }
+    t.render()
 }
 
 /// Figure 10 result: aggregate speedups vs private for each scheme on
@@ -318,67 +359,60 @@ pub struct Fig10Result {
 
 /// Figure 10: impact of technology scaling (L2 9→11, L3 14/19→16/24,
 /// memory 258/260→330/338 cycles). The paper's claim: the new scheme's
-/// advantage grows as memory gets relatively slower.
+/// advantage grows as memory gets relatively slower. `base` is the
+/// `specs/paper.toml` manifest, `scaled` the `specs/fig10.toml` one;
+/// both must hold the same mixes.
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig10(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    n_mixes: usize,
-) -> Result<Fig10Result> {
-    let scaled = machine.technology_scaled();
-    let mixes =
-        WorkloadPool::random_mixes(&SpecApp::intensive_pool(), machine.cores, n_mixes, exp.seed);
-    let orgs = [
-        ("shared", Organization::Shared),
-        ("cooperative", Organization::Cooperative { seed: exp.seed }),
-        ("adaptive", Organization::adaptive()),
-    ];
-    // One flat cell list: per mix, the private yardstick on both
-    // machines (simulated once, not once per scheme), then every scheme
-    // on both machines.
-    let mut cells = Vec::new();
-    for mix in &mixes {
-        cells.push(SimCell {
-            machine,
-            org: Organization::Private,
-            mix,
-        });
-        cells.push(SimCell {
-            machine: &scaled,
-            org: Organization::Private,
-            mix,
-        });
-        for (_, org) in orgs {
-            cells.push(SimCell { machine, org, mix });
-            cells.push(SimCell {
-                machine: &scaled,
-                org,
-                mix,
-            });
+/// [`CampaignError::Manifest`] if the two manifests hold different
+/// mixes, or a private, shared, cooperative or adaptive cell is missing
+/// or pruned.
+pub fn fig10(base: &Manifest, scaled: &Manifest) -> Result<Fig10Result, CampaignError> {
+    for i in 0..base.mixes().max(scaled.mixes()) {
+        let (b, s) = (
+            base.cell(OrgKind::Private, i)?,
+            scaled.cell(OrgKind::Private, i)?,
+        );
+        if b.apps != s.apps {
+            return Err(CampaignError::Manifest(format!(
+                "mix {i} is {} on the baseline machine but {} on the scaled one",
+                b.label(),
+                s.label()
+            )));
         }
     }
-    let results = run_cells(&cells, exp)?;
-    let stride = 2 + 2 * orgs.len();
-    let mut out = Vec::new();
-    for (k, (label, _)) in orgs.iter().enumerate() {
-        let mut base_sp = Vec::new();
-        let mut scaled_sp = Vec::new();
-        for row in results.chunks(stride) {
-            let (pb, ps) = (&row[0], &row[1]);
-            let (ob, os) = (&row[2 + 2 * k], &row[3 + 2 * k]);
-            base_sp.push(speedup(ob.result.hmean_ipc, pb.result.hmean_ipc));
-            scaled_sp.push(speedup(os.result.hmean_ipc, ps.result.hmean_ipc));
-        }
-        out.push((
-            *label,
-            arithmetic_mean(&base_sp),
-            arithmetic_mean(&scaled_sp),
+    let mut schemes = Vec::new();
+    for org in [OrgKind::Shared, OrgKind::Cooperative, OrgKind::Adaptive] {
+        let hmean = |c: &DoneCell| c.hmean_ipc;
+        schemes.push((
+            org.name(),
+            mean_speedup(base, org, hmean)?,
+            mean_speedup(scaled, org, hmean)?,
         ));
     }
-    Ok(Fig10Result { schemes: out })
+    Ok(Fig10Result { schemes })
+}
+
+/// Figure 10 as the `fig10` binary prints it.
+pub fn render_fig10(r: &Fig10Result) -> String {
+    let mut t = Table::new(
+        "Figure 10 — mean harmonic speedup vs private, baseline vs scaled technology",
+        &["scheme", "baseline", "scaled tech", "delta"],
+    );
+    for (label, base, scaled) in &r.schemes {
+        t.row(&[
+            label,
+            &pct(*base),
+            &pct(*scaled),
+            &format!("{:+.1} pp", (scaled - base) * 100.0),
+        ]);
+    }
+    format!(
+        "{}\nPaper shape: as memory latency grows (258/260 -> 330/338 cycles) the\n\
+         adaptive scheme gains the most, because it removes the most memory accesses.\n",
+        t.render()
+    )
 }
 
 /// One row of Figures 11/12: the adaptive scheme relative to the
@@ -395,62 +429,53 @@ pub struct VsCooperativeRow {
     pub relative: f64,
 }
 
-fn vs_cooperative(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    mixes: &[Mix],
-) -> Result<Vec<VsCooperativeRow>> {
-    let orgs = [
-        Organization::adaptive(),
-        Organization::Cooperative { seed: exp.seed },
-    ];
-    let cells = mix_org_grid(machine, mixes, &orgs);
-    let results = run_cells(&cells, exp)?;
-    let mut rows: Vec<VsCooperativeRow> = mixes
-        .iter()
-        .zip(results.chunks(orgs.len()))
-        .map(|(mix, pair)| {
-            let (a, c) = (&pair[0], &pair[1]);
-            VsCooperativeRow {
-                label: mix.label(),
-                adaptive: a.result.hmean_ipc,
-                cooperative: c.result.hmean_ipc,
-                relative: speedup(a.result.hmean_ipc, c.result.hmean_ipc),
-            }
-        })
-        .collect();
+/// Figures 11 and 12: adaptive vs cooperative per mix, sorted by the
+/// relative performance — Figure 11 from the `specs/paper.toml`
+/// manifest (memory-intensive mixes), Figure 12 from `specs/fig8.toml`'s
+/// (mixes from all applications, where the advantage shrinks because
+/// many applications barely use the L3).
+///
+/// # Errors
+///
+/// [`CampaignError::Manifest`] if an adaptive or cooperative cell is
+/// missing or pruned.
+pub fn fig11(m: &Manifest) -> Result<Vec<VsCooperativeRow>, CampaignError> {
+    let mut rows = Vec::with_capacity(m.mixes());
+    for i in 0..m.mixes() {
+        let (a, c) = (
+            m.cell(OrgKind::Adaptive, i)?,
+            m.cell(OrgKind::Cooperative, i)?,
+        );
+        rows.push(VsCooperativeRow {
+            label: a.label(),
+            adaptive: a.hmean_ipc,
+            cooperative: c.hmean_ipc,
+            relative: speedup(a.hmean_ipc, c.hmean_ipc),
+        });
+    }
     rows.sort_by(|x, y| x.relative.total_cmp(&y.relative));
     Ok(rows)
 }
 
-/// Figure 11: adaptive vs cooperative over memory-intensive mixes.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig11(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    n_mixes: usize,
-) -> Result<Vec<VsCooperativeRow>> {
-    let mixes =
-        WorkloadPool::random_mixes(&SpecApp::intensive_pool(), machine.cores, n_mixes, exp.seed);
-    vs_cooperative(machine, exp, &mixes)
-}
-
-/// Figure 12: adaptive vs cooperative over mixes from all applications —
-/// the advantage shrinks because many applications barely use the L3.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the experiment harness.
-pub fn fig12(
-    machine: &MachineConfig,
-    exp: &ExperimentConfig,
-    n_mixes: usize,
-) -> Result<Vec<VsCooperativeRow>> {
-    let mixes = WorkloadPool::random_mixes(&SpecApp::ALL, machine.cores, n_mixes, exp.seed);
-    vs_cooperative(machine, exp, &mixes)
+/// A Figure 11/12 table as the `fig11`/`fig12` binaries print it:
+/// `title`, the rows and the mean relative performance against what the
+/// `paper` reports.
+pub fn render_vs_cooperative(title: &str, paper: &str, rows: &[VsCooperativeRow]) -> String {
+    let mut t = Table::new(title, &["mix", "adaptive", "cooperative", "relative"]);
+    for r in rows {
+        t.row(&[
+            &r.label,
+            &f4(r.adaptive),
+            &f4(r.cooperative),
+            &pct(r.relative),
+        ]);
+    }
+    let mean = arithmetic_mean(&rows.iter().map(|r| r.relative).collect::<Vec<_>>());
+    format!(
+        "{}\nmean relative performance: {} (paper: {paper})\n",
+        t.render(),
+        pct(mean)
+    )
 }
 
 /// Section 4.6 result: average/harmonic IPC with full shadow-tag
@@ -489,7 +514,7 @@ pub fn shadow_sampling(
     machine: &MachineConfig,
     exp: &ExperimentConfig,
     n_mixes: usize,
-) -> Result<ShadowSamplingResult> {
+) -> Result<ShadowSamplingResult, ConfigError> {
     let mixes =
         WorkloadPool::random_mixes(&SpecApp::intensive_pool(), machine.cores, n_mixes, exp.seed);
     let params = nuca_core::engine::AdaptiveParams {
@@ -497,7 +522,10 @@ pub fn shadow_sampling(
         ..nuca_core::engine::AdaptiveParams::default()
     };
     let orgs = [Organization::adaptive(), Organization::Adaptive(params)];
-    let cells = mix_org_grid(machine, &mixes, &orgs);
+    let cells: Vec<SimCell<'_>> = mixes
+        .iter()
+        .flat_map(|mix| orgs.iter().map(move |&org| SimCell { machine, org, mix }))
+        .collect();
     let results = run_cells(&cells, exp)?;
     let mut full_a = Vec::new();
     let mut full_h = Vec::new();
@@ -541,7 +569,7 @@ pub fn ablate<P>(
     n_mixes: usize,
     points: &[(String, P)],
     to_params: impl Fn(&P) -> nuca_core::engine::AdaptiveParams,
-) -> Result<Vec<AblationPoint>> {
+) -> Result<Vec<AblationPoint>, ConfigError> {
     let mixes =
         WorkloadPool::random_mixes(&SpecApp::intensive_pool(), machine.cores, n_mixes, exp.seed);
     // One flat cell list: the private baselines first, then every
@@ -586,16 +614,41 @@ pub fn ablate<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::stats::harmonic_mean;
 
-    fn tiny_exp() -> ExperimentConfig {
-        ExperimentConfig::quick()
+    /// Per-core IPC of every organization on two mixes, `gzip+mcf` and
+    /// `mcf+crafty`: mcf appears twice and crafty is non-intensive.
+    const CELLS: [(&str, [[f64; 2]; 2]); 5] = [
+        ("private", [[0.5, 0.2], [0.2, 1.0]]),
+        ("private4x", [[0.6, 0.3], [0.3, 1.0]]),
+        ("shared", [[0.4, 0.2], [0.25, 0.9]]),
+        ("adaptive", [[0.55, 0.2], [0.2, 1.1]]),
+        ("cooperative", [[0.5, 0.18], [0.2, 1.0]]),
+    ];
+
+    fn manifest(mixes: [&str; 2]) -> Manifest {
+        let mut text = String::new();
+        for (org, ipcs) in CELLS {
+            for (i, (mix, ipc)) in mixes.iter().zip(ipcs).enumerate() {
+                text.push_str(&format!(
+                    "{{\"status\":\"done\",\"org\":\"{org}\",\"mix_index\":{i},\"mix\":\"{mix}\",\
+                     \"hmean_ipc\":{},\"amean_ipc\":{},\"ipc\":{ipc:?}}}\n",
+                    harmonic_mean(&ipc),
+                    arithmetic_mean(&ipc)
+                ));
+            }
+        }
+        Manifest::parse("synthetic", &text).unwrap()
+    }
+
+    fn paper() -> Manifest {
+        manifest(["gzip+mcf", "mcf+crafty"])
     }
 
     #[test]
     fn fig6_rows_are_sorted_by_adaptive_speedup() {
-        let machine = MachineConfig::baseline();
-        let r = fig6(&machine, &tiny_exp(), 3).unwrap();
-        assert_eq!(r.rows.len(), 3);
+        let r = fig6(&paper()).unwrap();
+        assert_eq!(r.rows.len(), 2);
         for w in r.rows.windows(2) {
             let a = speedup(w[0].adaptive, w[0].private);
             let b = speedup(w[1].adaptive, w[1].private);
@@ -604,9 +657,21 @@ mod tests {
     }
 
     #[test]
+    fn per_app_speedup_averages_appearances() {
+        let rows = fig7(&paper()).unwrap();
+        let names: Vec<_> = rows.iter().map(|r| (r.app, r.appearances)).collect();
+        assert_eq!(names, [("crafty", 1), ("gzip", 1), ("mcf", 2)]);
+        assert!((rows[1].vs_private - 0.55 / 0.5).abs() < 1e-12);
+        assert!(
+            (rows[2].vs_private - 1.0).abs() < 1e-12,
+            "mcf: 0.2/0.2 twice"
+        );
+        assert!((rows[2].vs_shared - (0.2 / 0.2 + 0.2 / 0.25) / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn fig8_covers_both_categories() {
-        let machine = MachineConfig::baseline();
-        let rows = fig8(&machine, &tiny_exp(), 6).unwrap();
+        let rows = fig8(&paper()).unwrap();
         assert!(rows.iter().any(|r| r.intensive));
         assert!(rows.iter().any(|r| !r.intensive));
         for r in &rows {
@@ -615,9 +680,20 @@ mod tests {
     }
 
     #[test]
+    fn fig10_rejects_manifests_of_different_mixes() {
+        let base = paper();
+        assert!(fig10(&base, &paper()).is_ok());
+        let other = manifest(["gzip+mcf", "mcf+gzip"]);
+        assert!(matches!(
+            fig10(&base, &other),
+            Err(CampaignError::Manifest(m)) if m.contains("mix 1")
+        ));
+    }
+
+    #[test]
     fn fig11_relative_column_is_consistent() {
-        let machine = MachineConfig::baseline();
-        let rows = fig11(&machine, &tiny_exp(), 2).unwrap();
+        let rows = fig11(&paper()).unwrap();
+        assert_eq!(rows.len(), 2);
         for r in rows {
             assert!((r.relative - r.adaptive / r.cooperative).abs() < 1e-9);
         }

@@ -1,4 +1,4 @@
-//! `--trace` / `--metrics-out` plumbing shared by every figure binary.
+//! `--trace` / `--metrics-out` plumbing shared by every simulating harness binary.
 //!
 //! Each binary parses [`TelemetryArgs`] once, calls
 //! [`TelemetryArgs::install`] before its driver and

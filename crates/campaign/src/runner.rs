@@ -474,8 +474,9 @@ fn axis_fields(cell: &Cell, mix_label: &str, status: &str) -> Vec<(String, Json)
     ]
 }
 
-/// The manifest line of a completed simulation cell.
-fn done_line(cell: &Cell, mix_label: &str, result: &CmpResult) -> String {
+/// The manifest line of a completed simulation cell: the only writer
+/// of the line format [`Manifest`](crate::manifest::Manifest) reads.
+pub fn done_line(cell: &Cell, mix_label: &str, result: &CmpResult) -> String {
     let mut fields = axis_fields(cell, mix_label, "done");
     fields.push(("hmean_ipc".to_string(), Json::num(result.hmean_ipc)));
     fields.push(("amean_ipc".to_string(), Json::num(result.amean_ipc)));

@@ -40,9 +40,9 @@ use crate::CampaignError;
 /// Which application pool mixes are drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolKind {
-    /// The 16 LLC-intensive applications (Figures 6, 7, 11).
+    /// The 16 LLC-intensive applications (Figures 6, 7, 9, 10, 11).
     Intensive,
-    /// All 24 applications (Figures 8, 9, 12).
+    /// All 24 applications (Figures 8, 12).
     All,
 }
 
@@ -83,7 +83,7 @@ impl OrgKind {
         }
     }
 
-    fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "private" => Some(OrgKind::Private),
             "private4x" => Some(OrgKind::Private4x),

@@ -293,11 +293,6 @@ impl<S: Sink> Cmp<S> {
         self.cycle_skip = enabled;
     }
 
-    /// Whether [`run`](Self::run) uses the event-driven fast path.
-    pub fn cycle_skip(&self) -> bool {
-        self.cycle_skip
-    }
-
     /// Enables or disables the exact core-side hit fast path (fused
     /// TLB+L1 probe, memo-served lookups, warm trace decode, issue-scan
     /// hint) on every core. Results are bit-identical either way; this is
@@ -328,11 +323,6 @@ impl<S: Sink> Cmp<S> {
     pub fn set_time_sample(&mut self, detail: u64, gap: u64) {
         debug_assert!(gap == 0 || detail > 0, "time sampling needs detail > 0");
         self.time_sample = if gap == 0 { None } else { Some((detail, gap)) };
-    }
-
-    /// The active `(detail, gap)` time-sampling configuration, if any.
-    pub fn time_sample(&self) -> Option<(u64, u64)> {
-        self.time_sample
     }
 
     /// The current simulated time.

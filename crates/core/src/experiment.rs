@@ -3,12 +3,14 @@
 //! Section 3's methodology — four randomly picked applications, random
 //! fast-forward, warm-up, a fixed measured window — is captured by
 //! [`ExperimentConfig`] and [`run_mix`]. On top of that sit the
-//! per-figure drivers: [`classify`] (Figure 5), [`sensitivity_sweep`]
-//! (Figure 3) and [`compare_schemes`] (Figures 6–12 share it).
+//! per-figure drivers [`classify`] (Figure 5) and [`sensitivity_sweep`]
+//! (Figure 3), and [`compare_schemes`], which runs one mix under several
+//! organizations. Figures 6–12 are grids of such cells that the campaign
+//! engine runs from `specs/` and `nuca-bench` renders from its
+//! manifests.
 
 use simcore::config::{CacheGeometry, MachineConfig, MachineConfigBuilder};
 use simcore::error::Result;
-use simcore::types::CoreId;
 use telemetry::{collector, NullSink, Recorder, Sink, Trace, TraceMeta};
 use tracegen::spec::SpecApp;
 use tracegen::workload::{Mix, WorkloadPool};
@@ -552,44 +554,6 @@ pub fn sensitivity_grid(
         .collect())
 }
 
-/// Per-application speedup aggregation used by Figures 7, 8, 9 and 10:
-/// for every application, the mean over all its appearances of
-/// (its IPC under `new`) / (its IPC under `baseline`).
-pub fn per_app_speedup(
-    new: &[MixResult],
-    baseline: &[MixResult],
-) -> Vec<(&'static str, f64, usize)> {
-    use std::collections::BTreeMap;
-    let mut acc: BTreeMap<&'static str, (f64, usize)> = BTreeMap::new();
-    for (n, b) in new.iter().zip(baseline) {
-        debug_assert_eq!(n.mix.apps, b.mix.apps, "mixes must align");
-        for i in 0..n.result.per_core.len() {
-            let app = n.result.per_core[i].0;
-            let s_new = n.result.ipc[i];
-            let s_base = b.result.ipc[i];
-            if s_base > 0.0 {
-                let e = acc.entry(app).or_insert((0.0, 0));
-                e.0 += s_new / s_base;
-                e.1 += 1;
-            }
-        }
-    }
-    acc.into_iter()
-        .map(|(app, (sum, n))| (app, sum / n as f64, n))
-        .collect()
-}
-
-/// Convenience: which core ran which app in a result (used by reports).
-pub fn core_apps(result: &MixResult) -> Vec<(CoreId, &'static str)> {
-    result
-        .result
-        .per_core
-        .iter()
-        .enumerate()
-        .map(|(i, (app, _))| (CoreId::from_index(i as u8), *app))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,21 +582,6 @@ mod tests {
         .unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].mix, rs[1].mix);
-    }
-
-    #[test]
-    fn per_app_speedup_averages_appearances() {
-        let machine = MachineConfig::baseline();
-        let exp = ExperimentConfig::quick();
-        let mix = WorkloadPool::homogeneous(SpecApp::Gzip, 4, 3);
-        let a = vec![run_mix(&machine, Organization::Private, &mix, &exp).unwrap()];
-        let b = a.clone();
-        let speedups = per_app_speedup(&a, &b);
-        assert_eq!(speedups.len(), 1);
-        let (app, s, n) = speedups[0];
-        assert_eq!(app, "gzip");
-        assert!((s - 1.0).abs() < 1e-12, "self-speedup is 1.0");
-        assert_eq!(n, 4);
     }
 
     #[test]

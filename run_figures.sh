@@ -5,7 +5,8 @@
 # every mix-grid experiment (Figures 6-12, sampling accuracy, the
 # screened capacity sweep) runs through the campaign engine from the
 # committed specs under specs/, one JSONL manifest per spec in
-# results/campaign/.
+# results/campaign/. The fig6-fig12 binaries then render
+# results/fig6.txt-fig12.txt from those manifests without simulating.
 #
 # JOBS controls the worker-thread count (default: all cores). Manifests
 # and figure outputs are bit-identical for any JOBS value.
@@ -79,6 +80,23 @@ for spec in specs/paper.toml specs/fig8.toml specs/fig9.toml \
         > "results/campaign/$name.log" 2>&1
     echo "done: results/campaign/$name.jsonl"
 done
+
+echo "rendering Figures 6-12 from the campaign manifests"
+m=results/campaign
+render() {
+    bin=$1
+    shift
+    cargo run --quiet --release -p nuca-bench --bin "$bin" -- "$@" \
+        > "results/$bin.txt"
+    echo "done: results/$bin.txt"
+}
+render fig6 "$m/paper.jsonl"
+render fig7 "$m/paper.jsonl"
+render fig8 "$m/fig8.jsonl"
+render fig9 "$m/fig9.jsonl"
+render fig10 "$m/paper.jsonl" "$m/fig10.jsonl"
+render fig11 "$m/paper.jsonl"
+render fig12 "$m/fig8.jsonl"
 
 # Refresh the machine-readable perf baseline last (also checks that the
 # parallel pass reproduces the serial pass bit-for-bit). --repeat takes

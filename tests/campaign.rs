@@ -1,18 +1,21 @@
 //! Integration tests of the campaign engine against the *committed*
 //! spec files: every spec under `specs/` must parse and render to a
-//! fixed point, and the smoke spec must honor the engine's byte-level
-//! contracts (shard merge ≡ serial, kill + resume ≡ uninterrupted)
-//! end to end through the public API the `nuca-sim campaign`
-//! subcommand drives.
+//! fixed point, the specs Figures 6–12 are rendered from must describe
+//! the paper's pools and machines, and the smoke spec must honor the
+//! engine's byte-level contracts (shard merge ≡ serial, kill + resume ≡
+//! uninterrupted) end to end through the public API the
+//! `nuca-sim campaign` subcommand drives.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use nuca_repro::campaign::grid::machine_for;
 use nuca_repro::campaign::runner::{run_campaign, Event, RunOptions};
-use nuca_repro::campaign::spec::CampaignSpec;
+use nuca_repro::campaign::spec::{CampaignSpec, PoolKind};
 use nuca_repro::campaign::{driver, manifest};
+use nuca_repro::simcore::config::MachineConfig;
 
 fn specs_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("specs")
@@ -63,6 +66,38 @@ fn every_committed_spec_parses_and_renders_to_a_fixed_point() {
         let reparsed = CampaignSpec::parse(&canon).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(spec, reparsed, "{name}: render round-trip drifted");
         assert_eq!(canon, reparsed.render(), "{name}: render not a fixed point");
+    }
+}
+
+#[test]
+fn figure_specs_pin_their_pool_and_machine() {
+    let baseline = MachineConfig::baseline();
+    let figure_specs = [
+        ("paper.toml", PoolKind::Intensive, baseline),
+        ("fig8.toml", PoolKind::All, baseline),
+        (
+            "fig9.toml",
+            PoolKind::Intensive,
+            baseline.with_l3_scale(2).unwrap(),
+        ),
+        (
+            "fig10.toml",
+            PoolKind::Intensive,
+            baseline.technology_scaled(),
+        ),
+    ];
+    for (name, pool, machine) in figure_specs {
+        let text = fs::read_to_string(specs_dir().join(name)).expect("figure spec");
+        let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(spec.pool, pool, "{name}: mix pool");
+        for cell in spec.cells() {
+            assert_eq!(
+                machine_for(&cell).unwrap(),
+                machine,
+                "{name}: cell {} machine",
+                cell.index
+            );
+        }
     }
 }
 
