@@ -4,11 +4,15 @@
 #![allow(clippy::expect_used)]
 
 use nuca_bench::report::Table;
+use nuca_bench::trace_out::TelemetryArgs;
 use nuca_core::cost::CostModel;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let tele = TelemetryArgs::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("cost_model: {e}");
+        std::process::exit(2)
+    });
     tele.install();
     let machine = MachineConfig::baseline();
     let c = CostModel::for_machine(&machine);

@@ -8,10 +8,12 @@ use nuca_bench::report::Table;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("fig3: {e}");
+        std::process::exit(2)
+    });
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
     let series = fig3(&machine, &exp).expect("figure 3 experiment");
     let mut headers = vec!["app".to_string()];
     headers.extend(FIG3_WAYS.iter().map(|w| format!("{w} blk/set")));

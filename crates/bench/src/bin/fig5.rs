@@ -8,10 +8,12 @@ use nuca_bench::report::{f3, Table};
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("fig5: {e}");
+        std::process::exit(2)
+    });
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
     let mut rows = fig5(&machine, &exp).expect("figure 5 experiment");
     rows.sort_by(|a, b| {
         b.accesses_per_kilocycle

@@ -5,19 +5,21 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use nuca_bench::report::{f4, pct, Table};
-use nuca_core::cmp::Cmp;
+use nuca_core::experiment::run_profiles;
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
 use simcore::stats::speedup;
-use telemetry::{collector, NullSink, Recorder, Trace, TraceMeta};
+use telemetry::collector;
 use tracegen::spec::SpecApp;
 use tracegen::workload::parallel_workload;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("parallel: {e}");
+        std::process::exit(2)
+    });
     tele.install();
     let machine = MachineConfig::baseline();
-    let exp = nuca_bench::experiment_config();
     let orgs = [
         Organization::Private,
         Organization::Shared,
@@ -43,44 +45,12 @@ fn main() {
         .map(|&(app, frac, kb)| parallel_workload(app, machine.cores, frac, kb, exp.seed))
         .collect();
     let n = built.len() * orgs.len();
-    let ring = collector::capacity();
     let results = simcore::parallel::run_indexed(exp.jobs, n, |i| {
         let (profiles, forwards) = &built[i / orgs.len()];
-        let org = orgs[i % orgs.len()];
-        // This binary drives `Cmp` directly (not `run_mix`), so it makes
-        // its own recorder per cell when a collector is installed.
-        match ring {
-            Some(capacity) => {
-                let rec = Recorder::with_capacity(capacity);
-                let mut cmp = Cmp::with_profiles_and_sink(
-                    &machine,
-                    org,
-                    profiles,
-                    forwards,
-                    exp.seed,
-                    rec.clone(),
-                )
+        let (result, trace) =
+            run_profiles(&machine, orgs[i % orgs.len()], profiles, forwards, &exp)
                 .expect("parallel workload builds");
-                measure(&mut cmp, &exp);
-                let snap = cmp.snapshot();
-                let meta = TraceMeta {
-                    org: org.label().to_string(),
-                    cores: machine.cores,
-                    ring_capacity: capacity,
-                    initial_quotas: nuca_core::experiment::initial_quotas(&machine, org),
-                };
-                let trace = rec.finish(meta, snap.quotas.unwrap_or_default());
-                (snap.hmean_ipc, Some(trace))
-            }
-            None => {
-                let mut cmp = Cmp::with_profiles_and_sink(
-                    &machine, org, profiles, forwards, exp.seed, NullSink,
-                )
-                .expect("parallel workload builds");
-                measure(&mut cmp, &exp);
-                (cmp.snapshot().hmean_ipc, None::<Trace>)
-            }
-        }
+        (result.hmean_ipc, trace)
     });
     // Submit in index order after the parallel map joined, keeping the
     // exported file identical for every `--jobs` value.
@@ -112,11 +82,4 @@ fn main() {
     println!("parallel workloads. Sharing organizations deduplicate the common region.");
 
     tele.export("parallel").expect("telemetry export");
-}
-
-fn measure<S: telemetry::Sink>(cmp: &mut Cmp<S>, exp: &nuca_core::experiment::ExperimentConfig) {
-    cmp.warm(exp.warm_instructions);
-    cmp.run(exp.warmup_cycles);
-    cmp.reset_stats();
-    cmp.run(exp.measure_cycles);
 }

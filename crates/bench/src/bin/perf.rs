@@ -89,10 +89,12 @@ use std::time::Instant;
 
 use nuca_bench::json::Json;
 use nuca_core::experiment::{
-    run_cells, run_mix_instrumented, ExperimentConfig, MixResult, SimCell,
+    build_chip, flag_args, flag_value, measure, parse_jobs, parse_sample_sets, parse_time_sample,
+    parse_value, run_cells, ExperimentConfig, MixResult, SimCell,
 };
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
+use telemetry::NullSink;
 use tracegen::spec::SpecApp;
 use tracegen::workload::WorkloadPool;
 
@@ -131,73 +133,44 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         check_schema: None,
         check_regression: None,
     };
-    let mut it = argv.into_iter();
+    let mut it = flag_args(argv);
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
         match flag {
             "--quick" => args.quick = true,
             "--no-skip" => args.cycle_skip = false,
             "--no-fast-path" => args.fast_path = false,
-            "--jobs" => args.jobs = number(flag, &value(flag, it.next())?)?,
+            "--jobs" => args.jobs = parse_value(flag, &mut it, parse_jobs)?,
             "--repeat" => {
-                args.repeat = number(flag, &value(flag, it.next())?)?;
-                if args.repeat == 0 {
-                    return Err("--repeat wants a positive count".to_string());
-                }
+                args.repeat = parse_value(flag, &mut it, |v| match v.parse() {
+                    Ok(n) if n > 0 => Ok(n),
+                    _ => Err("wants a positive count".to_string()),
+                })?;
             }
-            "--sample-sets" => args.sample_shift = number(flag, &value(flag, it.next())?)?,
-            "--max-sample-error" => args.max_sample_error = Some(percent(flag, it.next())?),
-            "--time-sample" => {
-                let v = value(flag, it.next())?;
-                args.time_sample = parse_time_sample(&v)
-                    .ok_or_else(|| format!("--time-sample wants D:G with D > 0 (got {v:?})"))?;
+            "--sample-sets" => args.sample_shift = parse_value(flag, &mut it, parse_sample_sets)?,
+            "--max-sample-error" => {
+                args.max_sample_error = Some(parse_value(flag, &mut it, percent)?)
             }
+            "--time-sample" => args.time_sample = parse_value(flag, &mut it, parse_time_sample)?,
             "--max-time-sample-error" => {
-                args.max_time_sample_error = Some(percent(flag, it.next())?);
+                args.max_time_sample_error = Some(parse_value(flag, &mut it, percent)?);
             }
-            "--out" => args.out = Some(value(flag, it.next())?),
-            "--check-schema" => args.check_schema = Some(value(flag, it.next())?),
-            "--check-regression" => args.check_regression = Some(value(flag, it.next())?),
-            other => match other.strip_prefix("--jobs=") {
-                Some(v) => args.jobs = number("--jobs", v)?,
-                None => return Err(format!("unknown argument {other} (see the module docs)")),
-            },
+            "--out" => args.out = Some(flag_value(flag, it.next())?),
+            "--check-schema" => args.check_schema = Some(flag_value(flag, it.next())?),
+            "--check-regression" => args.check_regression = Some(flag_value(flag, it.next())?),
+            other => return Err(format!("unknown argument {other} (see the module docs)")),
         }
     }
     Ok(args)
 }
 
-/// The value after `flag`: present and not another flag.
-fn value(flag: &str, next: Option<String>) -> Result<String, String> {
-    next.filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{flag} wants a non-negative integer (got {v:?})"))
-}
-
 /// An error budget in percent: finite and non-negative, so the gate it
 /// arms can fail.
-fn percent(flag: &str, next: Option<String>) -> Result<f64, String> {
-    let v = value(flag, next)?;
+fn percent(v: &str) -> Result<f64, String> {
     match v.parse::<f64>() {
         Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct),
-        _ => Err(format!("{flag} wants a percentage such as 12 (got {v:?})")),
+        _ => Err("wants a percentage such as 12".to_string()),
     }
-}
-
-/// Parses a `D:G` schedule; a zero detail with a non-zero gap is
-/// rejected (there would be no windows to measure from).
-fn parse_time_sample(v: &str) -> Option<(u64, u64)> {
-    let (d, g) = v.split_once(':')?;
-    let d = d.trim().parse::<u64>().ok()?;
-    let g = g.trim().parse::<u64>().ok()?;
-    if d == 0 && g > 0 {
-        return None;
-    }
-    Some((d, g))
 }
 
 fn default_out_path() -> std::path::PathBuf {
@@ -227,8 +200,6 @@ fn sampling_error(full: &[MixResult], sampled: &[MixResult]) -> (f64, f64) {
 }
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
-    tele.install();
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("perf: {e}");
         std::process::exit(2);
@@ -447,8 +418,18 @@ fn main() {
                     )
                 })
                 .collect();
-            let (_, fast) = run_mix_instrumented(&machine, org, &mixes[0], &serial_exp)
-                .expect("instrumented cell runs");
+            let mix = &mixes[0];
+            let mut cmp = build_chip(
+                &machine,
+                org,
+                &mix.profiles(),
+                &mix.forwards,
+                &serial_exp,
+                NullSink,
+            )
+            .expect("instrumented cell builds");
+            measure(&mut cmp, &serial_exp);
+            let fast = cmp.fast_path_stats();
             (
                 org.label().to_string(),
                 Json::Obj(vec![
@@ -792,8 +773,6 @@ fn main() {
             eprintln!("perf: wrote {}", path.display());
         }
     }
-
-    tele.export("perf").expect("telemetry export");
 
     if failed {
         std::process::exit(1);

@@ -4,10 +4,14 @@
 #![allow(clippy::expect_used)]
 
 use nuca_bench::report::Table;
+use nuca_bench::trace_out::TelemetryArgs;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let tele = nuca_bench::trace_out::TelemetryArgs::parse();
+    let tele = TelemetryArgs::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("table1: {e}");
+        std::process::exit(2)
+    });
     tele.install();
     let m = MachineConfig::baseline();
     let mut t = Table::new("Table 1 — baseline configuration", &["parameter", "value"]);

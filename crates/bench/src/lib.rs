@@ -25,15 +25,15 @@
 //! - `NUCA_BENCH_MIXES` — number of random 4-app mixes per figure
 //!   (default 10).
 //!
-//! Independent simulation cells run on worker threads (see
-//! `simcore::parallel`); every simulating binary accepts `--jobs N` on
-//! its command line (or `NUCA_BENCH_JOBS=N`; `0` = one per core, the
-//! default). Results are bit-identical for every jobs value.
-//!
-//! Every simulating binary also accepts `--trace <path>` and
-//! `--metrics-out <path>` (or the `TRACE` / `METRICS_OUT` environment
-//! variables) to export the telemetry of every simulation cell — see
-//! [`trace_out`] and README.md §Observability.
+//! Every simulating binary reads its command line with [`parse_args`]:
+//! the five run-policy flags of `nuca-sim` (`--jobs N`, `--no-skip`,
+//! `--no-fast-path`, `--sample-sets K`, `--time-sample D:G`, parsed by
+//! [`ExperimentConfig::parse_flag`]) plus `--trace <path>` and
+//! `--metrics-out <path>`, which export the telemetry of every
+//! simulation cell (see [`trace_out`] and README.md §Observability).
+//! Anything else exits 2 before a cell runs. Independent cells run on
+//! worker threads (see `simcore::parallel`; `--jobs 0`, the default, is
+//! one per core), and results are bit-identical for every jobs value.
 
 pub mod figures;
 pub mod json;
@@ -44,7 +44,9 @@ use std::path::Path;
 
 use campaign::manifest::Manifest;
 use campaign::CampaignError;
-use nuca_core::experiment::ExperimentConfig;
+use nuca_core::experiment::{self, ExperimentConfig};
+use simcore::config::MachineConfig;
+use trace_out::TelemetryArgs;
 
 /// Renders one of Figures 6–12 for its binary: reads the `N` manifest
 /// paths on the command line and renders them with `render`.
@@ -79,116 +81,54 @@ pub fn render_manifests<const N: usize>(
         .map_err(|e| (1, e.to_string()))
 }
 
-/// Reads the experiment configuration honoring `NUCA_BENCH_SCALE` and
-/// the `--jobs` flag / `NUCA_BENCH_JOBS` variable.
+/// The experiment a simulating binary runs before its flags: the
+/// default windows scaled by `NUCA_BENCH_SCALE`, on one worker per
+/// available core.
 pub fn experiment_config() -> ExperimentConfig {
-    let base = ExperimentConfig::default();
-    let base = match std::env::var("NUCA_BENCH_SCALE")
+    let base = ExperimentConfig::default().with_jobs(0);
+    match std::env::var("NUCA_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
     {
         Some(pct) if pct > 0 && pct != 100 => base.scaled(pct, 100),
         _ => base,
-    };
-    base.with_jobs(jobs())
-        .with_fast_path(fast_path())
-        .with_sample_sets(sample_sets())
-        .with_time_sample(time_sample())
+    }
 }
 
-/// Worker-thread count for simulation grids: `--jobs N` on the command
-/// line beats `NUCA_BENCH_JOBS`, which beats "auto" (`0`, one worker
-/// per available core). Every simulating figure binary shares this
-/// parsing, so the whole harness is driven the same way.
-pub fn jobs() -> usize {
-    let mut argv = std::env::args().skip(1);
-    let mut requested = None;
-    while let Some(arg) = argv.next() {
-        if arg == "--jobs" {
-            requested = argv.next().and_then(|v| v.parse::<usize>().ok());
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            requested = v.parse::<usize>().ok();
+/// Parses a simulating binary's arguments: the five run-policy flags
+/// (see [`ExperimentConfig::parse_flag`]) on top of
+/// [`experiment_config`], plus `--trace` and `--metrics-out`. Each
+/// valued flag takes `--flag V` or `--flag=V`.
+///
+/// # Errors
+///
+/// A message for an unknown argument, a missing or malformed value, or
+/// a `--sample-sets` shift that leaves the baseline machine no sampled
+/// set — the binary exits 2 with it before anything simulates.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(ExperimentConfig, TelemetryArgs), String> {
+    let mut exp = experiment_config();
+    let mut tele = TelemetryArgs::default();
+    let mut it = experiment::flag_args(args);
+    while let Some(arg) = it.next() {
+        if !exp.parse_flag(&arg, &mut it)? && !tele.parse_flag(&arg, &mut it)? {
+            return Err(format!("unknown argument {arg}\n{SIMULATION_USAGE}"));
         }
     }
-    let requested = requested.or_else(|| {
-        std::env::var("NUCA_BENCH_JOBS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-    });
-    simcore::parallel::resolve_jobs(requested.unwrap_or(0))
+    if let Some(shift) = exp.sample_shift {
+        let mut machine = MachineConfig::baseline();
+        machine.l3.sample_shift = Some(shift);
+        machine
+            .validate()
+            .map_err(|e| format!("--sample-sets {shift}: {e}"))?;
+    }
+    Ok((exp, tele))
 }
 
-/// Whether the exact core-side hit fast path is enabled:
-/// `--no-fast-path` on the command line or `NUCA_BENCH_FAST_PATH=0`
-/// turns it off, forcing the reference TLB/L1 walks and full trace
-/// decode. Results are bit-identical either way (the CI
-/// exactness-differential job enforces it); the escape hatch mirrors
-/// `--no-skip`. Shared by every simulating figure binary, like [`jobs`].
-pub fn fast_path() -> bool {
-    if std::env::args().skip(1).any(|arg| arg == "--no-fast-path") {
-        return false;
-    }
-    !matches!(
-        std::env::var("NUCA_BENCH_FAST_PATH").ok().as_deref(),
-        Some("0") | Some("off") | Some("false")
-    )
-}
-
-/// Set-sampling shift for simulation grids: `--sample-sets K` on the
-/// command line beats `NUCA_BENCH_SAMPLE_SETS`; absent both, sampling is
-/// off and every set is simulated. Shared by every simulating figure
-/// binary, like [`jobs`].
-pub fn sample_sets() -> Option<u32> {
-    let mut argv = std::env::args().skip(1);
-    let mut requested = None;
-    while let Some(arg) = argv.next() {
-        if arg == "--sample-sets" {
-            requested = argv.next().and_then(|v| v.parse::<u32>().ok());
-        } else if let Some(v) = arg.strip_prefix("--sample-sets=") {
-            requested = v.parse::<u32>().ok();
-        }
-    }
-    requested.or_else(|| {
-        std::env::var("NUCA_BENCH_SAMPLE_SETS")
-            .ok()
-            .and_then(|s| s.parse::<u32>().ok())
-    })
-}
-
-/// Time-sampling schedule for simulation grids: `--time-sample D:G` on
-/// the command line (D detailed cycles alternating with G functionally
-/// warmed cycles) beats `NUCA_BENCH_TIME_SAMPLE`; absent both, every
-/// cycle is simulated in detail. A zero gap (`D:0`) is byte-identical
-/// to no time sampling. Shared by every simulating figure binary, like
-/// [`jobs`] and [`sample_sets`]. Malformed schedules — including `0:G`,
-/// which has no detailed cycles to measure IPC from — are ignored like
-/// any other malformed bench flag, leaving the run at full detail.
-pub fn time_sample() -> Option<(u64, u64)> {
-    fn parse(v: &str) -> Option<(u64, u64)> {
-        let (d, g) = v.split_once(':')?;
-        let d = d.trim().parse::<u64>().ok()?;
-        let g = g.trim().parse::<u64>().ok()?;
-        if d == 0 && g > 0 {
-            return None;
-        }
-        Some((d, g))
-    }
-    let mut argv = std::env::args().skip(1);
-    let mut requested = None;
-    while let Some(arg) = argv.next() {
-        if arg == "--time-sample" {
-            requested = argv.next().as_deref().and_then(parse);
-        } else if let Some(v) = arg.strip_prefix("--time-sample=") {
-            requested = parse(v);
-        }
-    }
-    requested.or_else(|| {
-        std::env::var("NUCA_BENCH_TIME_SAMPLE")
-            .ok()
-            .as_deref()
-            .and_then(parse)
-    })
-}
+/// The flags [`parse_args`] accepts.
+const SIMULATION_USAGE: &str = "flags: [--jobs N] [--no-skip] [--no-fast-path] \
+[--sample-sets K] [--time-sample D:G] [--trace PATH] [--metrics-out PATH]";
 
 /// Reads the per-figure mix count honoring `NUCA_BENCH_MIXES`.
 pub fn mix_count() -> usize {
@@ -209,5 +149,34 @@ mod tests {
         let exp = experiment_config();
         assert!(exp.measure_cycles >= 1_000_000);
         assert!(mix_count() >= 1);
+    }
+
+    #[test]
+    fn simulation_flags_parse_strictly() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|a| a.to_string()));
+        let (exp, tele) = parse(&[
+            "--jobs=2",
+            "--time-sample",
+            "1000:4000",
+            "--sample-sets",
+            "4",
+            "--trace",
+            "t.jsonl",
+        ])
+        .unwrap();
+        let want = experiment_config()
+            .with_jobs(2)
+            .with_sample_sets(Some(4))
+            .with_time_sample(Some((1_000, 4_000)));
+        assert_eq!(exp, want);
+        assert!(tele.trace.is_some() && tele.metrics_out.is_none());
+        for bad in [
+            &["--time-sampel", "1000:4000"][..],
+            &["--sample-sets", "40"],
+            &["--trace"],
+            &["fig.jsonl"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -1,18 +1,19 @@
-//! `--trace` / `--metrics-out` plumbing shared by every simulating harness binary.
+//! `--trace` / `--metrics-out` plumbing shared by the harness binaries
+//! that simulate or print a table (not `perf`, not the Figure 6–12
+//! renderers).
 //!
-//! Each binary parses [`TelemetryArgs`] once, calls
-//! [`TelemetryArgs::install`] before its driver and
-//! [`TelemetryArgs::export`] after it. While installed, the process-wide
-//! [`telemetry::collector`] makes `run_mix` record every simulation cell
-//! and gather the traces in cell order, so the exported files are
-//! byte-identical for every `--jobs` value.
-//!
-//! The command line beats the `TRACE` / `METRICS_OUT` environment
-//! variables — the latter is how `run_figures.sh` forwards one setting
-//! to every binary it spawns.
+//! Each binary parses [`TelemetryArgs`] once — the simulating ones
+//! through [`crate::parse_args`] — calls [`TelemetryArgs::install`]
+//! before its driver and [`TelemetryArgs::export`] after it. While
+//! installed, the process-wide [`telemetry::collector`] makes `run_mix`
+//! record every simulation cell and gather the traces in cell order, so
+//! the exported files are byte-identical for every `--jobs` value.
+//! The flags are the only way in; `run_figures.sh` turns its `TRACE` /
+//! `METRICS_OUT` settings into them.
 
 use std::path::PathBuf;
 
+use nuca_core::experiment::{flag_args, flag_value};
 use telemetry::export::{metrics_json, render_jsonl};
 use telemetry::json::Json;
 use telemetry::{collector, Recorder};
@@ -21,41 +22,50 @@ use telemetry::{collector, Recorder};
 /// document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryArgs {
-    /// JSONL event-trace path (`--trace` / `TRACE`).
+    /// JSONL event-trace path (`--trace`).
     pub trace: Option<PathBuf>,
-    /// Metrics-document path (`--metrics-out` / `METRICS_OUT`).
+    /// Metrics-document path (`--metrics-out`).
     pub metrics_out: Option<PathBuf>,
 }
 
 impl TelemetryArgs {
-    /// Reads the process command line and environment.
-    pub fn parse() -> Self {
-        TelemetryArgs::from_args(std::env::args().skip(1), |key| std::env::var(key).ok())
-    }
-
-    fn from_args(args: impl Iterator<Item = String>, env: impl Fn(&str) -> Option<String>) -> Self {
-        let mut trace = None;
-        let mut metrics_out = None;
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            if arg == "--trace" {
-                trace = args.next().map(PathBuf::from);
-            } else if let Some(v) = arg.strip_prefix("--trace=") {
-                trace = Some(PathBuf::from(v));
-            } else if arg == "--metrics-out" {
-                metrics_out = args.next().map(PathBuf::from);
-            } else if let Some(v) = arg.strip_prefix("--metrics-out=") {
-                metrics_out = Some(PathBuf::from(v));
+    /// Parses the arguments of a binary that takes only the telemetry
+    /// flags (Table 1, the cost model).
+    ///
+    /// # Errors
+    ///
+    /// A message for any other argument or a missing value.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut tele = TelemetryArgs::default();
+        let mut it = flag_args(args);
+        while let Some(arg) = it.next() {
+            if !tele.parse_flag(&arg, &mut it)? {
+                return Err(format!(
+                    "unknown argument {arg}\nflags: [--trace PATH] [--metrics-out PATH]"
+                ));
             }
         }
-        TelemetryArgs {
-            trace: trace.or_else(|| env("TRACE").filter(|s| !s.is_empty()).map(PathBuf::from)),
-            metrics_out: metrics_out.or_else(|| {
-                env("METRICS_OUT")
-                    .filter(|s| !s.is_empty())
-                    .map(PathBuf::from)
-            }),
-        }
+        Ok(tele)
+    }
+
+    /// Applies `flag` when it is `--trace` or `--metrics-out`, taking its
+    /// path from `args`. Returns whether it matched.
+    ///
+    /// # Errors
+    ///
+    /// A message when the path is missing.
+    pub(crate) fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let slot = match flag {
+            "--trace" => &mut self.trace,
+            "--metrics-out" => &mut self.metrics_out,
+            _ => return Ok(false),
+        };
+        *slot = Some(PathBuf::from(flag_value(flag, args.next())?));
+        Ok(true)
     }
 
     /// Whether any output was requested.
@@ -103,30 +113,20 @@ mod tests {
     }
 
     #[test]
-    fn command_line_beats_environment() {
-        let env = |key: &str| match key {
-            "TRACE" => Some("env-trace.jsonl".to_string()),
-            "METRICS_OUT" => Some("env-metrics.json".to_string()),
-            _ => None,
-        };
-        let t = TelemetryArgs::from_args(argv(&["--trace", "cli.jsonl", "--jobs", "2"]), env);
-        assert_eq!(t.trace, Some(PathBuf::from("cli.jsonl")));
-        assert_eq!(t.metrics_out, Some(PathBuf::from("env-metrics.json")));
-        assert!(t.requested());
-    }
-
-    #[test]
     fn equals_form_and_empty_env_are_handled() {
-        let t = TelemetryArgs::from_args(argv(&["--metrics-out=m.json"]), |key| {
-            if key == "TRACE" {
-                Some(String::new())
-            } else {
-                None
-            }
-        });
-        assert_eq!(t.trace, None, "empty TRACE means off");
+        // The flags are the only input: no environment fallback, both
+        // spellings, and a missing or empty path is an error.
+        let t = TelemetryArgs::from_args(argv(&["--metrics-out=m.json"])).unwrap();
+        assert_eq!(t.trace, None);
         assert_eq!(t.metrics_out, Some(PathBuf::from("m.json")));
-        let off = TelemetryArgs::from_args(argv(&["--jobs", "4"]), |_| None);
+        let t = TelemetryArgs::from_args(argv(&["--trace", "cli.jsonl"])).unwrap();
+        assert_eq!(t.trace, Some(PathBuf::from("cli.jsonl")));
+        assert_eq!(t.metrics_out, None);
+        assert!(t.requested());
+        let off = TelemetryArgs::from_args(argv(&[])).unwrap();
         assert!(!off.requested());
+        for bad in [&["--trace="][..], &["--trace"], &["--jobs", "4"]] {
+            assert!(TelemetryArgs::from_args(argv(bad)).is_err(), "{bad:?}");
+        }
     }
 }

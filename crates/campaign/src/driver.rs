@@ -20,9 +20,11 @@
 
 use std::path::PathBuf;
 
+use nuca_core::experiment;
+
 use crate::manifest;
 use crate::runner::{run_campaign, Event, Report, RunOptions};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, TsPair};
 use crate::CampaignError;
 
 /// Exit code for a run `--fail-after` cut short.
@@ -83,14 +85,7 @@ struct Parsed {
     spec_path: String,
     opts: RunOptions,
     sample_override: Option<u32>,
-    time_override: Option<crate::spec::TsPair>,
-}
-
-fn parse_u64(flag: &str, value: Option<&String>) -> Result<u64, CampaignError> {
-    value
-        .ok_or_else(|| CampaignError::Config(format!("{flag} needs a value")))?
-        .parse::<u64>()
-        .map_err(|_| CampaignError::Config(format!("{flag}: not a number")))
+    time_override: Option<TsPair>,
 }
 
 fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
@@ -100,55 +95,41 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
         sample_override: None,
         time_override: None,
     };
-    let mut it = args.iter().peekable();
+    let mut it = experiment::flag_args(args.iter().cloned());
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--out" => {
-                parsed.opts.out = PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| CampaignError::Config("--out needs a path".to_string()))?,
-                );
+                let out = experiment::flag_value(flag, it.next());
+                parsed.opts.out = PathBuf::from(out.map_err(CampaignError::Config)?);
             }
             "--shard" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CampaignError::Config("--shard needs K/N".to_string()))?;
-                let (k, n) = v
-                    .split_once('/')
-                    .and_then(|(k, n)| Some((k.parse::<u32>().ok()?, n.parse::<u32>().ok()?)))
-                    .ok_or_else(|| {
-                        CampaignError::Config(format!("--shard {v}: want K/N, e.g. 1/4"))
-                    })?;
-                parsed.opts.shard = (k, n);
+                let shard = experiment::parse_value(flag, &mut it, |v| {
+                    v.split_once('/')
+                        .and_then(|(k, n)| Some((k.parse().ok()?, n.parse().ok()?)))
+                        .ok_or_else(|| "want K/N, e.g. 1/4".to_string())
+                });
+                parsed.opts.shard = shard.map_err(CampaignError::Config)?;
             }
             "--resume" => parsed.opts.resume = true,
-            "--jobs" => parsed.opts.jobs = parse_u64("--jobs", it.next())? as usize,
+            "--jobs" => {
+                let jobs = experiment::parse_value(flag, &mut it, experiment::parse_jobs);
+                parsed.opts.jobs = jobs.map_err(CampaignError::Config)?;
+            }
             "--fail-after" => {
-                parsed.opts.fail_after = Some(parse_u64("--fail-after", it.next())? as usize);
+                let n = experiment::parse_value(flag, &mut it, |v| {
+                    v.parse().map_err(|_| "not a number".to_string())
+                });
+                parsed.opts.fail_after = Some(n.map_err(CampaignError::Config)?);
             }
             "--sample-sets" => {
-                let k = parse_u64("--sample-sets", it.next())?;
-                let k = u32::try_from(k).map_err(|_| {
-                    CampaignError::Config(format!("--sample-sets {k}: out of range"))
-                })?;
-                parsed.sample_override = Some(k);
+                let k = experiment::parse_value(flag, &mut it, experiment::parse_sample_sets);
+                parsed.sample_override = Some(k.map_err(CampaignError::Config)?);
             }
             "--time-sample" => {
-                let v = it.next().ok_or_else(|| {
-                    CampaignError::Config("--time-sample needs detail:gap".to_string())
-                })?;
-                let pair = crate::spec::TsPair::parse(v).ok_or_else(|| {
-                    CampaignError::Config(format!(
-                        "--time-sample {v}: want detail:gap cycle counts, e.g. 10000:40000"
-                    ))
-                })?;
-                if pair.detail == 0 && pair.gap > 0 {
-                    return Err(CampaignError::Config(format!(
-                        "--time-sample {v}: detail must be > 0 when gap > 0 \
-                         (no detailed cycles to measure IPC from)"
-                    )));
-                }
-                parsed.time_override = Some(pair);
+                let pair = experiment::parse_value(flag, &mut it, experiment::parse_time_sample);
+                let (detail, gap) = pair.map_err(CampaignError::Config)?;
+                parsed.time_override = Some(TsPair { detail, gap });
             }
             _ if arg.starts_with("--") => {
                 return Err(CampaignError::Config(format!("unknown flag {arg}")));

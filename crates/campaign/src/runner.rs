@@ -21,12 +21,14 @@
 use std::path::PathBuf;
 
 use nuca_core::cmp::{Cmp, CmpResult};
+use nuca_core::experiment::{build_chip, ExperimentConfig};
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
 use simcore::parallel::{map_slice, resolve_jobs};
 use simcore::snapshot::fnv1a64;
 use telemetry::json::Json;
 use telemetry::registry::Registry;
+use telemetry::NullSink;
 use tracegen::workload::Mix;
 
 use crate::grid::{machine_for, organization_for, warm_fingerprint, Cell};
@@ -403,7 +405,8 @@ fn warm_group(p: &Prepared, spec: &CampaignSpec) -> Result<Vec<u8>, CampaignErro
     Ok(cmp.save_chip_state()?)
 }
 
-/// Runs one cell from its warm group's snapshot: restore, timed
+/// Runs one cell from its warm group's snapshot: build the chip (the
+/// cell's machine already carries its sampling shift), restore, timed
 /// warm-up, reset, measure. Returns the headline metric and the
 /// finished manifest line.
 fn run_one(
@@ -418,11 +421,20 @@ fn run_one(
         .ok_or_else(|| {
             CampaignError::Snapshot(format!("cell {}: warm state not cached", p.cell.index))
         })?;
-    let mut cmp = Cmp::new(&p.machine, p.org, &p.mix, spec.seed)?;
+    let exp = ExperimentConfig {
+        seed: spec.seed,
+        time_sample: p.cell.time_sample.to_config(),
+        ..ExperimentConfig::default()
+    };
+    let mut cmp = build_chip(
+        &p.machine,
+        p.org,
+        &p.mix.profiles(),
+        &p.mix.forwards,
+        &exp,
+        NullSink,
+    )?;
     cmp.load_chip_state(bytes)?;
-    if let Some((detail, gap)) = p.cell.time_sample.to_config() {
-        cmp.set_time_sample(detail, gap);
-    }
     cmp.run(spec.warmup_cycles);
     cmp.reset_stats();
     cmp.run(spec.measure_cycles);

@@ -145,17 +145,6 @@ impl TsPair {
             Some((self.detail, self.gap))
         }
     }
-
-    /// Parses the `detail:gap` spelling (used by the spec axis and the
-    /// `--time-sample` command-line override). Schedule *validity*
-    /// (`detail > 0` whenever `gap > 0`) is the spec validator's job.
-    pub fn parse(s: &str) -> Option<Self> {
-        let (d, g) = s.split_once(':')?;
-        Some(TsPair {
-            detail: d.trim().parse().ok()?,
-            gap: g.trim().parse().ok()?,
-        })
-    }
 }
 
 /// The sweep axes; each `Vec` is one dimension of the cartesian grid.
@@ -520,15 +509,9 @@ fn ts_axis(e: &RawEntry) -> Result<Vec<TsPair>, CampaignError> {
     as_arr(e)?
         .iter()
         .map(|v| match v {
-            RawValue::Str(s) => TsPair::parse(s).ok_or_else(|| {
-                err(
-                    e.line,
-                    format!(
-                        "axis `{}` holds \"detail:gap\" schedule pairs, got \"{s}\"",
-                        e.key
-                    ),
-                )
-            }),
+            RawValue::Str(s) => nuca_core::experiment::parse_time_sample(s)
+                .map(|(detail, gap)| TsPair { detail, gap })
+                .map_err(|m| err(e.line, format!("axis `{}` value \"{s}\": {m}", e.key))),
             other => Err(err(
                 e.line,
                 format!(
@@ -670,11 +653,6 @@ impl CampaignSpec {
         }
         if a.l3_assoc.contains(&0) {
             return bad("`l3_assoc` values must be at least 1".to_string());
-        }
-        if a.time_sample.iter().any(|t| t.detail == 0 && t.gap > 0) {
-            return bad("`time_sample` schedules need detail > 0 when gap > 0 \
-                 (there would be no detailed windows to measure from)"
-                .to_string());
         }
         Ok(())
     }
@@ -895,11 +873,11 @@ time_sample = ["0:0", "20000:80000"]
         );
         expect_err(
             "[campaign]\n[axes]\ntime_sample = [\"14/19\"]\n",
-            "schedule pairs",
+            "want detail:gap cycle counts",
         );
         expect_err(
             "[campaign]\n[axes]\ntime_sample = [\"0:500\"]\n",
-            "detail > 0",
+            "detail must be > 0",
         );
         expect_err("[campaign]\n[axes]\nl3_mb = []\n", "must not be empty");
         expect_err("[campaign]\n[axes]\nl3_mb = [1,\n2]\n", "one line");

@@ -186,55 +186,21 @@ impl Cmp {
     /// Returns [`ConfigError`] if the mix does not match the machine's
     /// core count or the organization cannot be built.
     pub fn new(cfg: &MachineConfig, org: Organization, mix: &Mix, seed: u64) -> Result<Self> {
-        Cmp::new_with_sink(cfg, org, mix, seed, NullSink)
-    }
-
-    /// Builds an untraced chip running arbitrary application profiles —
-    /// used for parallel (read-shared) workloads and custom studies that
-    /// go beyond the 24 SPEC2000-like presets.
-    ///
-    /// Accepts anything that borrows as a profile (`AppProfile`,
-    /// `Arc<AppProfile>`, `&AppProfile`), so replicated workloads can
-    /// share one profile allocation across cores.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the profile count does not match the
-    /// machine's core count or the organization cannot be built.
-    pub fn with_profiles<P: Borrow<tracegen::AppProfile>>(
-        cfg: &MachineConfig,
-        org: Organization,
-        profiles: &[P],
-        forwards: &[u64],
-        seed: u64,
-    ) -> Result<Self> {
-        Cmp::with_profiles_and_sink(cfg, org, profiles, forwards, seed, NullSink)
+        Cmp::with_profiles_and_sink(cfg, org, &mix.profiles(), &mix.forwards, seed, NullSink)
     }
 }
 
 impl<S: Sink> Cmp<S> {
-    /// Builds a chip running `mix`, cloning `sink` into every core and
-    /// the last-level organization so one recorder observes the whole
-    /// chip.
+    /// Builds a chip running one application profile per core, each
+    /// fast-forwarded by its entry in `forwards` — the SPEC2000-like
+    /// presets of a mix, parallel (read-shared) workloads and custom
+    /// studies alike — and clones `sink` into every core and the
+    /// last-level organization so one recorder observes the whole chip
+    /// ([`NullSink`] for an untraced chip).
     ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the mix does not match the machine's
-    /// core count or the organization cannot be built.
-    pub fn new_with_sink(
-        cfg: &MachineConfig,
-        org: Organization,
-        mix: &Mix,
-        seed: u64,
-        sink: S,
-    ) -> Result<Self> {
-        let profiles: Vec<tracegen::AppProfile> =
-            mix.apps.iter().map(|a| a.profile().clone()).collect();
-        Cmp::with_profiles_and_sink(cfg, org, &profiles, &mix.forwards, seed, sink)
-    }
-
-    /// Builds a chip from arbitrary profiles with a telemetry sink (see
-    /// [`Cmp::with_profiles`] for the workload semantics).
+    /// Accepts anything that borrows as a profile (`AppProfile`,
+    /// `Arc<AppProfile>`, `&AppProfile`), so replicated workloads can
+    /// share one profile allocation across cores.
     ///
     /// # Errors
     ///
@@ -318,10 +284,10 @@ impl<S: Sink> Cmp<S> {
     /// warmed cycles. A zero `gap` turns sampling off — the run is then
     /// byte-identical to an unconfigured chip, and
     /// [`snapshot`](Self::snapshot) carries no
-    /// [`TimeSamplingReport`]. Callers validate `detail > 0`; a zero
-    /// detail with a nonzero gap would measure nothing.
+    /// [`TimeSamplingReport`]. Callers validate the schedule with
+    /// [`parse_time_sample`](crate::experiment::parse_time_sample).
     pub fn set_time_sample(&mut self, detail: u64, gap: u64) {
-        debug_assert!(gap == 0 || detail > 0, "time sampling needs detail > 0");
+        debug_assert!(crate::experiment::check_time_sample(detail, gap).is_ok());
         self.time_sample = if gap == 0 { None } else { Some((detail, gap)) };
     }
 

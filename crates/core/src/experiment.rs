@@ -8,10 +8,22 @@
 //! organizations. Figures 6–12 are grids of such cells that the campaign
 //! engine runs from `specs/` and `nuca-bench` renders from its
 //! manifests.
+//!
+//! The run policy has one path. Every front end (`nuca-sim`, its
+//! `campaign` subcommand, `perf` and the simulating figure binaries)
+//! parses `--jobs`, `--sample-sets` and `--time-sample` with
+//! [`parse_jobs`], [`parse_sample_sets`] and [`parse_time_sample`];
+//! `nuca-sim` and the figure binaries match all five run-policy flags
+//! with [`ExperimentConfig::parse_flag`]. Every simulating caller builds
+//! its chip with [`build_chip`], the one place that applies an
+//! [`ExperimentConfig`] to a [`Cmp`].
+
+use std::borrow::Borrow;
 
 use simcore::config::{CacheGeometry, MachineConfig, MachineConfigBuilder};
 use simcore::error::Result;
 use telemetry::{collector, NullSink, Recorder, Sink, Trace, TraceMeta};
+use tracegen::profile::AppProfile;
 use tracegen::spec::SpecApp;
 use tracegen::workload::{Mix, WorkloadPool};
 
@@ -96,12 +108,7 @@ impl ExperimentConfig {
             warm_instructions: 400_000,
             warmup_cycles: 20_000,
             measure_cycles: 150_000,
-            seed: 2007,
-            jobs: 1,
-            cycle_skip: true,
-            fast_path: true,
-            sample_shift: None,
-            time_sample: None,
+            ..ExperimentConfig::default()
         }
     }
 
@@ -184,6 +191,107 @@ impl ExperimentConfig {
             ..*self
         }
     }
+
+    /// Applies `flag` when it is one of the five run-policy flags —
+    /// `--jobs N`, `--no-skip`, `--no-fast-path`, `--sample-sets K`,
+    /// `--time-sample D:G` — taking its value from `args`. Returns
+    /// whether it matched, so a front end can try its own flags next.
+    /// `nuca-sim` and the simulating figure binaries parse these flags
+    /// only here.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when its value is missing or malformed.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> std::result::Result<bool, String> {
+        match flag {
+            "--no-skip" => self.cycle_skip = false,
+            "--no-fast-path" => self.fast_path = false,
+            "--jobs" => {
+                self.jobs = simcore::parallel::resolve_jobs(parse_value(flag, args, parse_jobs)?)
+            }
+            "--sample-sets" => {
+                self.sample_shift = Some(parse_value(flag, args, parse_sample_sets)?)
+            }
+            "--time-sample" => self.time_sample = Some(parse_value(flag, args, parse_time_sample)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Splits every `--flag=value` argument into `--flag` and `value`, so
+/// each front end accepts both spellings of a valued flag.
+pub fn flag_args(args: impl IntoIterator<Item = String>) -> impl Iterator<Item = String> {
+    args.into_iter().flat_map(|arg| match arg.split_once('=') {
+        Some((flag, value)) if flag.starts_with("--") => vec![flag.to_string(), value.to_string()],
+        _ => vec![arg],
+    })
+}
+
+/// The value after `flag`: present, non-empty and not another flag
+/// (`"{flag} needs a value"` otherwise).
+pub fn flag_value(flag: &str, next: Option<String>) -> std::result::Result<String, String> {
+    next.filter(|v| !v.is_empty() && !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Reads `flag`'s value from `args` (see [`flag_value`]) and parses
+/// it with `parse`, prefixing any error with the flag and the value.
+pub fn parse_value<T>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    parse: fn(&str) -> std::result::Result<T, String>,
+) -> std::result::Result<T, String> {
+    let v = flag_value(flag, args.next())?;
+    parse(&v).map_err(|e| format!("{flag} {v}: {e}"))
+}
+
+fn count(v: &str) -> Option<u64> {
+    v.trim().replace('_', "").parse().ok()
+}
+
+/// Parses a `--jobs` value: a worker count, `0` meaning one per
+/// available core; anything else is an error message.
+pub fn parse_jobs(v: &str) -> std::result::Result<usize, String> {
+    count(v)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| "want a worker count (0 = one per available core)".to_string())
+}
+
+/// Parses a `--sample-sets` value: the set-sampling shift `K`
+/// (simulate `1/2^K` of the last-level sets). A shift beyond 32 bits
+/// is an error, never truncated.
+pub fn parse_sample_sets(v: &str) -> std::result::Result<u32, String> {
+    let k = count(v).ok_or_else(|| "want a set-sampling shift such as 4".to_string())?;
+    u32::try_from(k).map_err(|_| "out of range (a shift fits in 32 bits)".to_string())
+}
+
+/// Parses a `--time-sample` value (also the campaign `time_sample`
+/// axis spelling): `detail:gap` cycle counts. A malformed pair, or a
+/// gap > 0 with no detailed window, is an error.
+pub fn parse_time_sample(v: &str) -> std::result::Result<(u64, u64), String> {
+    let (detail, gap) = v
+        .split_once(':')
+        .and_then(|(d, g)| Some((count(d)?, count(g)?)))
+        .ok_or_else(|| "want detail:gap cycle counts such as 10000:40000".to_string())?;
+    check_time_sample(detail, gap)?;
+    Ok((detail, gap))
+}
+
+/// The rule every time-sampling schedule obeys: a non-zero gap needs a
+/// non-zero detailed window, or there would be no detailed cycles to
+/// measure IPC from. A zero gap is full detail, whatever the window.
+pub(crate) fn check_time_sample(detail: u64, gap: u64) -> std::result::Result<(), String> {
+    if detail == 0 && gap > 0 {
+        return Err(
+            "detail must be > 0 when gap > 0 (no detailed cycles to measure IPC from)".to_string(),
+        );
+    }
+    Ok(())
 }
 
 /// Result of running one mix under one organization.
@@ -200,41 +308,6 @@ pub struct MixResult {
     pub trace: Option<Trace>,
 }
 
-/// Section 3's run protocol with an arbitrary sink: warm-up, reset,
-/// measure.
-fn drive<S: Sink>(
-    machine: &MachineConfig,
-    org: Organization,
-    mix: &Mix,
-    exp: &ExperimentConfig,
-    sink: S,
-) -> Result<MixResult> {
-    // Sampling is requested per experiment but built per machine: copy
-    // the machine and set the L3 sampling knob so `L3System::build` adds
-    // the estimator wrapper.
-    let mut machine = *machine;
-    if exp.sample_shift.is_some() {
-        machine.l3.sample_shift = exp.sample_shift;
-    }
-    let machine = &machine;
-    let mut cmp = Cmp::new_with_sink(machine, org, mix, exp.seed, sink)?;
-    cmp.set_cycle_skip(exp.cycle_skip);
-    cmp.set_fast_path(exp.fast_path);
-    if let Some((detail, gap)) = exp.time_sample {
-        cmp.set_time_sample(detail, gap);
-    }
-    cmp.warm(exp.warm_instructions);
-    cmp.run(exp.warmup_cycles);
-    cmp.reset_stats();
-    cmp.run(exp.measure_cycles);
-    Ok(MixResult {
-        mix: mix.clone(),
-        organization: org.label(),
-        result: cmp.snapshot(),
-        trace: None,
-    })
-}
-
 /// The quota vector an adaptive organization starts from (empty for
 /// non-adaptive organizations): `local_assoc` blocks per set per core
 /// (the paper's 75 % private + guaranteed shared block split).
@@ -247,6 +320,98 @@ pub fn initial_quotas(machine: &MachineConfig, org: Organization) -> Vec<u32> {
     }
 }
 
+/// Builds the chip for one cell under `exp`: copies
+/// [`ExperimentConfig::sample_shift`] into the machine (so the last
+/// level gets the set-sampling estimator), constructs the chip over
+/// `profiles` (one per core, each fast-forwarded by `forwards`) and
+/// applies the execution policy — cycle skipping, the hit fast path
+/// and the time-sampling schedule. This is the one site that turns an
+/// [`ExperimentConfig`] into a configured [`Cmp`].
+///
+/// # Errors
+///
+/// Returns a configuration error if the sampled machine is invalid, the
+/// workload does not match its core count, or the organization cannot
+/// be built.
+pub fn build_chip<S: Sink, P: Borrow<AppProfile>>(
+    machine: &MachineConfig,
+    org: Organization,
+    profiles: &[P],
+    forwards: &[u64],
+    exp: &ExperimentConfig,
+    sink: S,
+) -> Result<Cmp<S>> {
+    let mut machine = *machine;
+    if exp.sample_shift.is_some() {
+        machine.l3.sample_shift = exp.sample_shift;
+        machine.validate()?;
+    }
+    let mut cmp = Cmp::with_profiles_and_sink(&machine, org, profiles, forwards, exp.seed, sink)?;
+    cmp.set_cycle_skip(exp.cycle_skip);
+    cmp.set_fast_path(exp.fast_path);
+    if let Some((detail, gap)) = exp.time_sample {
+        cmp.set_time_sample(detail, gap);
+    }
+    Ok(cmp)
+}
+
+/// Section 3's run protocol on a chip from [`build_chip`]: functional
+/// warm, timed warm-up, statistics reset, measured window.
+pub fn measure<S: Sink>(cmp: &mut Cmp<S>, exp: &ExperimentConfig) -> CmpResult {
+    cmp.warm(exp.warm_instructions);
+    cmp.run(exp.warmup_cycles);
+    cmp.reset_stats();
+    cmp.run(exp.measure_cycles);
+    cmp.snapshot()
+}
+
+/// Runs one cell of arbitrary per-core profiles (parallel workloads as
+/// well as mixes). When a [`collector`] is installed the run records
+/// telemetry into a ring of the collector's capacity and returns the
+/// finished [`Trace`]; otherwise the untraced ([`NullSink`]) build runs.
+///
+/// # Errors
+///
+/// Propagates configuration errors from [`build_chip`].
+pub fn run_profiles<P: Borrow<AppProfile>>(
+    machine: &MachineConfig,
+    org: Organization,
+    profiles: &[P],
+    forwards: &[u64],
+    exp: &ExperimentConfig,
+) -> Result<(CmpResult, Option<Trace>)> {
+    match collector::capacity() {
+        Some(capacity) => run_recorded(machine, org, profiles, forwards, exp, capacity)
+            .map(|(result, trace)| (result, Some(trace))),
+        None => {
+            let mut cmp = build_chip(machine, org, profiles, forwards, exp, NullSink)?;
+            Ok((measure(&mut cmp, exp), None))
+        }
+    }
+}
+
+/// [`run_profiles`] into a recording sink of ring capacity `capacity`.
+fn run_recorded<P: Borrow<AppProfile>>(
+    machine: &MachineConfig,
+    org: Organization,
+    profiles: &[P],
+    forwards: &[u64],
+    exp: &ExperimentConfig,
+    capacity: usize,
+) -> Result<(CmpResult, Trace)> {
+    let recorder = Recorder::with_capacity(capacity);
+    let mut cmp = build_chip(machine, org, profiles, forwards, exp, recorder.clone())?;
+    let result = measure(&mut cmp, exp);
+    let meta = TraceMeta {
+        org: org.label().to_string(),
+        cores: machine.cores,
+        ring_capacity: capacity,
+        initial_quotas: initial_quotas(machine, org),
+    };
+    let trace = recorder.finish(meta, result.quotas.clone().unwrap_or_default());
+    Ok((result, trace))
+}
+
 /// Runs one mix under one organization: warm-up, reset, measure. When a
 /// [`collector`] is installed the run records telemetry into a ring of
 /// the collector's capacity and carries the finished [`Trace`] in
@@ -255,31 +420,29 @@ pub fn initial_quotas(machine: &MachineConfig, org: Organization) -> Vec<u32> {
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from [`Cmp::new`].
+/// Propagates configuration errors from [`build_chip`].
 pub fn run_mix(
     machine: &MachineConfig,
     org: Organization,
     mix: &Mix,
     exp: &ExperimentConfig,
 ) -> Result<MixResult> {
-    match collector::capacity() {
-        Some(capacity) => {
-            let (mut result, trace) = run_mix_traced(machine, org, mix, exp, capacity)?;
-            result.trace = Some(trace);
-            Ok(result)
-        }
-        None => drive(machine, org, mix, exp, NullSink),
-    }
+    let (result, trace) = run_profiles(machine, org, &mix.profiles(), &mix.forwards, exp)?;
+    Ok(MixResult {
+        mix: mix.clone(),
+        organization: org.label(),
+        result,
+        trace,
+    })
 }
 
 /// Runs one mix with a recording sink of ring capacity `capacity`,
 /// independent of any process-wide collector, and returns the plain-data
-/// trace alongside the result. This is the entry point tests and the
-/// CLI use; [`run_mix`] routes through it when a collector is active.
+/// trace alongside the result.
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from [`Cmp::new`].
+/// Propagates configuration errors from [`build_chip`].
 pub fn run_mix_traced(
     machine: &MachineConfig,
     org: Organization,
@@ -287,57 +450,16 @@ pub fn run_mix_traced(
     exp: &ExperimentConfig,
     capacity: usize,
 ) -> Result<(MixResult, Trace)> {
-    let recorder = Recorder::with_capacity(capacity);
-    let result = drive(machine, org, mix, exp, recorder.clone())?;
-    let meta = TraceMeta {
-        org: org.label().to_string(),
-        cores: machine.cores,
-        ring_capacity: capacity,
-        initial_quotas: initial_quotas(machine, org),
-    };
-    let final_quotas = result.result.quotas.clone().unwrap_or_default();
-    let trace = recorder.finish(meta, final_quotas);
-    Ok((result, trace))
-}
-
-/// Like [`run_mix`] (untraced), additionally returning the chip's
-/// fast-path effectiveness counters for the measured window. The
-/// counters are a perf-attribution side channel: the [`MixResult`] is
-/// bit-identical to [`run_mix`]'s for the same experiment, fast path on
-/// or off (off, the fast-hit counters are zero and everything lands in
-/// the slow buckets).
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`Cmp::new`].
-pub fn run_mix_instrumented(
-    machine: &MachineConfig,
-    org: Organization,
-    mix: &Mix,
-    exp: &ExperimentConfig,
-) -> Result<(MixResult, cpusim::FastPathStats)> {
-    let mut machine = *machine;
-    if exp.sample_shift.is_some() {
-        machine.l3.sample_shift = exp.sample_shift;
-    }
-    let mut cmp = Cmp::new(&machine, org, mix, exp.seed)?;
-    cmp.set_cycle_skip(exp.cycle_skip);
-    cmp.set_fast_path(exp.fast_path);
-    if let Some((detail, gap)) = exp.time_sample {
-        cmp.set_time_sample(detail, gap);
-    }
-    cmp.warm(exp.warm_instructions);
-    cmp.run(exp.warmup_cycles);
-    cmp.reset_stats();
-    cmp.run(exp.measure_cycles);
+    let (result, trace) =
+        run_recorded(machine, org, &mix.profiles(), &mix.forwards, exp, capacity)?;
     Ok((
         MixResult {
             mix: mix.clone(),
             organization: org.label(),
-            result: cmp.snapshot(),
+            result,
             trace: None,
         },
-        cmp.fast_path_stats(),
+        trace,
     ))
 }
 
@@ -586,22 +708,85 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_run_mix_in_both_modes() {
-        // The counters are a pure side channel: the MixResult must be
-        // bit-identical to run_mix's with the fast path on AND off, and
-        // the counters must reflect the requested mode.
+        // The fast-path counters are a pure side channel: a chip from
+        // the builder measures bit-identically to run_mix with the fast
+        // path on AND off, and the counters reflect the requested mode.
         let machine = MachineConfig::baseline();
         let exp = ExperimentConfig::quick();
         let mix = WorkloadPool::homogeneous(SpecApp::Gzip, 4, 1);
+        let instrumented = |exp: &ExperimentConfig| {
+            let org = Organization::Private;
+            let mut cmp =
+                build_chip(&machine, org, &mix.profiles(), &mix.forwards, exp, NullSink).unwrap();
+            let result = measure(&mut cmp, exp);
+            (result, cmp.fast_path_stats())
+        };
         let plain = run_mix(&machine, Organization::Private, &mix, &exp).unwrap();
-        let (on, fast) = run_mix_instrumented(&machine, Organization::Private, &mix, &exp).unwrap();
-        assert_eq!(plain, on);
+        let (on, fast) = instrumented(&exp);
+        assert_eq!(plain.result, on);
         assert!(fast.data_fast_hits > 0, "fast path fired: {fast:?}");
-        let off_exp = exp.with_fast_path(false);
-        let (off, off_fast) =
-            run_mix_instrumented(&machine, Organization::Private, &mix, &off_exp).unwrap();
-        assert_eq!(plain, off, "--no-fast-path changed the result");
+        let (off, off_fast) = instrumented(&exp.with_fast_path(false));
+        assert_eq!(plain.result, off, "--no-fast-path changed the result");
         assert_eq!(off_fast.data_fast_hits + off_fast.inst_fast_hits, 0);
         assert!(off_fast.data_slow > 0);
+    }
+
+    #[test]
+    fn run_policy_flags_parse_in_both_spellings_and_reject_bad_values() {
+        fn parse(args: &[&str]) -> std::result::Result<ExperimentConfig, String> {
+            let mut exp = ExperimentConfig::quick();
+            let mut it = flag_args(args.iter().map(|a| a.to_string()));
+            while let Some(flag) = it.next() {
+                if !exp.parse_flag(&flag, &mut it)? {
+                    return Err(format!("unknown argument {flag}"));
+                }
+            }
+            Ok(exp)
+        }
+        let base = ExperimentConfig::quick();
+        let accepted: [(&[&str], ExperimentConfig); 10] = [
+            (&[], base),
+            (&["--no-skip"], base.with_cycle_skip(false)),
+            (&["--no-fast-path"], base.with_fast_path(false)),
+            (&["--jobs", "3"], base.with_jobs(3)),
+            (&["--jobs=3"], base.with_jobs(3)),
+            (&["--sample-sets", "4"], base.with_sample_sets(Some(4))),
+            (&["--sample-sets=0"], base.with_sample_sets(Some(0))),
+            (
+                &["--time-sample", "1000:4000"],
+                base.with_time_sample(Some((1_000, 4_000))),
+            ),
+            (
+                &["--time-sample=5000:0"],
+                base.with_time_sample(Some((5_000, 0))),
+            ),
+            (
+                &["--no-skip", "--no-fast-path"],
+                base.with_cycle_skip(false).with_fast_path(false),
+            ),
+        ];
+        for (args, want) in accepted {
+            assert_eq!(parse(args), Ok(want), "{args:?}");
+        }
+        let rejected: [(&[&str], &str); 11] = [
+            (&["--jobs", "many"], "worker count"),
+            (&["--jobs=-1"], "worker count"),
+            (&["--jobs"], "needs a value"),
+            (&["--jobs", "--no-skip"], "needs a value"),
+            (&["--sample-sets", "-4"], "set-sampling shift"),
+            (&["--sample-sets", "4294967297"], "out of range"),
+            (&["--sample-sets="], "needs a value"),
+            (&["--time-sample", "0:5"], "detail must be > 0"),
+            (&["--time-sample", "1000:x"], "detail:gap"),
+            (&["--time-sample", "1000"], "detail:gap"),
+            (&["--time-sampel", "1000:4000"], "unknown argument"),
+        ];
+        for (args, message) in rejected {
+            match parse(args) {
+                Err(e) => assert!(e.contains(message), "{args:?}: {e}"),
+                Ok(exp) => panic!("{args:?} must be rejected, parsed {exp:?}"),
+            }
+        }
     }
 
     #[test]

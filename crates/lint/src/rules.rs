@@ -192,8 +192,8 @@ impl Default for Scopes {
         ];
         let mut det_prefixes = sim_prefixes.clone();
         det_prefixes.push("crates/tracegen/src/".to_string());
-        // The facade's CLI layer reads env vars by design (NUCA_BENCH_JOBS
-        // et al.); determinism rules cover the simulation crates proper.
+        // The facade's binary reads its command line (`std::env::args`);
+        // determinism rules cover the simulation crates proper.
         det_prefixes.retain(|p| p != "src/");
         Scopes {
             sim_prefixes,

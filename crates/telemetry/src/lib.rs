@@ -25,7 +25,7 @@
 //! - [`Registry`] / [`Counter`] / [`Gauge`] / [`Family`]: hierarchical
 //!   metric aggregation behind the JSON export.
 //! - [`collector`]: opt-in process-wide collection used by the figure
-//!   binaries (`--trace <path>` / `TRACE=<path>`); traces are gathered
+//!   binaries (`--trace <path>`); traces are gathered
 //!   in cell order, so output is identical for every `--jobs` value.
 //!
 //! The `trace-view` binary (this crate's `src/bin`) summarizes and

@@ -38,6 +38,11 @@ impl Mix {
     pub fn cores(&self) -> usize {
         self.apps.len()
     }
+
+    /// The per-core profiles, borrowed from the static presets.
+    pub fn profiles(&self) -> Vec<&'static crate::profile::AppProfile> {
+        self.apps.iter().map(|a| a.profile()).collect()
+    }
 }
 
 /// Factory for the randomized experiment sets of Section 4.

@@ -14,6 +14,7 @@ use nuca_repro::nuca_core::cmp::Cmp;
 use nuca_repro::nuca_core::l3::Organization;
 use nuca_repro::simcore::config::MachineConfig;
 use nuca_repro::simcore::stats::speedup;
+use nuca_repro::telemetry::NullSink;
 use nuca_repro::tracegen::spec::SpecApp;
 use nuca_repro::tracegen::workload::parallel_workload;
 
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Organization::adaptive(),
         Organization::Cooperative { seed: 11 },
     ] {
-        let mut cmp = Cmp::with_profiles(&machine, org, &profiles, &forwards, 11)?;
+        let mut cmp =
+            Cmp::with_profiles_and_sink(&machine, org, &profiles, &forwards, 11, NullSink)?;
         cmp.warm(2_000_000);
         cmp.run(800_000);
         cmp.reset_stats();

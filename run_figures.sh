@@ -8,28 +8,36 @@
 # results/campaign/. The fig6-fig12 binaries then render
 # results/fig6.txt-fig12.txt from those manifests without simulating.
 #
+# Every binary reads its settings from its command line only; this
+# script turns the variables below into flags. A binary given a flag it
+# does not take, or a malformed value, exits 2 before simulating.
+#
 # JOBS controls the worker-thread count (default: all cores). Manifests
 # and figure outputs are bit-identical for any JOBS value.
 #
 # SAMPLE_SETS (optional) turns on set-sampled simulation everywhere:
-# binaries and campaigns get --sample-sets $SAMPLE_SETS, simulating only
+# simulating binaries and campaigns get --sample-sets $SAMPLE_SETS
+# (perf uses it for its sampled accuracy pass), simulating only
 # 1/2^SAMPLE_SETS of the last-level sets in full detail. Figures become
 # approximations with confidence bounds (DESIGN.md §8) — leave it unset
 # for publication runs. SAMPLE_SETS=0 is bit-identical to unset.
 #
 # TIME_SAMPLE (optional, "detail:gap" cycle counts, e.g. 10000:40000)
-# turns on time-sampled simulation everywhere: binaries and campaigns
-# get --time-sample $TIME_SAMPLE, alternating detailed windows with
+# turns on time-sampled simulation everywhere: simulating binaries and
+# campaigns get --time-sample $TIME_SAMPLE (perf uses it for its
+# time-sampled accuracy pass), alternating detailed windows with
 # functionally warmed gaps (DESIGN.md §8). IPC becomes a SMARTS
 # estimate with confidence bounds — leave it unset for publication
 # runs. A zero gap (e.g. TIME_SAMPLE=10000:0) is bit-identical to
 # unset. Composes with SAMPLE_SETS.
 #
 # TRACE and METRICS_OUT (both optional) turn on telemetry for the
-# characterization binaries: set them to the literal string "results"
-# to write results/<bin>.trace.jsonl / results/<bin>.metrics.json, or
-# leave them empty to run untraced. (Campaign runs emit manifests, not
-# event traces.)
+# characterization binaries (--trace / --metrics-out): set them to the
+# literal string "results" to write results/<bin>.trace.jsonl /
+# results/<bin>.metrics.json, to any other prefix P to write
+# P.<bin>.jsonl / P.<bin>.json, or leave them empty to run untraced.
+# (Campaign runs emit manifests, not event traces; perf is a timing
+# harness and records none.)
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p results results/campaign
@@ -62,8 +70,14 @@ for bin in table1 cost_model fig3 fig5 shadow_sampling ablations parallel; do
     elif [ -n "$METRICS_OUT" ]; then
         tele+=(--metrics-out "$METRICS_OUT.$bin.json")
     fi
+    # Table 1 and the cost model simulate nothing: telemetry flags only.
+    policy=()
+    case "$bin" in
+        table1 | cost_model) ;;
+        *) policy+=(--jobs "$JOBS" ${sample[@]+"${sample[@]}"}) ;;
+    esac
     cargo run --quiet --release -p nuca-bench --bin "$bin" -- \
-        --jobs "$JOBS" ${sample[@]+"${sample[@]}"} \
+        ${policy[@]+"${policy[@]}"} \
         ${tele[@]+"${tele[@]}"} > "results/$bin.txt" 2>&1
     echo "done: results/$bin.txt"
 done

@@ -14,10 +14,11 @@ use std::sync::Arc;
 
 use nuca_core::cmp::{Cmp, CmpResult};
 use nuca_core::engine::AdaptiveParams;
+use nuca_core::experiment::{build_chip, flag_args, flag_value, measure, ExperimentConfig};
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
 use simcore::error::ConfigError;
-use telemetry::{Recorder, Sink, Trace, TraceMeta};
+use telemetry::{NullSink, Recorder, Sink, Trace, TraceMeta};
 use tracegen::profile::AppProfile;
 use tracegen::spec::SpecApp;
 use tracegen::workload::{parallel_workload, WorkloadPool};
@@ -32,45 +33,18 @@ pub struct SimRequest {
     pub machine: MachineConfig,
     /// The last-level organizations to run, in request order. Each one
     /// is an independent simulation cell; [`run_all`] executes them on
-    /// `jobs` worker threads.
+    /// `exp.jobs` worker threads.
     pub organizations: Vec<Organization>,
     /// One profile handle per core (replicated workloads share one
     /// allocation).
     pub profiles: Vec<Arc<AppProfile>>,
     /// Fast-forward per core.
     pub forwards: Vec<u64>,
-    /// Functional warm instructions per core.
-    pub warm_instructions: u64,
-    /// Timed warm-up cycles.
-    pub warmup_cycles: u64,
-    /// Measured cycles.
-    pub measure_cycles: u64,
-    /// Master seed.
-    pub seed: u64,
+    /// The windows, the seed and the run policy (`--jobs`, `--no-skip`,
+    /// `--no-fast-path`, `--sample-sets`, `--time-sample`).
+    pub exp: ExperimentConfig,
     /// Audit L3 structural invariants after every step (slow).
     pub paranoid: bool,
-    /// Advance time event-driven, skipping fully-stalled windows.
-    /// Execution policy only: results are bit-identical either way, and
-    /// `--no-skip` forces the reference stepping loop.
-    pub cycle_skip: bool,
-    /// Use the exact core-side hit fast path (fused TLB+L1 probe,
-    /// memo-served lookups, warm trace decode). Execution policy only:
-    /// results are bit-identical either way, and `--no-fast-path` forces
-    /// the reference walks.
-    pub fast_path: bool,
-    /// Worker threads for running the organizations (`0` = one per
-    /// available core). Results are bit-identical for every value.
-    pub jobs: usize,
-    /// Set-sampled simulation: `Some(k)` simulates `1/2^k` of the L3
-    /// sets fully and estimates the rest (results carry confidence
-    /// bounds); `Some(0)` exercises the estimator wrapper with full
-    /// membership, which is bit-identical to `None`.
-    pub sample_shift: Option<u32>,
-    /// Time-sampled simulation: `Some((detail, gap))` alternates
-    /// `detail` detailed cycles with `gap` functionally warmed cycles
-    /// (results carry SMARTS confidence bounds); a zero gap is
-    /// bit-identical to `None`.
-    pub time_sample: Option<(u64, u64)>,
     /// Write a JSONL event trace here (one section per organization, in
     /// request order; identical for every `jobs` value).
     pub trace: Option<PathBuf>,
@@ -183,32 +157,25 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     let mut org_name: Option<String> = None;
     let mut apps: Option<Vec<SpecApp>> = None;
     let mut parallel: Option<(SpecApp, f64, u64)> = None;
-    let mut seed = 2007u64;
-    let mut warm = 3_000_000u64;
-    let mut warmup = 1_000_000u64;
-    let mut measure = 1_500_000u64;
+    let mut exp = ExperimentConfig::default();
     let mut l3_mb = 4u64;
     let mut tech_scaled = false;
     let mut reeval = 2000u64;
     let mut paranoid = false;
-    let mut cycle_skip = true;
-    let mut fast_path = true;
-    let mut jobs = 1usize;
-    let mut sample_shift: Option<u32> = None;
-    let mut time_sample: Option<(u64, u64)> = None;
     let mut trace: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
 
-    let mut it = args.iter();
+    let mut it = flag_args(args.iter().cloned());
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::new(format!("{what} requires a value")))
-        };
-        match arg.as_str() {
-            "--org" => org_name = Some(value("--org")?.clone()),
+        if exp.parse_flag(&arg, &mut it).map_err(CliError::new)? {
+            continue;
+        }
+        let flag = arg.as_str();
+        let mut value = || flag_value(flag, it.next()).map_err(CliError::new);
+        match flag {
+            "--org" => org_name = Some(value()?),
             "--apps" => {
-                let list = value("--apps")?;
+                let list = value()?;
                 let parsed: Result<Vec<SpecApp>, _> = list
                     .split(',')
                     .map(|s| s.trim().parse::<SpecApp>())
@@ -216,7 +183,7 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
                 apps = Some(parsed.map_err(|e| CliError::new(e.to_string()))?);
             }
             "--parallel" => {
-                let spec = value("--parallel")?;
+                let spec = value()?;
                 let parts: Vec<&str> = spec.split(':').collect();
                 if parts.len() != 3 {
                     return Err(CliError::new("--parallel expects APP:FRAC:KB"));
@@ -232,41 +199,16 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
                     .map_err(|_| CliError::new("bad shared size"))?;
                 parallel = Some((app, frac, kb));
             }
-            "--seed" => seed = parse_u64(value("--seed")?)?,
-            "--warm" => warm = parse_u64(value("--warm")?)?,
-            "--warmup" => warmup = parse_u64(value("--warmup")?)?,
-            "--measure" => measure = parse_u64(value("--measure")?)?,
-            "--l3-mb" => l3_mb = parse_u64(value("--l3-mb")?)?,
-            "--reeval" => reeval = parse_u64(value("--reeval")?)?,
-            "--jobs" => {
-                jobs = simcore::parallel::resolve_jobs(parse_u64(value("--jobs")?)? as usize)
-            }
-            "--sample-sets" => {
-                let k = parse_u64(value("--sample-sets")?)?;
-                let k = u32::try_from(k)
-                    .map_err(|_| CliError::new(format!("--sample-sets {k} is out of range")))?;
-                sample_shift = Some(k);
-            }
-            "--time-sample" => {
-                let v = value("--time-sample")?;
-                let (d, g) = v
-                    .split_once(':')
-                    .ok_or_else(|| CliError::new("--time-sample expects DETAIL:GAP"))?;
-                let pair = (parse_u64(d)?, parse_u64(g)?);
-                if pair.0 == 0 && pair.1 > 0 {
-                    return Err(CliError::new(
-                        "--time-sample needs a detail window > 0 when the gap is > 0 \
-                         (there would be no detailed cycles to measure IPC from)",
-                    ));
-                }
-                time_sample = Some(pair);
-            }
-            "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
-            "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
+            "--seed" => exp.seed = parse_u64(&value()?)?,
+            "--warm" => exp.warm_instructions = parse_u64(&value()?)?,
+            "--warmup" => exp.warmup_cycles = parse_u64(&value()?)?,
+            "--measure" => exp.measure_cycles = parse_u64(&value()?)?,
+            "--l3-mb" => l3_mb = parse_u64(&value()?)?,
+            "--reeval" => reeval = parse_u64(&value()?)?,
+            "--trace" => trace = Some(PathBuf::from(value()?)),
+            "--metrics-out" => metrics_out = Some(PathBuf::from(value()?)),
             "--tech-scaled" => tech_scaled = true,
             "--paranoid" => paranoid = true,
-            "--no-skip" => cycle_skip = false,
-            "--no-fast-path" => fast_path = false,
             "--help" | "-h" => return Err(CliError::new(USAGE)),
             other => return Err(CliError::new(format!("unknown argument: {other}"))),
         }
@@ -281,10 +223,11 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     if tech_scaled {
         machine = machine.technology_scaled();
     }
-    if sample_shift.is_some() {
-        machine.l3.sample_shift = sample_shift;
+    if exp.sample_shift.is_some() {
+        machine.l3.sample_shift = exp.sample_shift;
         machine.validate()?;
     }
+    let seed = exp.seed;
 
     let organizations = match org_name.as_deref() {
         Some(list) => list
@@ -306,7 +249,7 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     if organizations.is_empty() {
         return Err(CliError::new("--org needs at least one organization"));
     }
-    if paranoid && time_sample.is_some_and(|(_, gap)| gap > 0) {
+    if paranoid && exp.time_sample.is_some_and(|(_, gap)| gap > 0) {
         return Err(CliError::new(
             "--paranoid audits every timed cycle and cannot be combined with \
              a non-zero --time-sample gap",
@@ -342,16 +285,8 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
         organizations,
         profiles,
         forwards,
-        warm_instructions: warm,
-        warmup_cycles: warmup,
-        measure_cycles: measure,
-        seed,
+        exp,
         paranoid,
-        cycle_skip,
-        fast_path,
-        jobs,
-        sample_shift,
-        time_sample,
         trace,
         metrics_out,
     })
@@ -382,7 +317,7 @@ pub fn run(req: &SimRequest) -> Result<CmpResult, CliError> {
     run_one(req, org).map(|(result, _)| result)
 }
 
-/// Runs every requested organization — on `req.jobs` worker threads via
+/// Runs every requested organization — on `req.exp.jobs` worker threads via
 /// the deterministic runner — and returns `(label, result)` pairs in
 /// request order. Output is bit-identical for every `jobs` value.
 ///
@@ -396,7 +331,7 @@ pub fn run(req: &SimRequest) -> Result<CmpResult, CliError> {
 /// file-system error from writing an export target.
 pub fn run_all(req: &SimRequest) -> Result<Vec<(&'static str, CmpResult)>, CliError> {
     let outcomes: Result<Vec<_>, CliError> =
-        simcore::parallel::map_slice(req.jobs, &req.organizations, |&org| {
+        simcore::parallel::map_slice(req.exp.jobs, &req.organizations, |&org| {
             run_one(req, org).map(|(result, trace)| (org.label(), result, trace))
         })
         .into_iter()
@@ -422,14 +357,15 @@ fn write_export(path: &PathBuf, contents: &str) -> Result<(), CliError> {
 }
 
 fn run_one(req: &SimRequest, org: Organization) -> Result<(CmpResult, Option<Trace>), CliError> {
+    let (machine, exp) = (&req.machine, &req.exp);
     if req.recording() {
         let recorder = Recorder::with_capacity(Recorder::DEFAULT_CAPACITY);
-        let mut cmp = Cmp::with_profiles_and_sink(
-            &req.machine,
+        let mut cmp = build_chip(
+            machine,
             org,
             &req.profiles,
             &req.forwards,
-            req.seed,
+            exp,
             recorder.clone(),
         )?;
         let result = drive(&mut cmp, req, Some(&recorder))?;
@@ -442,8 +378,7 @@ fn run_one(req: &SimRequest, org: Organization) -> Result<(CmpResult, Option<Tra
         let trace = recorder.finish(meta, result.quotas.clone().unwrap_or_default());
         Ok((result, Some(trace)))
     } else {
-        let mut cmp =
-            Cmp::with_profiles(&req.machine, org, &req.profiles, &req.forwards, req.seed)?;
+        let mut cmp = build_chip(machine, org, &req.profiles, &req.forwards, exp, NullSink)?;
         Ok((drive(&mut cmp, req, None)?, None))
     }
 }
@@ -453,21 +388,13 @@ fn drive<S: Sink>(
     req: &SimRequest,
     recorder: Option<&Recorder>,
 ) -> Result<CmpResult, CliError> {
-    cmp.set_cycle_skip(req.cycle_skip);
-    cmp.set_fast_path(req.fast_path);
-    if let Some((detail, gap)) = req.time_sample {
-        cmp.set_time_sample(detail, gap);
+    if !req.paranoid {
+        return Ok(measure(cmp, &req.exp));
     }
-    cmp.warm(req.warm_instructions);
-    if req.paranoid {
-        paranoid_phase(cmp, req.warmup_cycles, "warm-up", recorder)?;
-        cmp.reset_stats();
-        paranoid_phase(cmp, req.measure_cycles, "measurement", recorder)?;
-    } else {
-        cmp.run(req.warmup_cycles);
-        cmp.reset_stats();
-        cmp.run(req.measure_cycles);
-    }
+    cmp.warm(req.exp.warm_instructions);
+    paranoid_phase(cmp, req.exp.warmup_cycles, "warm-up", recorder)?;
+    cmp.reset_stats();
+    paranoid_phase(cmp, req.exp.measure_cycles, "measurement", recorder)?;
     Ok(cmp.snapshot())
 }
 
@@ -517,7 +444,7 @@ pub fn render(req: &SimRequest, org_label: &str, result: &CmpResult) -> String {
     let _ = writeln!(
         out,
         "window       : {} warm instr + {} warm-up + {} measured cycles (seed {})",
-        req.warm_instructions, req.warmup_cycles, req.measure_cycles, req.seed
+        req.exp.warm_instructions, req.exp.warmup_cycles, req.exp.measure_cycles, req.exp.seed
     );
     // `result.ipc[i]` equals `s.ipc()` on full-detail runs and is the
     // detailed-window estimate on time-sampled ones (raw counters also
@@ -573,7 +500,7 @@ pub fn render(req: &SimRequest, org_label: &str, result: &CmpResult) -> String {
         let _ = writeln!(
             out,
             "paranoid     : audited after each of {} timed cycles, zero violations",
-            req.warmup_cycles + req.measure_cycles
+            req.exp.warmup_cycles + req.exp.measure_cycles
         );
     }
     let _ = writeln!(
@@ -599,9 +526,9 @@ mod tests {
         assert_eq!(req.profiles.len(), 4);
         assert_eq!(req.organizations.len(), 1);
         assert_eq!(req.organizations[0].label(), "adaptive");
-        assert_eq!(req.seed, 2007);
-        assert_eq!(req.jobs, 1);
-        assert!(req.cycle_skip);
+        assert_eq!(req.exp.seed, 2007);
+        assert_eq!(req.exp.jobs, 1);
+        assert!(req.exp.cycle_skip);
     }
 
     #[test]
@@ -610,10 +537,10 @@ mod tests {
             "--org shared --apps ammp,gzip,crafty,eon --sample-sets 4",
         ))
         .unwrap();
-        assert_eq!(req.sample_shift, Some(4));
+        assert_eq!(req.exp.sample_shift, Some(4));
         assert_eq!(req.machine.l3.sample_shift, Some(4));
         let off = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon")).unwrap();
-        assert_eq!(off.sample_shift, None);
+        assert_eq!(off.exp.sample_shift, None);
         assert_eq!(off.machine.l3.sample_shift, None);
         // A shift that leaves no sampled sets is rejected up front.
         assert!(parse_args(&argv(
@@ -628,9 +555,9 @@ mod tests {
             "--org adaptive --apps ammp,gzip,crafty,eon --sample-sets 3",
         ))
         .unwrap();
-        req.warm_instructions = 60_000;
-        req.warmup_cycles = 5_000;
-        req.measure_cycles = 80_000;
+        req.exp.warm_instructions = 60_000;
+        req.exp.warmup_cycles = 5_000;
+        req.exp.measure_cycles = 80_000;
         let result = run(&req).unwrap();
         let samp = result.sampling.expect("sampled run carries a report");
         assert_eq!(samp.shift, 3);
@@ -646,9 +573,9 @@ mod tests {
             "--org shared --apps ammp,gzip,crafty,eon --time-sample 5000:20000",
         ))
         .unwrap();
-        assert_eq!(req.time_sample, Some((5_000, 20_000)));
+        assert_eq!(req.exp.time_sample, Some((5_000, 20_000)));
         let off = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon")).unwrap();
-        assert_eq!(off.time_sample, None);
+        assert_eq!(off.exp.time_sample, None);
         // No detailed windows to measure from.
         assert!(parse_args(&argv(
             "--org shared --apps ammp,gzip,crafty,eon --time-sample 0:20000",
@@ -677,9 +604,9 @@ mod tests {
             "--org adaptive --apps ammp,gzip,crafty,eon --time-sample 2000:6000",
         ))
         .unwrap();
-        req.warm_instructions = 60_000;
-        req.warmup_cycles = 8_000;
-        req.measure_cycles = 80_000;
+        req.exp.warm_instructions = 60_000;
+        req.exp.warmup_cycles = 8_000;
+        req.exp.measure_cycles = 80_000;
         let result = run(&req).unwrap();
         let ts = result.time_sampling.expect("sampled run carries a report");
         assert_eq!((ts.detail, ts.gap), (2_000, 6_000));
@@ -693,8 +620,11 @@ mod tests {
     #[test]
     fn no_skip_selects_the_reference_stepping_loop() {
         let req = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon --no-skip")).unwrap();
-        assert!(!req.cycle_skip);
-        assert!(req.fast_path, "--no-skip leaves the hit fast path alone");
+        assert!(!req.exp.cycle_skip);
+        assert!(
+            req.exp.fast_path,
+            "--no-skip leaves the hit fast path alone"
+        );
     }
 
     #[test]
@@ -703,10 +633,13 @@ mod tests {
             "--org shared --apps ammp,gzip,crafty,eon --no-fast-path",
         ))
         .unwrap();
-        assert!(!req.fast_path);
-        assert!(req.cycle_skip, "--no-fast-path leaves cycle skipping alone");
+        assert!(!req.exp.fast_path);
+        assert!(
+            req.exp.cycle_skip,
+            "--no-fast-path leaves cycle skipping alone"
+        );
         let plain = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon")).unwrap();
-        assert!(plain.fast_path, "fast path defaults on");
+        assert!(plain.exp.fast_path, "fast path defaults on");
     }
 
     #[test]
@@ -717,10 +650,10 @@ mod tests {
         .unwrap();
         let labels: Vec<_> = req.organizations.iter().map(|o| o.label()).collect();
         assert_eq!(labels, ["private", "shared", "adaptive"]);
-        assert_eq!(req.jobs, 2);
+        assert_eq!(req.exp.jobs, 2);
         // --jobs 0 means "auto": at least one worker.
         let auto = parse_args(&argv("--org private --apps ammp,gzip,crafty,eon --jobs 0")).unwrap();
-        assert!(auto.jobs >= 1);
+        assert!(auto.exp.jobs >= 1);
     }
 
     #[test]
@@ -729,8 +662,8 @@ mod tests {
             "--org shared --apps art,mesa,gap,facerec --seed 9 --measure 123 --l3-mb 8 --tech-scaled",
         ))
         .unwrap();
-        assert_eq!(req.seed, 9);
-        assert_eq!(req.measure_cycles, 123);
+        assert_eq!(req.exp.seed, 9);
+        assert_eq!(req.exp.measure_cycles, 123);
         assert_eq!(req.machine.l3.shared.size_bytes(), 8 * 1024 * 1024);
         assert_eq!(req.machine.l2.latency(), 11, "tech scaling applied");
     }
@@ -773,9 +706,9 @@ mod tests {
     #[test]
     fn end_to_end_tiny_run() {
         let mut req = parse_args(&argv("--org adaptive --apps ammp,gzip,crafty,eon")).unwrap();
-        req.warm_instructions = 50_000;
-        req.warmup_cycles = 5_000;
-        req.measure_cycles = 20_000;
+        req.exp.warm_instructions = 50_000;
+        req.exp.warmup_cycles = 5_000;
+        req.exp.measure_cycles = 20_000;
         let result = run(&req).unwrap();
         assert!(result.hmean_ipc > 0.0);
         let text = render(&req, req.organizations[0].label(), &result);
@@ -789,11 +722,11 @@ mod tests {
             "--org private,shared,adaptive --apps ammp,gzip,crafty,eon",
         ))
         .unwrap();
-        req.warm_instructions = 30_000;
-        req.warmup_cycles = 2_000;
-        req.measure_cycles = 10_000;
+        req.exp.warm_instructions = 30_000;
+        req.exp.warmup_cycles = 2_000;
+        req.exp.measure_cycles = 10_000;
         let serial = run_all(&req).unwrap();
-        req.jobs = 3;
+        req.exp.jobs = 3;
         let parallel = run_all(&req).unwrap();
         assert_eq!(serial, parallel, "jobs must not change any result bit");
         let labels: Vec<_> = serial.iter().map(|(l, _)| *l).collect();
@@ -828,9 +761,9 @@ mod tests {
         let metrics_path = dir.join(format!("nuca-cli-metrics-{}.json", std::process::id()));
         let mut req =
             parse_args(&argv("--org private,adaptive --apps ammp,gzip,crafty,eon")).unwrap();
-        req.warm_instructions = 30_000;
-        req.warmup_cycles = 2_000;
-        req.measure_cycles = 20_000;
+        req.exp.warm_instructions = 30_000;
+        req.exp.warmup_cycles = 2_000;
+        req.exp.measure_cycles = 20_000;
         req.trace = Some(trace_path.clone());
         req.metrics_out = Some(metrics_path.clone());
         let results = run_all(&req).unwrap();
@@ -866,9 +799,9 @@ mod tests {
         ))
         .unwrap();
         assert!(req.paranoid);
-        req.warm_instructions = 10_000;
-        req.warmup_cycles = 2_000;
-        req.measure_cycles = 3_000;
+        req.exp.warm_instructions = 10_000;
+        req.exp.warmup_cycles = 2_000;
+        req.exp.measure_cycles = 3_000;
         let result = run(&req).unwrap();
         assert!(result.hmean_ipc > 0.0);
     }

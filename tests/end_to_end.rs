@@ -265,7 +265,7 @@ fn take_identity_sampling(result: &mut CmpResult) {
 /// Checks that `v` is invisible end to end: for every organization kind,
 /// the measured window, the byte-rendered telemetry stream, the
 /// scheme-comparison rows every figure consumes and the CLI report all
-/// match the default run exactly.
+/// match the default run exactly — and that `v.flags` parse to `v.exp`.
 fn assert_invisible_end_to_end(v: &Variant) {
     use nuca_repro::cli::{parse_args, render, run};
     let machine = MachineConfig::baseline();
@@ -321,6 +321,11 @@ fn assert_invisible_end_to_end(v: &Variant) {
     let reference_req = parse_args(&to_args(&[])).unwrap();
     let reference_cli = run(&reference_req).unwrap();
     let req = parse_args(&to_args(v.flags)).unwrap();
+    assert_eq!(
+        req.exp,
+        (v.exp)(reference_req.exp),
+        "{name}: the flags select the library switch"
+    );
     let mut cli = run(&req).unwrap();
     assert_eq!(
         render(&req, "adaptive", &cli),
@@ -351,6 +356,17 @@ fn no_fast_path_is_invisible_end_to_end() {
     assert_invisible_end_to_end(&Variant {
         flags: &["--no-fast-path"],
         exp: |e| e.with_fast_path(false),
+        set_sampled: false,
+    });
+}
+
+#[test]
+fn no_skip_and_no_fast_path_together_are_invisible_end_to_end() {
+    // Both accelerators off at once: the reference stepping loop over
+    // the reference walks.
+    assert_invisible_end_to_end(&Variant {
+        flags: &["--no-skip", "--no-fast-path"],
+        exp: |e| e.with_cycle_skip(false).with_fast_path(false),
         set_sampled: false,
     });
 }

@@ -2,10 +2,12 @@
 //! read-shared regions across address spaces.
 
 use nuca_repro::nuca_core::cmp::Cmp;
+use nuca_repro::nuca_core::experiment::{run_profiles, ExperimentConfig};
 use nuca_repro::nuca_core::l3::Organization;
 use nuca_repro::simcore::config::MachineConfig;
 use nuca_repro::simcore::rng::SimRng;
 use nuca_repro::simcore::types::Address;
+use nuca_repro::telemetry::NullSink;
 use nuca_repro::tracegen::generator::{is_shared_address, SHARED_BASE};
 use nuca_repro::tracegen::spec::SpecApp;
 use nuca_repro::tracegen::workload::parallel_workload;
@@ -57,7 +59,8 @@ fn sharing_organizations_deduplicate_the_shared_region() {
     let (profiles, forwards) = parallel_workload(SpecApp::Galgel, 4, 0.4, 1024, 7);
 
     let run = |org: Organization| {
-        let mut cmp = Cmp::with_profiles(&machine, org, &profiles, &forwards, 7).unwrap();
+        let mut cmp =
+            Cmp::with_profiles_and_sink(&machine, org, &profiles, &forwards, 7, NullSink).unwrap();
         cmp.warm(400_000);
         cmp.run(100_000);
         cmp.reset_stats();
@@ -102,9 +105,41 @@ fn sharing_organizations_deduplicate_the_shared_region() {
 fn adaptive_invariants_hold_with_shared_blocks() {
     let machine = MachineConfig::baseline();
     let (profiles, forwards) = parallel_workload(SpecApp::Twolf, 4, 0.5, 512, 13);
+    let org = Organization::adaptive();
     let mut cmp =
-        Cmp::with_profiles(&machine, Organization::adaptive(), &profiles, &forwards, 13).unwrap();
+        Cmp::with_profiles_and_sink(&machine, org, &profiles, &forwards, 13, NullSink).unwrap();
     cmp.warm(300_000);
     cmp.run(100_000);
     assert!(cmp.l3().as_adaptive().unwrap().check_invariants());
+}
+
+#[test]
+fn parallel_cells_honor_both_samplers() {
+    // A parallel-workload cell goes through the same chip builder as a
+    // mix, so both sampling dimensions reach it and report.
+    let machine = MachineConfig::baseline();
+    let (profiles, forwards) = parallel_workload(SpecApp::Galgel, 4, 0.4, 1024, 7);
+    let exp = ExperimentConfig {
+        warm_instructions: 100_000,
+        warmup_cycles: 5_000,
+        measure_cycles: 40_000,
+        seed: 7,
+        ..ExperimentConfig::default()
+    }
+    .with_sample_sets(Some(2))
+    .with_time_sample(Some((2_000, 6_000)));
+    let (result, trace) = run_profiles(
+        &machine,
+        Organization::adaptive(),
+        &profiles,
+        &forwards,
+        &exp,
+    )
+    .unwrap();
+    assert!(trace.is_none(), "no collector installed");
+    let samp = result.sampling.expect("set-sampling report");
+    assert_eq!(samp.shift, 2);
+    let ts = result.time_sampling.expect("time-sampling report");
+    assert_eq!((ts.detail, ts.gap), (2_000, 6_000));
+    assert!(ts.windows >= 2);
 }
