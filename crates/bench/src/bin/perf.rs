@@ -64,7 +64,7 @@
 //! the full serial pass. `--max-time-sample-error` gates that error the
 //! same way `--max-sample-error` gates set sampling.
 //!
-//! Schema v5 (this file) adds:
+//! Schema v5 adds:
 //!
 //! - a `fast_path_control` section — the serial matrix re-run with the
 //!   exact core-side hit fast path disabled (`--no-fast-path`), the
@@ -81,6 +81,11 @@
 //!   compares `serial.per_organization.<org>.sim_cycles_per_second`
 //!   when the reference carries it, so a single-organization regression
 //!   cannot hide inside a flat whole-matrix aggregate.
+//!
+//! Schema v6 (this file) adds `attribution.<org>.core_steps`: the
+//! instrumented cell's `Cmp::core_steps()`, the exact number of
+//! `Core::step` calls its warm-up and measured windows made. It is the
+//! host-independent work count behind the detailed loop's wall time.
 
 // Figure-harness binary: failing fast on experiment errors is intended.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -430,6 +435,7 @@ fn main() {
             .expect("instrumented cell builds");
             measure(&mut cmp, &serial_exp);
             let fast = cmp.fast_path_stats();
+            let core_steps = cmp.core_steps();
             (
                 org.label().to_string(),
                 Json::Obj(vec![
@@ -463,6 +469,7 @@ fn main() {
                             ("fast_fraction".into(), Json::num(fast.fast_fraction())),
                         ]),
                     ),
+                    ("core_steps".into(), Json::num(core_steps as f64)),
                 ]),
             )
         })
@@ -537,7 +544,7 @@ fn main() {
         ("identical".to_string(), Json::Bool(control_identical)),
     ];
     let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::num(5.0)),
+        ("schema_version".into(), Json::num(6.0)),
         ("bench".into(), Json::str("nuca-bench perf")),
         ("quick".into(), Json::Bool(args.quick)),
         (

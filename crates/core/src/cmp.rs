@@ -95,8 +95,9 @@ pub struct Cmp<S: Sink = NullSink> {
     l3: L3System<S>,
     now: Cycle,
     window_start: Cycle,
-    /// Whether [`Cmp::run`] may jump over provably-idle windows (the
-    /// event-driven fast path). The `--no-skip` escape hatch clears it.
+    /// Whether [`Cmp::run`] steps only the cores that can act and jumps
+    /// over cycles in which none can (the event-driven loop). The
+    /// `--no-skip` escape hatch clears it.
     cycle_skip: bool,
     /// Per-core memo of the last [`Core::idle_until`] answer: while
     /// `idle_wake[i] > now`, core `i` is known idle until that cycle and
@@ -105,6 +106,9 @@ pub struct Cmp<S: Sink = NullSink> {
     /// survives other cores' activity; cleared whenever a core goes
     /// active (0 is always stale) and at the top of [`Cmp::run`].
     idle_wake: Vec<u64>,
+    /// [`Core::step`] calls since the chip was built (a work counter for
+    /// `perf`; never part of results, traces or snapshots).
+    core_steps: u64,
     /// `Some((detail, gap))` when [`Cmp::run`] time-samples: alternate
     /// `detail` cycle-accurate cycles with `gap` functionally-warmed
     /// cycles. `None` (the default, and any 0-gap request) runs every
@@ -245,24 +249,25 @@ impl<S: Sink> Cmp<S> {
             window_start: Cycle::ZERO,
             cycle_skip: true,
             idle_wake,
+            core_steps: 0,
             time_sample: None,
             ts,
             sink,
         })
     }
 
-    /// Enables or disables event-driven cycle skipping in
-    /// [`run`](Self::run). Disabled, `run` steps every cycle — the
-    /// reference semantics the skipping path is differentially tested
-    /// against; results are bit-identical either way.
+    /// Enables or disables the event-driven loop in [`run`](Self::run).
+    /// Disabled, `run` steps every core on every cycle — the reference
+    /// semantics the event-driven loop is differentially tested against;
+    /// results are bit-identical either way.
     pub fn set_cycle_skip(&mut self, enabled: bool) {
         self.cycle_skip = enabled;
     }
 
     /// Enables or disables the exact core-side hit fast path (fused
-    /// TLB+L1 probe, memo-served lookups, warm trace decode, issue-scan
-    /// hint) on every core. Results are bit-identical either way; this is
-    /// the `--no-fast-path` escape hatch the differential CI job flips.
+    /// TLB+L1 probe, memo-served lookups, warm trace decode) on every
+    /// core. Results are bit-identical either way; this is the
+    /// `--no-fast-path` escape hatch the differential CI job flips.
     pub fn set_fast_path(&mut self, enabled: bool) {
         for core in &mut self.cores {
             core.set_fast_path(enabled);
@@ -277,6 +282,15 @@ impl<S: Sink> Cmp<S> {
             total.absorb(core.fast_path_stats());
         }
         total
+    }
+
+    /// [`Core::step`] calls since the chip was built — the exact work
+    /// count of the detailed loop, summed over cores (a side channel like
+    /// [`fast_path_stats`](Self::fast_path_stats); never part of results,
+    /// traces or snapshots). The stepping loop adds one per core per
+    /// cycle; the event-driven loop adds one per core that can act.
+    pub fn core_steps(&self) -> u64 {
+        self.core_steps
     }
 
     /// Configures SMARTS-style time sampling: [`run`](Self::run)
@@ -301,27 +315,29 @@ impl<S: Sink> Cmp<S> {
         &self.l3
     }
 
-    /// Advances the whole chip by one cycle.
+    /// Advances the whole chip by one cycle, stepping every core.
     pub fn step(&mut self) {
         for core in &mut self.cores {
             core.step(self.now, &mut self.l3);
         }
+        self.core_steps += self.cores.len() as u64;
         self.now += 1;
     }
 
     /// Runs for `cycles` cycles.
     ///
     /// With cycle skipping enabled (the default), the loop is
-    /// event-driven: whenever every core proves its next step a no-op
-    /// (see [`Core::idle_until`]), the clock jumps straight to the
+    /// event-driven per core: each cycle, every core either proves its
+    /// next step a no-op (see [`Core::idle_until`]) or is stepped, and
+    /// when every core proves itself idle the clock jumps straight to the
     /// earliest pending event — an MSHR/memory-fill completion, an issued
     /// ROB head finishing, a dependency becoming ready, or fetch
-    /// resuming — instead of stepping the stalled window one cycle at a
-    /// time. Only the clock moves across a skipped window; no state
-    /// changes and no telemetry is emitted, so statistics (which derive
-    /// from `now` and committed counts), 2000-miss re-evaluation
-    /// boundaries (miss-driven, and misses only happen on stepped
-    /// cycles) and traces are identical to the stepping loop.
+    /// resuming. A skipped step changes no state and emits no telemetry,
+    /// and the cores that do step run in core order as in
+    /// [`step`](Self::step), so statistics (which derive from `now` and
+    /// committed counts), 2000-miss re-evaluation boundaries (misses
+    /// only happen in steps that run) and traces are identical to the
+    /// stepping loop.
     /// With time sampling configured (see
     /// [`set_time_sample`](Self::set_time_sample)), the run instead
     /// alternates detailed windows — this same event-driven path — with
@@ -335,7 +351,16 @@ impl<S: Sink> Cmp<S> {
     }
 
     /// The cycle-accurate run loop (see [`run`](Self::run) for the
-    /// event-skip semantics).
+    /// event-driven semantics).
+    ///
+    /// Cores only interact through the last-level cache and the memory
+    /// bus, and both are passive (their state changes only on
+    /// core-initiated accesses), so a core's idleness proof holds no
+    /// matter what the other cores do in the same cycle. Proofs are
+    /// memoized in `idle_wake`: a stalled core is re-proved once per
+    /// stall, not once per cycle, because a still-valid proof
+    /// (`idle_wake[i] > now`) cannot be invalidated by anything but that
+    /// core's own non-idle step.
     fn run_detailed(&mut self, cycles: u64) {
         let target = self.now + cycles;
         if !self.cycle_skip {
@@ -348,14 +373,36 @@ impl<S: Sink> Cmp<S> {
         // tracked by the memo, so start from a clean slate.
         self.idle_wake.fill(0);
         while self.now < target {
-            match self.idle_horizon() {
+            let now = self.now.raw();
+            let mut wake = u64::MAX;
+            let mut stepped = false;
+            for (core, memo) in self.cores.iter_mut().zip(&mut self.idle_wake) {
+                if *memo > now {
+                    wake = wake.min(*memo);
+                    continue;
+                }
+                match core.idle_until(self.now) {
+                    Some(t) => {
+                        *memo = t.raw();
+                        wake = wake.min(*memo);
+                    }
+                    None => {
+                        *memo = 0;
+                        core.step(self.now, &mut self.l3);
+                        self.core_steps += 1;
+                        stepped = true;
+                    }
+                }
+            }
+            self.now = if stepped {
+                self.now + 1
+            } else {
                 // Every wake candidate is strictly after `now`, so the
                 // jump always makes progress; an empty horizon
                 // (`u64::MAX`, a fully drained chip) clamps to `target`
                 // exactly like the stepping loop's no-op spin.
-                Some(wake) => self.now = wake.min(target),
-                None => self.step(),
-            }
+                Cycle::new(wake).min(target)
+            };
         }
     }
 
@@ -441,41 +488,6 @@ impl<S: Sink> Cmp<S> {
             self.sink
                 .emit(self.now, Event::TimeSampleWindow { functional });
         }
-    }
-
-    /// The chip-level event horizon: `Some(wake)` when **all** cores are
-    /// provably idle at `self.now` (with `wake` the earliest cycle any of
-    /// them can act), `None` when at least one core may do work this
-    /// cycle. Cores only interact through the last-level cache and the
-    /// memory bus, and both are passive (their state changes only on
-    /// core-initiated accesses), so per-core idleness composes to
-    /// chip-level idleness.
-    ///
-    /// Idleness proofs are memoized in `idle_wake`: a stalled core is
-    /// re-proved once per stall window, not once per cycle, because a
-    /// still-valid proof (`idle_wake[i] > now`) cannot be invalidated by
-    /// anything but that core's own non-idle step.
-    fn idle_horizon(&mut self) -> Option<Cycle> {
-        let now = self.now.raw();
-        let mut wake = u64::MAX;
-        for (core, memo) in self.cores.iter().zip(&mut self.idle_wake) {
-            let w = if *memo > now {
-                *memo
-            } else {
-                match core.idle_until(self.now) {
-                    Some(t) => {
-                        *memo = t.raw();
-                        t.raw()
-                    }
-                    None => {
-                        *memo = 0;
-                        return None;
-                    }
-                }
-            };
-            wake = wake.min(w);
-        }
-        Some(Cycle::new(wake))
     }
 
     /// Audits the last-level structure right now (see
@@ -879,9 +891,12 @@ mod tests {
 
     #[test]
     fn cycle_skip_matches_stepping_loop_exactly() {
-        // The event-driven fast path must be *bit-identical* to the
-        // reference stepping loop: same committed counts, same hit/miss
-        // stats, same quotas, for every organization.
+        // The event-driven loop must be *bit-identical* to the reference
+        // stepping loop — same committed counts, hit/miss stats and
+        // quotas, for every organization — while stepping fewer cores.
+        // Three cases: untraced, traced (every telemetry event, MSHR
+        // alloc/merge/stall included, in order), and time-sampled (the
+        // event-driven loop inside detailed windows).
         let cfg = MachineConfig::baseline();
         for org in [
             Organization::Private,
@@ -889,25 +904,88 @@ mod tests {
             Organization::adaptive(),
             Organization::Cooperative { seed: 7 },
         ] {
-            let run = |skip: bool| {
+            let run = |skip: bool, time_sample: Option<(u64, u64)>| {
                 let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 11).unwrap();
+                cmp.set_cycle_skip(skip);
+                if let Some((detail, gap)) = time_sample {
+                    cmp.set_time_sample(detail, gap);
+                }
+                cmp.warm(5_000);
+                let warm_steps = cmp.core_steps();
+                cmp.run(8_000);
+                cmp.reset_stats();
+                cmp.run(12_000);
+                (cmp.snapshot(), cmp.core_steps() - warm_steps)
+            };
+            let (fast, fast_steps) = run(true, None);
+            let (reference, reference_steps) = run(false, None);
+            assert_eq!(fast, reference, "skip diverged under {}", org.label());
+            assert_eq!(
+                reference_steps,
+                4 * 20_000,
+                "stepping loop steps every core"
+            );
+            assert!(
+                fast_steps < reference_steps,
+                "{}: event-driven loop stepped {fast_steps} cores, stepping loop {reference_steps}",
+                org.label()
+            );
+
+            let sampled = Some((2_000, 6_000));
+            assert_eq!(
+                run(true, sampled).0,
+                run(false, sampled).0,
+                "time-sampled skip diverged under {}",
+                org.label()
+            );
+
+            let traced = |skip: bool| {
+                let mix = quick_mix();
+                let sink = telemetry::Recorder::with_capacity(1 << 20);
+                let mut cmp = Cmp::with_profiles_and_sink(
+                    &cfg,
+                    org,
+                    &mix.profiles(),
+                    &mix.forwards,
+                    11,
+                    sink.clone(),
+                )
+                .unwrap();
                 cmp.set_cycle_skip(skip);
                 cmp.warm(5_000);
                 cmp.run(8_000);
                 cmp.reset_stats();
                 cmp.run(12_000);
-                cmp.snapshot()
+                (cmp.snapshot(), sink)
             };
-            let fast = run(true);
-            let reference = run(false);
-            assert_eq!(fast, reference, "skip diverged under {}", org.label());
+            let (fast, fast_sink) = traced(true);
+            let (reference, reference_sink) = traced(false);
+            assert_eq!(
+                fast,
+                reference,
+                "traced skip diverged under {}",
+                org.label()
+            );
+            assert!(fast_sink.count(telemetry::EventKind::MshrAlloc) > 0);
+            assert_eq!(
+                fast_sink.emitted(),
+                reference_sink.emitted(),
+                "event count diverged under {}",
+                org.label()
+            );
+            assert_eq!(
+                fast_sink.tail(1 << 20),
+                reference_sink.tail(1 << 20),
+                "event stream diverged under {}",
+                org.label()
+            );
         }
     }
 
     #[test]
     fn hit_fast_path_matches_reference_walk_exactly() {
         // The core-side hit fast path (fused TLB+L1 probe, memos, warm
-        // decode, issue hint) must be bit-identical to the reference
+        // decode) must be bit-identical to the reference
         // walks across warm + detailed + reset + detailed, for every
         // organization, including the chip snapshot encoding.
         let cfg = MachineConfig::baseline();

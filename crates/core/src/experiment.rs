@@ -63,8 +63,8 @@ pub struct ExperimentConfig {
     /// that keeps the reference stepping loop alive.
     pub cycle_skip: bool,
     /// Whether cores may use the exact hit fast path (fused TLB+L1
-    /// probe, memo-served lookups, warm trace decode, issue-scan
-    /// hint). Another execution policy: results are bit-identical
+    /// probe, memo-served lookups, warm trace decode). Another
+    /// execution policy: results are bit-identical
     /// either way (enforced by the differential tests and the CI
     /// exactness-differential job); `false` is the `--no-fast-path`
     /// escape hatch that keeps the reference walks alive.

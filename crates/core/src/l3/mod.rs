@@ -272,21 +272,30 @@ impl<S: Sink> L3System<S> {
     ///
     /// [`simcore::snapshot::SnapshotError::Mismatch`] when the snapshot
     /// was taken from a different organization variant or geometry;
-    /// decode errors otherwise.
+    /// [`simcore::snapshot::SnapshotError::Corrupt`] when the restored
+    /// structure fails its own [`Invariant::audit`] (a payload that
+    /// decodes but that no run can produce); decode errors otherwise.
     pub fn load_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
     ) -> std::result::Result<(), simcore::snapshot::SnapshotError> {
         use simcore::snapshot::SnapshotError;
         let tag = r.get_u8()?;
-        match (tag, self) {
-            (0, L3System::Private(x)) => x.load_state(r),
-            (1, L3System::Shared(x)) => x.load_state(r),
-            (2, L3System::Adaptive(x)) => x.load_state(r),
-            (3, L3System::Cooperative(x)) => x.load_state(r),
-            (4, L3System::Sampled(x)) => x.load_state(r),
-            (0..=4, _) => Err(SnapshotError::Mismatch("L3 organization variant")),
-            _ => Err(SnapshotError::Corrupt("unknown L3 organization tag")),
+        match (tag, &mut *self) {
+            (0, L3System::Private(x)) => x.load_state(r)?,
+            (1, L3System::Shared(x)) => x.load_state(r)?,
+            (2, L3System::Adaptive(x)) => x.load_state(r)?,
+            (3, L3System::Cooperative(x)) => x.load_state(r)?,
+            (4, L3System::Sampled(x)) => x.load_state(r)?,
+            (0..=4, _) => return Err(SnapshotError::Mismatch("L3 organization variant")),
+            _ => return Err(SnapshotError::Corrupt("unknown L3 organization tag")),
+        }
+        if self.audit().is_empty() {
+            Ok(())
+        } else {
+            Err(SnapshotError::Corrupt(
+                "restored last-level state fails its audit",
+            ))
         }
     }
 

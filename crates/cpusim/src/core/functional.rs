@@ -82,8 +82,9 @@ impl<S: Sink> Core<S> {
     ///
     /// The pipeline reset drops timing-only state: outstanding MSHR fills
     /// (their blocks were installed when the misses issued), the ready
-    /// ring, the branch-redirect gate and the fetch stall. After the
-    /// drain [`is_quiescent`](Self::is_quiescent) holds by construction.
+    /// ring and scheduler, the branch-redirect gate and the fetch stall.
+    /// After the drain [`is_quiescent`](Self::is_quiescent) holds by
+    /// construction.
     pub fn drain_pipeline(&mut self, now: Cycle, l3: &mut dyn LastLevel) {
         let mut port = DirectPort { l3 };
         while let Some(e) = self.rob.pop_front() {
@@ -108,7 +109,10 @@ impl<S: Sink> Core<S> {
         self.waiting_branch = None;
         self.fetch_resume_at = Cycle::ZERO;
         self.ready_ring.fill(0);
-        self.issue_hint = 0;
+        self.sched_head = 1;
+        self.ready_set = 0;
+        self.calendar.clear();
+        self.consumers.fill(super::NO_LINK);
     }
 }
 

@@ -7,7 +7,7 @@ use nuca_repro::cachesim::cache::Cache;
 use nuca_repro::cachesim::lru::LruStack;
 use nuca_repro::cpusim::l3iface::LastLevel;
 use nuca_repro::nuca_core::engine::{AdaptiveParams, SharingEngine};
-use nuca_repro::nuca_core::l3::AdaptiveL3;
+use nuca_repro::nuca_core::l3::{AdaptiveL3, L3System};
 use nuca_repro::simcore::config::{CacheGeometry, MachineConfigBuilder};
 use nuca_repro::simcore::rng::SimRng;
 use nuca_repro::simcore::stats::{arithmetic_mean, geometric_mean, harmonic_mean};
@@ -343,6 +343,158 @@ proptest! {
             cmp.snapshot()
         };
         prop_assert_eq!(finish(&mut through), finish(&mut forked));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshot loader hardening: a payload that decodes must restore an
+// audit-clean chip or be refused — never panic.
+
+/// Byte offsets of the fields the loader proptest aims at, inside a
+/// finished chip snapshot. The layout is derived from the configuration
+/// and cross-checked against the snapshot's own length fields, so a
+/// format change fails loudly instead of silently aiming elsewhere.
+#[derive(Debug, Clone, Copy)]
+struct L3Layout {
+    /// First byte of the organization's section (its variant tag).
+    start: usize,
+    /// One past its last byte (the checksum trailer follows).
+    end: usize,
+    /// Owner ids of the first cache array, one byte per block.
+    owners: (usize, usize),
+    /// Recency records (10 bytes each: variant, permutation, length) of
+    /// the first cache array, one per set.
+    recency: (usize, usize),
+    /// The adaptive engine's quotas (one `u32` per core), if any.
+    quotas: Option<usize>,
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut le = [0u8; 8];
+    le.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(le)
+}
+
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    let mut le = [0u8; 4];
+    le.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_le_bytes(le)
+}
+
+fn l3_layout(
+    cmp: &nuca_repro::nuca_core::cmp::Cmp,
+    cfg: &nuca_repro::simcore::config::MachineConfig,
+    bytes: &[u8],
+) -> L3Layout {
+    use nuca_repro::simcore::snapshot::SnapshotWriter;
+    let mut w = SnapshotWriter::new();
+    cmp.l3().save_state(&mut w);
+    // Header (8 bytes) and trailer (8 bytes) frame both encodings.
+    let section = w.finish().len() - 16;
+    let end = bytes.len() - 8;
+    let start = end - section;
+    let adaptive = cmp.l3().as_adaptive();
+    // Private and cooperative organizations lead with core 0's slice.
+    let geom = match cmp.l3() {
+        L3System::Shared(_) | L3System::Adaptive(_) => cfg.l3.shared,
+        _ => cfg.l3.private,
+    };
+    let (sets, ways) = (geom.sets() as usize, geom.total_ways() as usize);
+    let blocks = sets * ways;
+    // One cache array: tag count, tags, owner count, owners, valid and
+    // dirty masks (each a length-prefixed u32 vector), recency count,
+    // recency records.
+    let cache = start + 1;
+    let owners = cache + 8 + 8 * blocks + 8;
+    let recency = owners + blocks + 2 * (8 + 4 * sets) + 8;
+    assert_eq!(read_u64(bytes, owners - 8), blocks as u64, "owner count");
+    assert_eq!(read_u64(bytes, recency - 8), sets as u64, "recency count");
+    assert_eq!(bytes[recency], 0, "packed recency variant");
+    let quotas = adaptive.map(|a| {
+        // Per core: private recency records, then occupancy counters.
+        let cores = recency + 10 * sets;
+        assert_eq!(read_u64(bytes, cores), cfg.cores as u64, "core count");
+        let at = cores + 8 + cfg.cores * sets * (10 + 4);
+        let stored: Vec<u32> = (0..cfg.cores)
+            .map(|c| read_u32(bytes, at + 4 * c))
+            .collect();
+        assert_eq!(stored, a.quotas(), "quota offset");
+        at
+    });
+    L3Layout {
+        start,
+        end,
+        owners: (owners, blocks),
+        recency: (recency, sets),
+        quotas,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn snapshot_loader_restores_an_audit_clean_chip_or_refuses(
+        org_pick in 0u8..4,
+        target in 0u8..4,
+        pos in any::<u64>(),
+        value in any::<u64>(),
+        width in 1usize..9,
+    ) {
+        use nuca_repro::nuca_core::cmp::Cmp;
+        use nuca_repro::nuca_core::l3::Organization;
+        use nuca_repro::simcore::config::MachineConfig;
+        use nuca_repro::simcore::snapshot::fnv1a64;
+        use nuca_repro::tracegen::spec::SpecApp;
+        use nuca_repro::tracegen::workload::WorkloadPool;
+
+        let org = match org_pick {
+            0 => Organization::Private,
+            1 => Organization::Shared,
+            2 => Organization::adaptive(),
+            _ => Organization::Cooperative { seed: 7 },
+        };
+        let cfg = MachineConfig::baseline();
+        let mix = WorkloadPool::random_mixes(&SpecApp::intensive_pool(), 4, 1, 5)
+            .pop()
+            .unwrap();
+        let mut warm = Cmp::new(&cfg, org, &mix, 3).unwrap();
+        warm.warm(3_000);
+        let mut bytes = warm.save_chip_state().unwrap();
+        let layout = l3_layout(&warm, &cfg, &bytes);
+
+        // Aim the mutation: anywhere in the organization's section, an
+        // owner id (out of range), a quota, or an LRU permutation.
+        let le = value.to_le_bytes();
+        let (at, patch): (usize, Vec<u8>) = match (target, layout.quotas) {
+            (1, _) => {
+                let (base, n) = layout.owners;
+                (base + (pos % n as u64) as usize, vec![4 + (value % 252) as u8])
+            }
+            (2, Some(base)) => {
+                let at = base + 4 * (pos % cfg.cores as u64) as usize;
+                (at, ((value % 40) as u32).to_le_bytes().to_vec())
+            }
+            (3, _) => {
+                let (base, n) = layout.recency;
+                (base + 10 * (pos % n as u64) as usize + 1, le[..width].to_vec())
+            }
+            _ => {
+                let span = (layout.end - layout.start) as u64;
+                (layout.start + (pos % span) as usize, le[..width].to_vec())
+            }
+        };
+        let at_end = (at + patch.len()).min(layout.end);
+        bytes[at..at_end].copy_from_slice(&patch[..at_end - at]);
+        let trailer = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..trailer]);
+        bytes[trailer..].copy_from_slice(&sum.to_le_bytes());
+
+        let mut restored = Cmp::new(&cfg, org, &mix, 3).unwrap();
+        if restored.load_chip_state(&bytes).is_ok() {
+            prop_assert!(restored.audit().is_empty(), "loaded a chip that fails its audit");
+            // A restored chip must also run.
+            restored.run(2_000);
+        }
     }
 }
 
