@@ -698,4 +698,22 @@ mod tests {
             assert!((r.relative - r.adaptive / r.cooperative).abs() < 1e-9);
         }
     }
+
+    #[test]
+    fn shadow_sampling_runs_a_tiny_mix_reproducibly() {
+        let machine = MachineConfig::baseline();
+        let exp = ExperimentConfig {
+            warm_instructions: 60_000,
+            warmup_cycles: 10_000,
+            measure_cycles: 40_000,
+            ..ExperimentConfig::default()
+        };
+        let means = || {
+            let r = shadow_sampling(&machine, &exp, 1).unwrap();
+            [r.full_amean, r.sampled_amean, r.full_hmean, r.sampled_hmean]
+        };
+        let first = means();
+        assert!(first.iter().all(|m| m.is_finite() && *m > 0.0), "{first:?}");
+        assert_eq!(first.map(f64::to_bits), means().map(f64::to_bits));
+    }
 }

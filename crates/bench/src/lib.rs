@@ -10,8 +10,10 @@
 //! paths of the campaign manifests that `nuca-sim campaign` writes for
 //! `specs/paper.toml`, `fig8.toml`, `fig9.toml` and `fig10.toml` (see
 //! [`render_manifests`]), so the specs alone fix their windows, mixes
-//! and machines. The other binaries simulate, as described below, and
-//! the Criterion benches exercise their drivers at reduced scale.
+//! and machines. The other binaries simulate, as described below. The
+//! `perf` binary scores set and time sampling against the exact run on
+//! a fixed matrix; host speed is measured by the separate `nucabench`
+//! package, not here.
 //!
 //! # Scaling
 //!
@@ -36,7 +38,6 @@
 //! one per core), and results are bit-identical for every jobs value.
 
 pub mod figures;
-pub mod json;
 pub mod report;
 pub mod trace_out;
 

@@ -468,8 +468,19 @@ impl Invariant for Cache {
 
     fn audit(&self) -> Vec<Violation> {
         let mut out = Vec::new(); // lint:allow(L7): cold diagnostics path
+        let ways_mask = ((1u64 << self.ways) - 1) as u32;
         for (si, (&mask, lru)) in self.valid.iter().zip(&self.lru).enumerate() {
             let base = si * self.ways;
+            // `find` walks every set bit, so a valid bit past the last
+            // way would index another set's tags.
+            let stray = mask & !ways_mask;
+            if stray != 0 {
+                out.push(
+                    Violation::new(self.component(), "valid bit beyond associativity")
+                        .at_set(si)
+                        .at_way(stray.trailing_zeros() as usize),
+                );
+            }
             let valid: Vec<u8> = (0..self.ways as u8)
                 .filter(|&w| mask & (1 << w) != 0)
                 .collect();
@@ -775,5 +786,21 @@ mod tests {
         }
         assert!(c.check_invariants());
         assert!(c.stats().accesses() == 5_000);
+    }
+
+    #[test]
+    fn audit_flags_valid_bits_beyond_the_associativity() {
+        let mut c = small();
+        c.valid[3] |= 1 << 31;
+        let v = c.audit();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].set, v[0].way), (Some(3), Some(31)));
+        // At 32 ways every bit is a way: a full set is clean.
+        let mut wide = Cache::new(CacheGeometry::new(32 * 64, 32, 64, 1).unwrap());
+        for i in 0..32 {
+            wide.fill(Address::new(i * 64), false, c0());
+        }
+        assert_eq!(wide.valid[0], u32::MAX);
+        assert!(wide.check_invariants());
     }
 }

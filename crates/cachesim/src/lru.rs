@@ -149,7 +149,8 @@ impl LruStack {
 
 /// Maximum associativity representable by [`PackedLru`]: 16 ways at
 /// 4 bits per way fill one `u64`. [`simcore::config::CacheGeometry`]
-/// rejects larger associativities, so every set in the simulator fits.
+/// accepts up to 32 ways; a set wider than this one is served by
+/// [`Recency::Wide`].
 pub const MAX_WAYS: usize = 16;
 
 /// One copy of a way index in every nibble — multiplying a way by this

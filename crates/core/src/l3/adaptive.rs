@@ -601,6 +601,16 @@ impl<S: Sink> Invariant for AdaptiveL3<S> {
         let mut out = self.engine.audit();
         for (si, (&mask, shared)) in self.valid.iter().zip(&self.shared).enumerate() {
             let base = si * self.ways;
+            // `find` walks every set bit, so a valid bit past the last
+            // way would index another set's tags.
+            let stray = mask & !self.full_mask;
+            if stray != 0 {
+                out.push(
+                    Violation::new(self.component(), "valid bit beyond associativity")
+                        .at_set(si)
+                        .at_way(stray.trailing_zeros() as usize),
+                );
+            }
             let mut seen = vec![0u32; self.ways]; // lint:allow(L7): audit is --paranoid only
             for c in 0..self.cores {
                 let core = CoreId::from_index(c as u8);

@@ -417,11 +417,15 @@ impl<S: Sink> Core<S> {
     ///
     /// [`simcore::snapshot::SnapshotError::Mismatch`] when this core is
     /// not quiescent, has a different id, or any component's geometry
-    /// differs from the snapshot.
+    /// differs from the snapshot;
+    /// [`simcore::snapshot::SnapshotError::Corrupt`] when a restored
+    /// cache (L1I, L1D or L2) fails its own audit (a payload that
+    /// decodes but that no run can produce).
     pub fn load_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
+        use simcore::invariant::Invariant;
         use simcore::snapshot::SnapshotError;
         if !self.is_quiescent() {
             return Err(SnapshotError::Mismatch(
@@ -445,6 +449,14 @@ impl<S: Sink> Core<S> {
         self.l3_local_hits = r.get_u64()?;
         self.l3_remote_hits = r.get_u64()?;
         self.l3_misses = r.get_u64()?;
+        if [&self.l1i, &self.l1d, &self.l2]
+            .iter()
+            .any(|c| !c.audit().is_empty())
+        {
+            return Err(SnapshotError::Corrupt(
+                "restored core cache fails its audit",
+            ));
+        }
         Ok(())
     }
 
@@ -1200,6 +1212,47 @@ mod tests {
             core.step(Cycle::new(c), &mut l3);
         }
         (core.stats(Cycle::new(warmup + cycles)), core)
+    }
+
+    #[test]
+    fn loader_refuses_a_cache_with_valid_bits_beyond_its_ways() {
+        use simcore::snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter};
+        let cfg = MachineConfig::baseline();
+        let profile = compute_bound_profile();
+        let fresh = || {
+            let gen = TraceGenerator::new(&profile, SimRng::seed_from(5));
+            Core::new(CoreId::from_index(0), &cfg, gen)
+        };
+        let mut core = fresh();
+        let mut l3 = FixedLatencyL3::new(19);
+        for c in 0..5_000 {
+            core.warm_op(Cycle::new(c), &mut l3);
+        }
+        let mut w = SnapshotWriter::new();
+        core.save_state(&mut w).expect("warmed core snapshots");
+        let clean = w.finish();
+
+        // The L2 section ends before the core's seven trailing u64
+        // fields and the checksum trailer. Inside it, the valid masks
+        // follow the tag and owner arrays, each length-prefixed.
+        let mut l2 = SnapshotWriter::new();
+        core.l2.save_state(&mut l2);
+        let l2_start = clean.len() - 8 - 7 * 8 - (l2.finish().len() - 16);
+        let geom = core.l2.geometry();
+        let sets = geom.sets() as usize;
+        let blocks = sets * geom.total_ways() as usize;
+        let valid = l2_start + 8 + 8 * blocks + 8 + blocks;
+        assert_eq!(clean[valid..valid + 8], (sets as u64).to_le_bytes());
+        // Bit 31 of the last set's mask, then a fresh checksum.
+        let mut bytes = clean.clone();
+        bytes[valid + 8 + 4 * (sets - 1) + 3] |= 0x80;
+        let trailer = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..trailer]);
+        bytes[trailer..].copy_from_slice(&sum.to_le_bytes());
+
+        let load = |bytes: &[u8]| fresh().load_state(&mut SnapshotReader::open(bytes)?);
+        assert_eq!(load(&clean), Ok(()));
+        assert!(matches!(load(&bytes), Err(SnapshotError::Corrupt(_))));
     }
 
     fn compute_bound_profile() -> tracegen::AppProfile {

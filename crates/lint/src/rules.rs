@@ -167,8 +167,6 @@ pub struct Scopes {
     /// L5/D1: exact files allowed to spawn threads and probe host
     /// parallelism (the sanctioned runner).
     pub runner_files: Vec<String>,
-    /// L6: exact non-binary files allowed to print.
-    pub print_files: Vec<String>,
     /// L7/D4: exact files whose non-test code is a per-step hot path.
     /// Extendable from `lint.toml` via `hot-path` lines.
     pub hot_files: Vec<String>,
@@ -203,7 +201,6 @@ impl Default for Scopes {
                 "crates/core/src/engine.rs".to_string(),
             ],
             runner_files: vec!["crates/simcore/src/parallel/mod.rs".to_string()],
-            print_files: vec!["crates/criterion/src/lib.rs".to_string()],
             hot_files: vec![
                 "crates/core/src/l3/adaptive.rs".to_string(),
                 "crates/cachesim/src/cache.rs".to_string(),
@@ -252,7 +249,7 @@ impl Scopes {
     }
 
     /// Files where printing is structurally fine: binary sources, any
-    /// `main.rs`, examples, plus the explicit `print_files` exemptions.
+    /// `main.rs` and examples.
     fn may_print(&self, rel: &str) -> bool {
         rel.starts_with("src/bin/")
             || rel.contains("/src/bin/")
@@ -260,7 +257,6 @@ impl Scopes {
             || rel.contains("/examples/")
             || rel.ends_with("/main.rs")
             || rel == "main.rs"
-            || self.print_files.iter().any(|p| p == rel)
     }
 
     /// Files D3 covers: component library code under `crates/` that could
@@ -1013,7 +1009,6 @@ mod tests {
         assert!(check("src/bin/nuca-sim.rs", src).is_empty());
         assert!(check("crates/lint/src/main.rs", src).is_empty());
         assert!(check("examples/quickstart.rs", src).is_empty());
-        assert!(check("crates/criterion/src/lib.rs", src).is_empty());
     }
 
     #[test]

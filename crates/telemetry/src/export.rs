@@ -720,11 +720,14 @@ mod tests {
     #[test]
     fn metrics_document_has_stable_shape() {
         let doc = metrics_json(&[sample_trace()]);
-        let schema = doc.schema();
-        assert!(schema.iter().any(|p| p == "sections[].org"));
-        assert!(schema
-            .iter()
-            .any(|p| p.starts_with("sections[].metrics.events.")));
+        let Some(Json::Arr(sections)) = doc.get("sections") else {
+            panic!("metrics document has no sections array");
+        };
+        assert!(sections.iter().any(|s| s.get("org").is_some()));
+        assert!(sections.iter().any(|s| matches!(
+            s.get("metrics").and_then(|m| m.get("events")),
+            Some(Json::Obj(events)) if !events.is_empty()
+        )));
         // Round-trips through the parser.
         assert_eq!(Json::parse(&doc.render()).expect("valid"), doc);
     }

@@ -1,14 +1,11 @@
-//! Minimal JSON support shared by the trace/metrics exporters and the
-//! bench harness (`BENCH_baseline.json`) — std-only, like the rest of
-//! the workspace (the offline build cannot pull serde).
+//! Minimal JSON support shared by the trace/metrics exporters, the
+//! campaign manifests and the `perf` accuracy report — std-only, like
+//! the rest of the workspace (the offline build cannot pull serde).
 //!
 //! Objects keep insertion order (`Vec` of pairs, per the workspace ban
 //! on hash containers in deterministic code), so rendered output is
-//! stable across runs. [`Json::schema`] flattens a value into sorted
-//! key paths (`"serial.wall_seconds"`, `"cells[].org"`), which is what
-//! the CI perf-smoke job compares: value drift is fine, shape drift
-//! fails the build. [`Json::render_compact`] emits the single-line form
-//! used for JSONL trace export.
+//! stable across runs. [`Json::render_compact`] emits the single-line
+//! form used for JSONL trace export.
 
 use std::fmt::Write as _;
 
@@ -144,44 +141,6 @@ impl Json {
                 }
                 out.push('}');
             }
-        }
-    }
-
-    /// Flattens the value's *shape* into sorted, deduplicated key paths.
-    /// Array elements contribute under `path[]`; scalars contribute
-    /// their path alone. Two documents with identical schemas differ
-    /// only in values.
-    pub fn schema(&self) -> Vec<String> {
-        let mut paths = Vec::new();
-        self.collect_paths("", &mut paths);
-        paths.sort();
-        paths.dedup();
-        paths
-    }
-
-    fn collect_paths(&self, prefix: &str, out: &mut Vec<String>) {
-        match self {
-            Json::Obj(pairs) => {
-                for (k, v) in pairs {
-                    let path = if prefix.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{prefix}.{k}")
-                    };
-                    v.collect_paths(&path, out);
-                }
-            }
-            Json::Arr(items) => {
-                let path = format!("{prefix}[]");
-                if items.is_empty() {
-                    out.push(path);
-                } else {
-                    for item in items {
-                        item.collect_paths(&path, out);
-                    }
-                }
-            }
-            _ => out.push(prefix.to_string()),
         }
     }
 
@@ -421,25 +380,6 @@ mod tests {
         assert_eq!(text.trim(), "42");
         let text = Json::num(2.5).render();
         assert_eq!(text.trim(), "2.5");
-    }
-
-    #[test]
-    fn schema_is_shape_not_values() {
-        let a = sample();
-        let mut b = sample();
-        if let Json::Obj(pairs) = &mut b {
-            pairs[1].1 = Json::num(999.0);
-        }
-        assert_eq!(a.schema(), b.schema());
-        assert!(a.schema().contains(&"cells[].org".to_string()));
-        assert!(a.schema().contains(&"ratio".to_string()));
-    }
-
-    #[test]
-    fn schema_detects_missing_key() {
-        let a = sample();
-        let b = Json::Obj(vec![("name".into(), Json::str("perf"))]);
-        assert_ne!(a.schema(), b.schema());
     }
 
     #[test]

@@ -362,6 +362,10 @@ struct L3Layout {
     end: usize,
     /// Owner ids of the first cache array, one byte per block.
     owners: (usize, usize),
+    /// Valid masks of the first cache array, one `u32` per set.
+    valid: (usize, usize),
+    /// The first cache array's associativity.
+    ways: u32,
     /// Recency records (10 bytes each: variant, permutation, length) of
     /// the first cache array, one per set.
     recency: (usize, usize),
@@ -406,8 +410,10 @@ fn l3_layout(
     // recency records.
     let cache = start + 1;
     let owners = cache + 8 + 8 * blocks + 8;
+    let valid = owners + blocks + 8;
     let recency = owners + blocks + 2 * (8 + 4 * sets) + 8;
     assert_eq!(read_u64(bytes, owners - 8), blocks as u64, "owner count");
+    assert_eq!(read_u64(bytes, valid - 8), sets as u64, "valid mask count");
     assert_eq!(read_u64(bytes, recency - 8), sets as u64, "recency count");
     assert_eq!(bytes[recency], 0, "packed recency variant");
     let quotas = adaptive.map(|a| {
@@ -425,6 +431,8 @@ fn l3_layout(
         start,
         end,
         owners: (owners, blocks),
+        valid: (valid, sets),
+        ways: geom.total_ways(),
         recency: (recency, sets),
         quotas,
     }
@@ -435,7 +443,7 @@ proptest! {
     #[test]
     fn snapshot_loader_restores_an_audit_clean_chip_or_refuses(
         org_pick in 0u8..4,
-        target in 0u8..4,
+        target in 0u8..5,
         pos in any::<u64>(),
         value in any::<u64>(),
         width in 1usize..9,
@@ -463,7 +471,8 @@ proptest! {
         let layout = l3_layout(&warm, &cfg, &bytes);
 
         // Aim the mutation: anywhere in the organization's section, an
-        // owner id (out of range), a quota, or an LRU permutation.
+        // owner id (out of range), a quota, an LRU permutation, or a
+        // valid bit at or beyond the associativity.
         let le = value.to_le_bytes();
         let (at, patch): (usize, Vec<u8>) = match (target, layout.quotas) {
             (1, _) => {
@@ -478,6 +487,12 @@ proptest! {
                 let (base, n) = layout.recency;
                 (base + 10 * (pos % n as u64) as usize + 1, le[..width].to_vec())
             }
+            (4, _) => {
+                let (base, n) = layout.valid;
+                let at = base + 4 * (pos % n as u64) as usize;
+                let bit = layout.ways + (value % u64::from(32 - layout.ways)) as u32;
+                (at, (read_u32(&bytes, at) | 1 << bit).to_le_bytes().to_vec())
+            }
             _ => {
                 let span = (layout.end - layout.start) as u64;
                 (layout.start + (pos % span) as usize, le[..width].to_vec())
@@ -490,7 +505,10 @@ proptest! {
         bytes[trailer..].copy_from_slice(&sum.to_le_bytes());
 
         let mut restored = Cmp::new(&cfg, org, &mix, 3).unwrap();
-        if restored.load_chip_state(&bytes).is_ok() {
+        if target == 4 {
+            // `find` would walk the stray bit into another set's tags.
+            prop_assert!(restored.load_chip_state(&bytes).is_err(), "loaded a stray valid bit");
+        } else if restored.load_chip_state(&bytes).is_ok() {
             prop_assert!(restored.audit().is_empty(), "loaded a chip that fails its audit");
             // A restored chip must also run.
             restored.run(2_000);
