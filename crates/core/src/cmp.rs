@@ -16,6 +16,7 @@ use memsim::MemoryStats;
 use simcore::config::MachineConfig;
 use simcore::error::{ConfigError, Result};
 use simcore::invariant::{Invariant, Violation};
+use simcore::parallel::{cell_share, fan_out};
 use simcore::rng::SimRng;
 use simcore::stats::{arithmetic_mean, harmonic_mean};
 use simcore::types::{CoreId, Cycle};
@@ -116,6 +117,9 @@ pub struct Cmp<S: Sink = NullSink> {
     time_sample: Option<(u64, u64)>,
     /// Detailed-window measurement accumulators for the SMARTS estimate.
     ts: TsAccum,
+    /// Per-core side of the functional engine, in core order (see
+    /// [`Cmp::warm`]).
+    lanes: Vec<Lane>,
     /// The chip-level telemetry sink (window-boundary events; cores and
     /// the organization carry their own clones).
     sink: S,
@@ -141,18 +145,9 @@ struct TsAccum {
     window_base: Vec<u64>,
     /// Scratch: per-core IPC of the current window.
     window_ipc: Vec<f64>,
-    /// Gap retirement pacing, as the exact rational `pace_num[i] /
-    /// pace_den` instructions per cycle: the last detailed window's
-    /// per-core committed count (floored at one, so a fully stalled
-    /// window cannot starve the generator stream) over its span. The
-    /// functional gap retires by Bresenham accumulation against these,
-    /// so each core advances its instruction stream at the density the
-    /// detailed model just measured — integer math only, deterministic.
-    pace_num: Vec<u64>,
-    /// Denominator of the pacing rational: the last window's span.
+    /// Denominator of the gap pacing rational (see [`Lane::pace_num`]):
+    /// the last detailed window's span.
     pace_den: u64,
-    /// Per-core Bresenham credit carried across gap cycles.
-    pace_acc: Vec<u64>,
 }
 
 impl TsAccum {
@@ -161,8 +156,6 @@ impl TsAccum {
             core_committed: vec![0; cores],
             window_base: vec![0; cores],
             window_ipc: vec![0.0; cores],
-            pace_num: vec![0; cores],
-            pace_acc: vec![0; cores],
             ..TsAccum::default()
         }
     }
@@ -174,9 +167,76 @@ impl TsAccum {
         self.detailed_cycles = 0;
         self.functional_cycles = 0;
         self.core_committed.fill(0);
-        self.pace_num.fill(0);
         self.pace_den = 0;
-        self.pace_acc.fill(0);
+    }
+}
+
+/// Cycles of functional warming each core runs ahead of the last-level
+/// organization: the engine runs every core through one chunk, then
+/// drains the chunk's requests (see [`Cmp::warm`]).
+const FUNCTIONAL_CHUNK: u64 = 16_384;
+
+/// One core's side of the functional engine: its deferred L3 requests
+/// over the current chunk and its gap pacing. Log storage is reserved
+/// on first use and kept, so building a chip reserves none.
+#[derive(Debug)]
+struct Lane {
+    /// The core's L3 requests over the chunk, in push order.
+    log: L3Batch,
+    /// `log.len()` after each cycle of the chunk.
+    ends: Vec<usize>,
+    /// Gap retirement pacing, as the exact rational `pace_num /
+    /// TsAccum::pace_den` instructions per cycle: the last detailed
+    /// window's committed count (floored at one, so a fully stalled
+    /// window cannot starve the generator stream) over its span. The
+    /// functional gap retires by Bresenham accumulation against it, so
+    /// the core advances its instruction stream at the density the
+    /// detailed model just measured — integer math only, deterministic.
+    pace_num: u64,
+    /// Bresenham credit carried across gap cycles.
+    pace_acc: u64,
+}
+
+impl Lane {
+    fn new() -> Self {
+        Lane {
+            log: L3Batch::with_capacity(0),
+            ends: Vec::new(),
+            pace_num: 0,
+            pace_acc: 0,
+        }
+    }
+
+    /// The core side of one chunk: runs `core` functionally for `span`
+    /// cycles from `start` — one instruction per cycle, or credit-paced
+    /// at `pace_num / den` when `den` is given — into a fresh log.
+    /// Touches nothing but `core` and this lane.
+    fn run<S: Sink>(&mut self, core: &mut Core<S>, start: Cycle, span: u64, den: Option<u64>) {
+        let ops = match den {
+            None => span,
+            Some(den) => (self.pace_acc + self.pace_num * span) / den,
+        };
+        self.log.clear();
+        self.ends.clear();
+        // Reserve the chunk's worst case up front (a no-op once the
+        // lane has seen a chunk this large), so no push allocates.
+        self.log
+            .reserve(usize::try_from(ops).map_or(0, |n| n.saturating_mul(OPS_PER_WARM_OP)));
+        self.ends.reserve(usize::try_from(span).unwrap_or(0));
+        for c in 0..span {
+            let now = start + c;
+            match den {
+                None => core.warm_op_batched(now, &mut self.log),
+                Some(den) => {
+                    self.pace_acc += self.pace_num;
+                    while self.pace_acc >= den {
+                        self.pace_acc -= den;
+                        core.warm_op_batched(now, &mut self.log);
+                    }
+                }
+            }
+            self.ends.push(self.log.len());
+        }
     }
 }
 
@@ -241,6 +301,7 @@ impl<S: Sink> Cmp<S> {
             .collect();
         let idle_wake = vec![0; cores.len()];
         let ts = TsAccum::for_cores(cores.len());
+        let lanes = cores.iter().map(|_| Lane::new()).collect();
         let l3 = L3System::build_with_sink(org, cfg, sink.clone())?;
         Ok(Cmp {
             cores,
@@ -252,6 +313,7 @@ impl<S: Sink> Cmp<S> {
             core_steps: 0,
             time_sample: None,
             ts,
+            lanes,
             sink,
         })
     }
@@ -459,9 +521,13 @@ impl<S: Sink> Cmp<S> {
             // Re-arm gap pacing from this window: `max(delta, 1)`
             // instructions per `span` cycles per core (the floor keeps a
             // fully stalled window from freezing the stream entirely).
-            for (i, core) in self.cores.iter().enumerate() {
-                let delta = core.committed() - self.ts.window_base[i];
-                self.ts.pace_num[i] = delta.max(1);
+            for ((lane, core), base) in self
+                .lanes
+                .iter_mut()
+                .zip(&self.cores)
+                .zip(&self.ts.window_base)
+            {
+                lane.pace_num = (core.committed() - base).max(1);
             }
             self.ts.pace_den = span;
         }
@@ -527,22 +593,34 @@ impl<S: Sink> Cmp<S> {
     /// cycle of pacing, so the shared bus sees a realistic request
     /// spacing). Mirrors the paper's long fast-forward before measuring.
     ///
-    /// Each core's L3-bound requests are collected into an [`L3Batch`]
-    /// and drained through the organization in one pass per pacing
-    /// iteration instead of interleaving organization calls with
-    /// private-hierarchy work. The drain is bit-identical to the
-    /// one-at-a-time loop kept as [`warm_reference`](Self::warm_reference)
-    /// because (a) the warm path discards L3 timing — only the outcome
-    /// *source* feeds per-core counters — so deferring an access never
-    /// changes the issuing core's subsequent behavior (L1/L2/TLB state is
-    /// core-private and independent of L3 outcomes); (b) the batch is
-    /// drained in exact push order — core-major, each access followed by
-    /// its dependent writeback — which is the order the reference loop
-    /// issues them, so the organization and memory channel see the same
-    /// request sequence; and (c) every request in one batch carries the
-    /// same `now`. Same-set conflicts therefore cannot be reordered: two
-    /// requests to one set drain in the same relative order the reference
-    /// path would have issued them.
+    /// The engine splits the warm into a core side and an L3 side. For
+    /// each chunk of 16,384 cycles, every core first runs
+    /// its instructions for the whole chunk, deferring its L3-bound
+    /// requests into its own log ([`L3Batch`]) and recording the log's
+    /// length after each cycle. The chip then drains the logs through
+    /// the organization in (cycle, core, push) order, each request at
+    /// its own cycle, and routes each access outcome to its core with
+    /// [`Core::note_l3_outcome`]. The core sides of one chunk run on up
+    /// to [`cell_share`] host threads (the cell's share of `--jobs`, or
+    /// the host's parallelism outside any runner).
+    ///
+    /// The result is bit-identical to the one-at-a-time loop kept as
+    /// [`warm_reference`](Self::warm_reference), at every thread count:
+    ///
+    /// - (a) a core's side never reads anything an L3 outcome or another
+    ///   core writes. The warm path discards L3 timing — only the outcome
+    ///   *source* feeds the core's L3 counters, which its own side never
+    ///   reads — and the trace cursor, predictor, TLBs and L1/L2 are
+    ///   core-private. So running a core ahead of the L3, or of the other
+    ///   cores, or on another thread, cannot change its requests.
+    /// - (b) the drain order is the reference order. The reference loop
+    ///   issues cycle by cycle, core by core, each access followed by its
+    ///   dependent writeback; the drain replays exactly that, so the
+    ///   organization and memory channel see the same request sequence.
+    /// - (c) each request carries the cycle the reference loop issued it
+    ///   at, so time-dependent L3 and bus state evolves identically.
+    /// - (d) the core side emits no telemetry, so a traced chip's event
+    ///   stream is the drain's, in the serial order.
     pub fn warm(&mut self, instructions_per_core: u64) {
         // Equal instruction pacing distorts the per-wall-clock estimator
         // counters, so quota adaptation pauses during functional warm-up;
@@ -553,65 +631,91 @@ impl<S: Sink> Cmp<S> {
         self.l3.set_adaptation_frozen(false);
     }
 
-    /// The functional-warming engine shared by [`warm`](Self::warm) and
-    /// the time-sampling gaps: every core retires one instruction per
-    /// cycle through the batched warm path (full cache/TLB/predictor/L3
-    /// state updates, no pipeline timing), and the memory channel is
-    /// quiesced at the end so a following detailed window starts on an
-    /// uncongested bus. Unlike [`warm`](Self::warm) this does *not*
-    /// freeze quota adaptation — time-sampling gaps keep Algorithm 1
-    /// firing on the live miss stream.
+    /// The engine of [`warm`](Self::warm) without the adaptation freeze:
+    /// every core retires one instruction per cycle for `cycles` cycles
+    /// (full cache/TLB/predictor/L3 state updates, no pipeline timing),
+    /// with the core sides on up to [`cell_share`] host threads, and the
+    /// memory channel is quiesced at the end so a following detailed
+    /// window starts on an uncongested bus. Quota adaptation stays live,
+    /// as in the time-sampling gaps, which run the same engine on one
+    /// thread.
     pub fn run_functional(&mut self, cycles: u64) {
-        let mut batch = L3Batch::new();
-        for _ in 0..cycles {
-            for i in 0..self.cores.len() {
-                if batch.remaining() < OPS_PER_WARM_OP {
-                    self.drain_warm_batch(&mut batch);
-                }
-                self.cores[i].warm_op_batched(self.now, &mut batch);
-            }
-            self.drain_warm_batch(&mut batch);
-            self.now += 1;
-        }
-        self.l3.quiesce(self.now);
+        let width = cell_share().min(self.cores.len());
+        self.functional(cycles, width, None);
     }
 
     /// The time-sampling gap engine: [`run_functional`](Self::run_functional)
-    /// with retirement credit-paced at the last detailed window's
-    /// measured per-core IPC (`TsAccum::pace_num / pace_den`, exact
-    /// integers via Bresenham accumulation). Each cycle, core `i` earns
-    /// `pace_num[i]` credits and retires one instruction per `pace_den`
+    /// on one thread, with retirement credit-paced at the last detailed
+    /// window's measured per-core IPC (`Lane::pace_num / TsAccum::pace_den`,
+    /// exact integers via Bresenham accumulation). Each cycle, core `i`
+    /// earns `pace_num` credits and retires one instruction per `pace_den`
     /// accumulated — so over the whole gap its stream advances by
     /// `gap × window_ipc` instructions, the count the detailed model
     /// would have consumed in that time, instead of the flat one per
     /// cycle the instruction-budgeted warm phase uses. Deterministic:
     /// the pace is a pure function of the preceding window, and the
     /// credit carry lives in the stats window (`reset_stats` clears it).
+    /// One thread, because a gap is short: fanned out, each gap would
+    /// move half the cores' state to another host CPU and back for a
+    /// few tens of thousands of cycles of work.
     fn run_functional_paced(&mut self, cycles: u64) {
         debug_assert!(self.ts.pace_den > 0, "gap must follow a detailed window");
         let den = self.ts.pace_den.max(1);
-        let mut batch = L3Batch::new();
-        for _ in 0..cycles {
-            for i in 0..self.cores.len() {
-                self.ts.pace_acc[i] += self.ts.pace_num[i];
-                while self.ts.pace_acc[i] >= den {
-                    self.ts.pace_acc[i] -= den;
-                    if batch.remaining() < OPS_PER_WARM_OP {
-                        self.drain_warm_batch(&mut batch);
-                    }
-                    self.cores[i].warm_op_batched(self.now, &mut batch);
-                }
-            }
-            self.drain_warm_batch(&mut batch);
-            self.now += 1;
+        self.functional(cycles, 1, Some(den));
+    }
+
+    /// The functional engine shared by [`warm`](Self::warm) and the
+    /// time-sampling gaps: chunk by chunk, the core sides on up to
+    /// `width` host threads (see [`Lane::run`] for `den`), then the
+    /// drain; finally the memory channel is quiesced.
+    fn functional(&mut self, cycles: u64, width: usize, den: Option<u64>) {
+        let mut left = cycles;
+        while left > 0 {
+            let span = left.min(FUNCTIONAL_CHUNK);
+            let start = self.now;
+            let mut work: Vec<(&mut Core<S>, &mut Lane)> =
+                self.cores.iter_mut().zip(&mut self.lanes).collect();
+            fan_out(width, &mut work, |(core, lane)| {
+                lane.run(core, start, span, den);
+            });
+            self.drain_lanes();
+            left -= span;
         }
         self.l3.quiesce(self.now);
     }
 
-    /// The one-at-a-time reference warm loop the batched
-    /// [`warm`](Self::warm) is differentially tested (and benchmarked)
-    /// against. Bit-identical results by construction — see `warm` for
-    /// the argument.
+    /// The L3 side of one chunk: walks the lanes' logs through the
+    /// organization in (cycle, core, push) order, each request at its
+    /// own cycle, routing each access outcome back to its issuing core,
+    /// and advances the clock past the chunk.
+    fn drain_lanes(&mut self) {
+        let span = self.lanes.first().map_or(0, |lane| lane.ends.len());
+        let mut from = vec![0; self.lanes.len()];
+        for c in 0..span {
+            for (lane, start) in self.lanes.iter().zip(&mut from) {
+                let end = lane.ends[c];
+                for op in &lane.log.ops()[*start..end] {
+                    match *op {
+                        L3Op::Access { core, addr, write } => {
+                            let out = self.l3.access(core, addr, write, self.now);
+                            self.cores[core.index()].note_l3_outcome(out.source);
+                        }
+                        L3Op::Writeback { core, addr } => {
+                            self.l3.writeback(core, addr, self.now);
+                        }
+                    }
+                }
+                *start = end;
+            }
+            self.now += 1;
+        }
+    }
+
+    /// The one-at-a-time reference warm loop the chunked
+    /// [`warm`](Self::warm) is differentially tested against: every
+    /// core's instruction calls straight into the organization, cycle by
+    /// cycle, core by core, on one thread. Bit-identical results by
+    /// construction — see `warm` for the argument.
     pub fn warm_reference(&mut self, instructions_per_core: u64) {
         self.l3.set_adaptation_frozen(true);
         for _ in 0..instructions_per_core {
@@ -624,23 +728,6 @@ impl<S: Sink> Cmp<S> {
         self.l3.set_adaptation_frozen(false);
     }
 
-    /// Walks the queued warm requests through the organization in push
-    /// order and routes each access outcome back to its issuing core.
-    fn drain_warm_batch(&mut self, batch: &mut L3Batch) {
-        for op in batch.ops() {
-            match *op {
-                L3Op::Access { core, addr, write } => {
-                    let out = self.l3.access(core, addr, write, self.now);
-                    self.cores[core.index()].note_l3_outcome(out.source);
-                }
-                L3Op::Writeback { core, addr } => {
-                    self.l3.writeback(core, addr, self.now);
-                }
-            }
-        }
-        batch.clear();
-    }
-
     /// Marks the warm-up boundary: all statistics restart here while
     /// architectural state (cache contents, quotas, predictors) carries
     /// over.
@@ -651,6 +738,10 @@ impl<S: Sink> Cmp<S> {
         self.l3.reset_stats();
         self.window_start = self.now;
         self.ts.reset();
+        for lane in &mut self.lanes {
+            lane.pace_num = 0;
+            lane.pace_acc = 0;
+        }
     }
 
     /// Serializes the whole chip's warm state — clock, every core's
@@ -859,33 +950,179 @@ mod tests {
         assert_eq!(a.per_core, b.per_core);
     }
 
+    /// Runs `f` as the only cell of a `jobs`-wide runner, so the chip's
+    /// warm fans out over `jobs` host threads (the serial short-circuit
+    /// keeps the caller's whole `jobs` as the cell's share).
+    fn at_width<R: Send>(jobs: usize, f: impl Fn() -> R + Sync) -> R {
+        simcore::parallel::run_indexed(jobs, 1, |_| f())
+            .pop()
+            .expect("one cell")
+    }
+
+    fn reference_warm(cfg: &MachineConfig, org: Organization, seed: u64, n: u64) -> Vec<u8> {
+        let mut cmp = Cmp::new(cfg, org, &quick_mix(), seed).unwrap();
+        cmp.warm_reference(n);
+        cmp.save_chip_state().unwrap()
+    }
+
     #[test]
     fn batched_warm_matches_one_at_a_time() {
-        // The batched warm drain must evolve core counters, organization
-        // state and the memory channel bit-identically to the reference
-        // one-at-a-time loop, for every organization.
+        // The chunked warm must evolve core state, organization state and
+        // the memory channel bit-identically to the reference
+        // one-at-a-time loop, for every organization (and a set-sampled
+        // L3) and however many host threads run the core sides — pinned
+        // through the snapshot encoding, and through a timed window run
+        // on top.
+        let warm = 2 * FUNCTIONAL_CHUNK + 3;
+        let base = MachineConfig::baseline();
+        let mut sampled = MachineConfig::baseline();
+        sampled.l3.sample_shift = Some(2);
+        for (cfg, org) in [
+            (base, Organization::Private),
+            (base, Organization::Shared),
+            (base, Organization::adaptive()),
+            (base, Organization::Cooperative { seed: 7 }),
+            (sampled, Organization::adaptive()),
+        ] {
+            let reference = reference_warm(&cfg, org, 13, warm);
+            for width in 1..=4 {
+                let bytes = at_width(width, || {
+                    let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 13).unwrap();
+                    cmp.warm(warm);
+                    cmp.save_chip_state().unwrap()
+                });
+                assert!(
+                    bytes == reference,
+                    "warm diverged under {} at width {width}",
+                    org.label()
+                );
+            }
+            let timed = at_width(2, || {
+                let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 13).unwrap();
+                cmp.warm(warm);
+                cmp.run(6_000);
+                cmp.snapshot()
+            });
+            let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 13).unwrap();
+            cmp.warm_reference(warm);
+            cmp.run(6_000);
+            assert_eq!(
+                timed,
+                cmp.snapshot(),
+                "timed run diverged under {}",
+                org.label()
+            );
+        }
+    }
+
+    #[test]
+    fn warm_is_exact_at_chunk_boundaries() {
+        // Lengths around the chunk boundary and across several chunks,
+        // including an empty warm, on the organization with the most
+        // state and on the sharing one, serial and fanned out.
+        let c = FUNCTIONAL_CHUNK;
         let cfg = MachineConfig::baseline();
+        for org in [Organization::adaptive(), Organization::Shared] {
+            for warm in [0, 1, c - 1, c, c + 1, 3 * c + 7] {
+                let reference = reference_warm(&cfg, org, 17, warm);
+                for width in [1, 3] {
+                    let bytes = at_width(width, || {
+                        let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 17).unwrap();
+                        cmp.warm(warm);
+                        cmp.save_chip_state().unwrap()
+                    });
+                    assert!(
+                        bytes == reference,
+                        "warm of {warm} diverged under {} at width {width}",
+                        org.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn paced_gap_engine_matches_one_at_a_time() {
+        // The time-sampling gap engine against a one-at-a-time loop with
+        // the same Bresenham pacing: paces below, at and above one
+        // instruction per cycle, carried credit, and a gap spanning
+        // several chunks.
+        let cfg = MachineConfig::baseline();
+        let (den, num, acc) = (8, [3, 8, 1, 17], [0, 5, 7, 2]);
+        let gap = 2 * FUNCTIONAL_CHUNK + 11;
         for org in [
-            Organization::Private,
-            Organization::Shared,
             Organization::adaptive(),
             Organization::Cooperative { seed: 7 },
         ] {
-            let run = |batched: bool| {
-                let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 13).unwrap();
-                if batched {
-                    cmp.warm(8_000);
-                } else {
-                    cmp.warm_reference(8_000);
+            let build = || {
+                let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 41).unwrap();
+                cmp.warm(2_000);
+                cmp.ts.pace_den = den;
+                for ((lane, n), a) in cmp.lanes.iter_mut().zip(num).zip(acc) {
+                    lane.pace_num = n;
+                    lane.pace_acc = a;
                 }
-                // Run a timed window on top so divergence in warmed
-                // architectural state (not just counters) is caught too.
-                cmp.run(6_000);
-                cmp.snapshot()
+                cmp
             };
-            let batched = run(true);
-            let reference = run(false);
-            assert_eq!(batched, reference, "warm diverged under {}", org.label());
+            let mut engine = build();
+            engine.run_functional_paced(gap);
+
+            let mut reference = build();
+            let mut credit = acc;
+            for _ in 0..gap {
+                for (i, core) in reference.cores.iter_mut().enumerate() {
+                    credit[i] += num[i];
+                    while credit[i] >= den {
+                        credit[i] -= den;
+                        core.warm_op(reference.now, &mut reference.l3);
+                    }
+                }
+                reference.now += 1;
+            }
+            reference.l3.quiesce(reference.now);
+
+            let carried: Vec<u64> = engine.lanes.iter().map(|l| l.pace_acc).collect();
+            assert_eq!(carried, credit, "credit carry under {}", org.label());
+            assert!(
+                engine.save_chip_state().unwrap() == reference.save_chip_state().unwrap(),
+                "paced gap diverged under {}",
+                org.label()
+            );
+        }
+    }
+
+    #[test]
+    fn time_sampled_run_is_independent_of_the_warm_width() {
+        // A time-sampled run whose gaps span several chunks, after a warm
+        // fanned out at every width, ends exactly where it ends after the
+        // reference warm.
+        let cfg = MachineConfig::baseline();
+        let org = Organization::adaptive();
+        let finish = |cmp: &mut Cmp| {
+            cmp.run(30_000);
+            cmp.reset_stats();
+            cmp.run(60_000);
+            cmp.snapshot()
+        };
+        let build = || {
+            let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 43).unwrap();
+            cmp.set_time_sample(2_000, 20_000);
+            cmp
+        };
+        let mut reference = build();
+        reference.warm_reference(FUNCTIONAL_CHUNK + 5);
+        let reference = finish(&mut reference);
+        assert!(reference.time_sampling.is_some());
+        for width in 1..=4 {
+            let result = at_width(width, || {
+                let mut cmp = build();
+                cmp.warm(FUNCTIONAL_CHUNK + 5);
+                finish(&mut cmp)
+            });
+            assert_eq!(
+                result, reference,
+                "time-sampled run diverged at width {width}"
+            );
         }
     }
 

@@ -50,10 +50,12 @@ pub struct ExperimentConfig {
     pub measure_cycles: u64,
     /// Master seed (workload construction and per-core streams).
     pub seed: u64,
-    /// Worker threads for independent simulation cells (see
-    /// [`run_cells`]). `1` runs everything serially; results are
-    /// bit-identical for every value because each cell is
-    /// self-contained. This is an execution policy, not part of the
+    /// Host threads a run may use: cells first, then each cell's warm
+    /// (see [`run_cells`] and [`Cmp::warm`]). Each cell runs on a worker
+    /// and fans its warm out over that worker's share of `jobs`. `1`
+    /// runs everything serially; results are bit-identical for every
+    /// value because each cell is self-contained and the warm drains in
+    /// the serial order. This is an execution policy, not part of the
     /// experiment's identity.
     pub jobs: usize,
     /// Whether [`Cmp::run`] may use the event-driven cycle-skipping fast

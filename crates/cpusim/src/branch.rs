@@ -244,7 +244,10 @@ impl BranchPredictor {
     /// # Errors
     ///
     /// [`simcore::snapshot::SnapshotError::Mismatch`] when any table
-    /// size differs from this predictor's configuration.
+    /// size differs from this predictor's configuration;
+    /// [`simcore::snapshot::SnapshotError::Corrupt`] for a saturating
+    /// counter above 3 or a global history with bits above the history
+    /// mask.
     pub fn load_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
@@ -264,6 +267,9 @@ impl BranchPredictor {
             }
         }
         self.history = r.get_u32()?;
+        if self.history & !self.history_mask != 0 {
+            return Err(SnapshotError::Corrupt("global history wider than its mask"));
+        }
         let n = r.get_usize()?;
         if n != self.btb.len() {
             return Err(SnapshotError::Mismatch("BTB size"));
@@ -403,5 +409,36 @@ mod tests {
         p.reset_stats();
         assert_eq!(p.predictions(), 0);
         assert!(p.predict(pc), "learned direction survives reset");
+    }
+
+    #[test]
+    fn load_state_refuses_history_wider_than_its_mask() {
+        let mut p = bp();
+        let mut rng = SimRng::seed_from(23);
+        for i in 0..500u64 {
+            p.access(Address::new(0x400000 + 4 * (i % 37)), rng.chance(0.6));
+        }
+        let encode = |history: u32| {
+            let mut q = p.clone();
+            q.history = history;
+            let mut w = simcore::snapshot::SnapshotWriter::new();
+            q.save_state(&mut w);
+            w.finish()
+        };
+        let load = |bytes: &[u8]| {
+            let mut r = simcore::snapshot::SnapshotReader::open(bytes).unwrap();
+            bp().load_state(&mut r)
+        };
+        assert!(load(&encode(p.history)).is_ok(), "a live history loads");
+        assert!(load(&encode(p.history_mask)).is_ok(), "all mask bits set");
+        for stray in [p.history_mask + 1, u32::MAX, 1 << 31] {
+            assert!(
+                matches!(
+                    load(&encode(stray)),
+                    Err(simcore::snapshot::SnapshotError::Corrupt(_))
+                ),
+                "history {stray:#x} loaded"
+            );
+        }
     }
 }

@@ -418,9 +418,10 @@ impl<S: Sink> Core<S> {
     /// [`simcore::snapshot::SnapshotError::Mismatch`] when this core is
     /// not quiescent, has a different id, or any component's geometry
     /// differs from the snapshot;
-    /// [`simcore::snapshot::SnapshotError::Corrupt`] when a restored
-    /// cache (L1I, L1D or L2) fails its own audit (a payload that
-    /// decodes but that no run can produce).
+    /// [`simcore::snapshot::SnapshotError::Corrupt`] when the payload
+    /// decodes but no run can produce it: a trace cursor outside its
+    /// region, a TLB entry or predictor history its own loader refuses,
+    /// or a restored cache (L1I, L1D or L2) that fails its audit.
     pub fn load_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,

@@ -49,9 +49,9 @@ pub trait LastLevel {
 /// L2-eviction writeback.
 pub const OPS_PER_WARM_OP: usize = 4;
 
-/// Capacity of one [`L3Batch`] — eight cores' worth of one warm
-/// instruction each. The chip warm loop drains whenever fewer than
-/// [`OPS_PER_WARM_OP`] slots remain, so any core count stays in bounds.
+/// Capacity of an [`L3Batch::new`] batch — eight cores' worth of one
+/// warm instruction each. A loop that drains whenever fewer than
+/// [`OPS_PER_WARM_OP`] slots remain stays in bounds for any core count.
 pub const BATCH_CAPACITY: usize = 32;
 
 /// One deferred last-level request collected by the batched warm path.
@@ -75,30 +75,28 @@ pub enum L3Op {
     },
 }
 
-const EMPTY_OP: L3Op = L3Op::Writeback {
-    core: CoreId::from_index(0),
-    addr: Address::new(0),
-};
-
-/// A small fixed-size batch of per-core L3 requests due in one warm
-/// cycle.
+/// A log of deferred L3 requests from warming cores.
 ///
 /// The functional warm path discards L3 timing (only the outcome
 /// *source* feeds per-core counters), so instead of calling into the
 /// organization once per L2 miss interleaved with private-hierarchy
-/// work, each core appends its requests here and the chip drains the
-/// whole batch through the organization in one pass — tag-array and
-/// quota-bookkeeping lines stay hot across consecutive requests. Entries
-/// are drained in exactly the order they were pushed (core-major, each
-/// access followed by its dependent writeback), which is the same order
-/// the one-at-a-time path used, so the organization's state evolution is
-/// bit-identical; see `nuca_core::cmp` for the proof obligations.
+/// work, a core appends its requests here and the chip later drains
+/// them through the organization. Entries are drained in exactly the
+/// order they were pushed (each access followed by its dependent
+/// writeback), so the organization's state evolution is bit-identical
+/// to the one-at-a-time path; see `nuca_core::cmp` for the proof
+/// obligations, including how a chip interleaves several cores' logs.
 ///
-/// Storage is a fixed-size array: pushing never allocates (lint L7).
+/// Storage is reserved up front — [`BATCH_CAPACITY`] for
+/// [`new`](Self::new), any size for [`with_capacity`](Self::with_capacity)
+/// and [`reserve`](Self::reserve) — and a caller that keeps within
+/// [`remaining`](Self::remaining) never makes a push allocate (lint L7).
 #[derive(Debug)]
 pub struct L3Batch {
-    ops: [L3Op; BATCH_CAPACITY],
-    len: usize,
+    ops: Vec<L3Op>,
+    /// The reserved capacity [`remaining`](Self::remaining) counts
+    /// against.
+    capacity: usize,
 }
 
 impl Default for L3Batch {
@@ -108,12 +106,27 @@ impl Default for L3Batch {
 }
 
 impl L3Batch {
-    /// Creates an empty batch.
+    /// Creates an empty batch with room for [`BATCH_CAPACITY`] ops.
     #[must_use]
-    pub const fn new() -> Self {
+    pub fn new() -> Self {
+        L3Batch::with_capacity(BATCH_CAPACITY)
+    }
+
+    /// Creates an empty batch with room for `capacity` ops.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
         L3Batch {
-            ops: [EMPTY_OP; BATCH_CAPACITY],
-            len: 0,
+            ops: Vec::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    /// Grows the reserved room to at least `capacity` ops. Allocates
+    /// only when the batch has less room than that.
+    pub fn reserve(&mut self, capacity: usize) {
+        if capacity > self.capacity {
+            self.ops.reserve(capacity - self.ops.len());
+            self.capacity = capacity;
         }
     }
 
@@ -121,41 +134,40 @@ impl L3Batch {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.ops.len()
     }
 
     /// Whether the batch is empty.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ops.is_empty()
     }
 
-    /// Remaining capacity; drain before it drops below
+    /// Remaining reserved room; drain before it drops below
     /// [`OPS_PER_WARM_OP`].
     #[inline]
     #[must_use]
     pub fn remaining(&self) -> usize {
-        BATCH_CAPACITY - self.len
+        self.capacity.saturating_sub(self.ops.len())
     }
 
     /// The queued ops, in push order.
     #[inline]
     pub fn ops(&self) -> &[L3Op] {
-        &self.ops[..self.len]
+        &self.ops
     }
 
-    /// Clears the batch after a drain.
+    /// Clears the batch after a drain (the reserved room is kept).
     #[inline]
     pub fn clear(&mut self) {
-        self.len = 0;
+        self.ops.clear();
     }
 
     #[inline]
     fn push(&mut self, op: L3Op) {
-        debug_assert!(self.len < BATCH_CAPACITY, "warm batch overflow");
-        self.ops[self.len] = op;
-        self.len += 1;
+        debug_assert!(self.ops.len() < self.capacity, "warm batch overflow");
+        self.ops.push(op);
     }
 }
 
@@ -312,6 +324,18 @@ mod tests {
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.remaining(), BATCH_CAPACITY);
+    }
+
+    #[test]
+    fn reserve_grows_the_room_and_never_shrinks_it() {
+        let mut b = L3Batch::with_capacity(4);
+        b.writeback(CoreId::from_index(0), Address::new(0x40), Cycle::new(0));
+        assert_eq!(b.remaining(), 3);
+        b.reserve(64);
+        assert_eq!(b.remaining(), 63);
+        b.reserve(8);
+        assert_eq!(b.remaining(), 63, "a smaller request keeps the room");
+        assert_eq!(b.len(), 1, "reserving keeps the queued ops");
     }
 
     #[test]

@@ -210,17 +210,22 @@ impl Tlb {
     ///
     /// # Errors
     ///
-    /// [`simcore::snapshot::SnapshotError::Corrupt`] when the entry
-    /// count exceeds this TLB's capacity; decode errors otherwise.
+    /// [`simcore::snapshot::SnapshotError::Mismatch`] when the entry
+    /// count exceeds this TLB's capacity;
+    /// [`simcore::snapshot::SnapshotError::Corrupt`] when the entries are
+    /// ones no run can produce: pages not in strictly increasing order
+    /// (the encoding's order, so a page listed twice is refused), two
+    /// entries sharing a stamp, or a stamp above the stamp counter (a
+    /// later touch would tie with it, making the LRU victim depend on
+    /// storage order). Decode errors otherwise.
     pub fn load_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
+        use simcore::snapshot::SnapshotError;
         let n = r.get_usize()?;
         if n > self.cfg.entries {
-            return Err(simcore::snapshot::SnapshotError::Mismatch(
-                "TLB entry count exceeds capacity",
-            ));
+            return Err(SnapshotError::Mismatch("TLB entry count exceeds capacity"));
         }
         self.pages.clear();
         self.stamps.clear();
@@ -228,11 +233,20 @@ impl Tlb {
         for _ in 0..n {
             let page = r.get_u64()?;
             let last = r.get_u64()?;
+            if self.pages.last().is_some_and(|&prev| prev >= page) {
+                return Err(SnapshotError::Corrupt("TLB pages not strictly increasing"));
+            }
+            if self.stamps.contains(&last) {
+                return Err(SnapshotError::Corrupt("two TLB entries share a stamp"));
+            }
             self.pages.push(page);
             self.stamps.push(last);
             self.memo[Self::memo_slot(page)] = self.pages.len() as u32;
         }
         self.stamp = r.get_u64()?;
+        if self.stamps.iter().any(|&last| last > self.stamp) {
+            return Err(SnapshotError::Corrupt("TLB stamp above the stamp counter"));
+        }
         self.hits = r.get_u64()?;
         self.misses = r.get_u64()?;
         Ok(())
@@ -319,6 +333,52 @@ mod tests {
             (verdicts, t.hits(), t.misses(), w.finish())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn load_state_refuses_entries_no_run_can_produce() {
+        let mut t = small(8);
+        for p in [3u64, 1, 4, 1, 5, 9, 2, 6] {
+            t.access(Address::new(p << 12));
+        }
+        let encode = |entries: &[(u64, u64)], stamp: u64| {
+            let mut w = simcore::snapshot::SnapshotWriter::new();
+            w.put_usize(entries.len());
+            for &(page, last) in entries {
+                w.put_u64(page);
+                w.put_u64(last);
+            }
+            w.put_u64(stamp);
+            w.put_u64(0);
+            w.put_u64(0);
+            w.finish()
+        };
+        let load = |bytes: &[u8]| {
+            let mut fresh = small(8);
+            let mut r = simcore::snapshot::SnapshotReader::open(bytes).unwrap();
+            fresh.load_state(&mut r).map(|()| fresh)
+        };
+        // The canonical encoding round-trips, and the most recent touch
+        // holds a stamp equal to the counter.
+        let mut w = simcore::snapshot::SnapshotWriter::new();
+        t.save_state(&mut w);
+        let restored = load(&w.finish()).expect("a saved TLB loads");
+        assert_eq!((restored.stamp, restored.pages.len()), (t.stamp, 7));
+        assert!(load(&encode(&[(1, 2), (4, 7)], 7)).is_ok());
+
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                load(bytes),
+                Err(simcore::snapshot::SnapshotError::Corrupt(_))
+            )
+        };
+        assert!(corrupt(&encode(&[(4, 2), (4, 7)], 7)), "page listed twice");
+        assert!(corrupt(&encode(&[(4, 2), (1, 7)], 7)), "pages out of order");
+        assert!(corrupt(&encode(&[(1, 7), (4, 7)], 7)), "shared stamp");
+        assert!(
+            corrupt(&encode(&[(1, 2), (4, 8)], 7)),
+            "stamp above the counter"
+        );
     }
 
     #[test]

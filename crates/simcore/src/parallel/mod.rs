@@ -24,6 +24,13 @@
 //! worker steps on small grids, turning "bit-identical for any `--jobs`"
 //! from a sampled property into an exhaustively checked one.
 //!
+//! Inside one cell, [`fan_out`] spreads independent per-item work (a
+//! chip's per-core functional warm) over host threads. A cell's thread
+//! budget is its worker's share of `jobs` ([`cell_share`]): a one-cell
+//! run keeps the caller's whole `jobs`, a grid of many cells gives each
+//! worker `jobs / workers`, and code outside any runner gets the host's
+//! [`default_jobs`].
+//!
 //! This is the only module in the workspace allowed to spawn threads
 //! (enforced by `nuca-lint` rule L5): ad-hoc threading elsewhere could
 //! reorder floating-point reductions or share RNG streams and silently
@@ -31,7 +38,15 @@
 
 pub mod model;
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+thread_local! {
+    /// Host threads a cell running on this thread may use for its own
+    /// [`fan_out`]; 0 outside any [`run_indexed`] call.
+    static SHARE: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Number of worker threads to use when the caller asked for "auto":
 /// the host's available parallelism, or 1 if it cannot be determined.
@@ -167,6 +182,12 @@ pub fn reassemble<R>(locals: Vec<Vec<(usize, R)>>, n: usize) -> Option<Vec<R>> {
 /// serial path is the parallel path's reference semantics, not a
 /// separate implementation.
 ///
+/// Each cell runs with its worker's share of `jobs` as its
+/// [`cell_share`]: `jobs / workers` on the threaded path, the caller's
+/// whole `jobs` on the serial one (so a one-cell `jobs = 4` run may fan
+/// its own work out four ways, while a full grid leaves each cell one
+/// thread).
+///
 /// A panic inside `f` is propagated to the caller after the remaining
 /// workers drain (standard scoped-thread behavior).
 pub fn run_indexed<R, F>(jobs: usize, n: usize, f: F) -> Vec<R>
@@ -174,18 +195,20 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+    let workers = jobs.clamp(1, n.max(1));
+    if workers <= 1 {
+        return with_share(jobs.max(1), || (0..n).map(f).collect());
     }
+    let share = jobs / workers;
     let source = AtomicSource::new(n);
     let f = &f;
     let source = &source;
-    let mut locals: Vec<Vec<(usize, R)>> = Vec::with_capacity(jobs);
+    let mut locals: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..jobs)
+        let workers: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(move || {
+                    SHARE.with(|c| c.set(share));
                     let mut state = WorkerState::new();
                     while state.step(source, f) {}
                     state.into_local()
@@ -211,6 +234,79 @@ where
             Vec::new()
         }
     }
+}
+
+/// Host threads the cell running on this thread may use for its own
+/// [`fan_out`]: its worker's share of the `jobs` passed to the enclosing
+/// [`run_indexed`] (see there), or [`default_jobs`] outside any runner.
+/// Always at least one.
+pub fn cell_share() -> usize {
+    match SHARE.with(Cell::get) {
+        0 => default_jobs(),
+        share => share,
+    }
+}
+
+/// Runs `f` with this thread's [`cell_share`] set to `share`, restoring
+/// the previous value afterwards (also when `f` unwinds).
+fn with_share<R>(share: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SHARE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SHARE.with(|c| c.replace(share)));
+    f()
+}
+
+/// Applies `f` to every item of `items` exactly once, on up to `width`
+/// host threads (the calling thread included), and returns when all
+/// items are done.
+///
+/// Items are claimed one at a time from an [`AtomicSource`], so uneven
+/// per-item costs balance across threads. Which thread runs which item
+/// is scheduling-dependent; callers must only hand over items whose
+/// processing is independent (each `f(item)` touches its own item and
+/// shared state only through `&` access), which makes the outcome the
+/// same at every width. With `width <= 1` or at most one item nothing is
+/// spawned: the items are processed in order on the calling thread.
+///
+/// A panic inside `f` propagates to the caller once the other threads
+/// have finished.
+pub fn fan_out<T, F>(width: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let width = width.clamp(1, items.len().max(1));
+    if width <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    // One lock per item hands its `&mut` to whichever thread claims it.
+    // Each index is claimed exactly once, so no lock is contended or
+    // taken twice: a lock poisoned by a panicking `f` is never seen
+    // again, and the panic itself reaches the caller through the join.
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    let source = AtomicSource::new(slots.len());
+    let work = || {
+        while let Some(i) = source.claim() {
+            if let Some(slot) = slots.get(i) {
+                f(&mut slot.lock().unwrap_or_else(PoisonError::into_inner));
+            }
+        }
+    };
+    let work = &work;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..width).map(|_| s.spawn(work)).collect();
+        work();
+        for h in helpers {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Maps `f` over a slice on up to `jobs` worker threads, preserving
@@ -260,6 +356,57 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let out = map_slice(3, &items, |x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_visits_every_item_exactly_once_at_every_width() {
+        for len in [0usize, 1, 2, 4, 7] {
+            for width in 0..=8 {
+                let mut items: Vec<(usize, u32)> = (0..len).map(|i| (i, 0)).collect();
+                fan_out(width, &mut items, |(i, visits)| {
+                    *visits += 1;
+                    *i *= 10;
+                });
+                let want: Vec<(usize, u32)> = (0..len).map(|i| (i * 10, 1)).collect();
+                assert_eq!(items, want, "len={len} width={width}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_propagates_a_panicking_item() {
+        for width in [1, 2, 4] {
+            let mut items: Vec<usize> = (0..6).collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fan_out(width, &mut items, |x| {
+                    if *x == 3 {
+                        panic!("item 3 fails");
+                    }
+                });
+            }));
+            assert!(outcome.is_err(), "width {width} swallowed the panic");
+        }
+    }
+
+    #[test]
+    fn cell_share_follows_the_runner() {
+        // Outside any runner: the host default.
+        assert_eq!(cell_share(), default_jobs());
+        // Threaded path: each worker gets `jobs / workers`.
+        assert_eq!(run_indexed(4, 2, |_| cell_share()), vec![2, 2]);
+        assert_eq!(run_indexed(4, 3, |_| cell_share()), vec![1, 1, 1]);
+        assert_eq!(run_indexed(2, 50, |_| cell_share()), vec![1; 50]);
+        // Serial short-circuit: the caller's whole `jobs`, for a single
+        // cell and for `jobs = 1` alike.
+        assert_eq!(run_indexed(4, 1, |_| cell_share()), vec![4]);
+        assert_eq!(run_indexed(1, 3, |_| cell_share()), vec![1, 1, 1]);
+        // Nested runners see their own share; the outer one is restored.
+        let nested = run_indexed(3, 1, |_| {
+            let inner = run_indexed(2, 1, |_| cell_share());
+            (inner, cell_share())
+        });
+        assert_eq!(nested, vec![(vec![2], 3)]);
+        assert_eq!(cell_share(), default_jobs(), "share restored after the run");
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! monomorphization the disabled path contains no tracing code at all —
 //! no branch, no allocation, no call. The recording sink ([`Recorder`])
 //! shares one [`Tracer`] between the cores and the L3 of a single
-//! simulated chip via `Rc<RefCell<_>>`; it is deliberately not `Send` —
-//! the parallel experiment runner gives each simulation cell its own
-//! recorder and extracts a plain-data [`Trace`] before results cross
-//! threads.
+//! simulated chip via `Arc<Mutex<_>>`. Every sink is `Send` because a
+//! chip's functional warm runs its cores on several host threads, each
+//! core carrying its own sink clone; the warm's core side emits no
+//! events, so the lock is never contended and the event stream keeps
+//! the serial order. The parallel experiment runner still gives each
+//! simulation cell its own recorder and extracts a plain-data [`Trace`]
+//! when the cell finishes.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use simcore::types::Cycle;
 
@@ -21,8 +23,8 @@ use crate::event::{Event, EventKind, TraceRecord};
 use crate::registry::Registry;
 
 /// Receives simulator events. See the module docs for the zero-cost
-/// contract.
-pub trait Sink: Clone + std::fmt::Debug {
+/// contract, and for why every sink is `Send`.
+pub trait Sink: Clone + std::fmt::Debug + Send {
     /// Whether this sink records anything. Emission sites must guard all
     /// payload construction with `if S::ENABLED { ... }` so a `false`
     /// sink compiles to nothing.
@@ -236,12 +238,12 @@ impl Trace {
 /// A clonable handle to a shared [`Tracer`], implementing [`Sink`].
 ///
 /// All components of one simulated chip clone the same recorder, so
-/// their events interleave in one globally-ordered stream. Not `Send`:
-/// extract a [`Trace`] with [`Recorder::finish`] before crossing
-/// threads.
+/// their events interleave in one globally-ordered stream. `Send`, so a
+/// chip's cores may warm on several host threads (see the module docs);
+/// extract a plain-data [`Trace`] with [`Recorder::finish`].
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    inner: Rc<RefCell<Tracer>>,
+    inner: Arc<Mutex<Tracer>>,
 }
 
 impl Recorder {
@@ -249,8 +251,16 @@ impl Recorder {
     /// capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
-            inner: Rc::new(RefCell::new(Tracer::with_capacity(capacity))),
+            inner: Arc::new(Mutex::new(Tracer::with_capacity(capacity))),
         }
+    }
+
+    /// The shared tracer. Nothing in [`Tracer::record`] panics short of
+    /// an allocation failure, which aborts; and a record cut short would
+    /// at worst count an event it did not retain, which every later read
+    /// tolerates. So a poisoned lock is taken over, not propagated.
+    fn tracer(&self) -> MutexGuard<'_, Tracer> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Default ring capacity used by the CLI and the experiment harness.
@@ -258,22 +268,22 @@ impl Recorder {
 
     /// The last `n` retained records, oldest first (for failure dumps).
     pub fn tail(&self, n: usize) -> Vec<TraceRecord> {
-        self.inner.borrow().tail(n)
+        self.tracer().tail(n)
     }
 
     /// Total events emitted so far.
     pub fn emitted(&self) -> u64 {
-        self.inner.borrow().emitted()
+        self.tracer().emitted()
     }
 
     /// Count of events of `kind` emitted so far.
     pub fn count(&self, kind: EventKind) -> u64 {
-        self.inner.borrow().count(kind)
+        self.tracer().count(kind)
     }
 
     /// Freezes the recorded stream into a plain-data [`Trace`].
     pub fn finish(&self, meta: TraceMeta, final_quotas: Vec<u32>) -> Trace {
-        let tracer = self.inner.borrow();
+        let tracer = self.tracer();
         let counts: Vec<(&'static str, u64)> = EventKind::ALL
             .into_iter()
             .filter_map(|k| {
@@ -305,7 +315,7 @@ impl Sink for Recorder {
 
     #[inline]
     fn emit(&mut self, at: Cycle, event: Event) {
-        self.inner.borrow_mut().record(at, event);
+        self.tracer().record(at, event);
     }
 }
 

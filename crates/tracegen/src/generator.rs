@@ -230,18 +230,46 @@ impl TraceGenerator {
     ///
     /// # Errors
     ///
-    /// Decode errors from the reader.
+    /// [`simcore::snapshot::SnapshotError::Corrupt`] when a cursor is one
+    /// no run can produce: a PC offset that is not 4-aligned or not below
+    /// the code region, a stream offset that is not 64-aligned or not
+    /// below the stream span, a hot cursor at or above the hot block
+    /// count, or a shared head outside the shared region. Decode errors
+    /// from the reader otherwise.
     pub fn load_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
+        use simcore::snapshot::SnapshotError;
         self.rng.load_state(r)?;
-        self.pc_offset = r.get_u64()?;
-        self.stream_offset = r.get_u64()?;
-        self.hot_head = r.get_u64()?;
-        self.hot_loop_pos = r.get_u64()?;
-        self.shared_head = r.get_u64()?;
+        let pc_offset = r.get_u64()?;
+        let stream_offset = r.get_u64()?;
+        let hot_head = r.get_u64()?;
+        let hot_loop_pos = r.get_u64()?;
+        let shared_head = r.get_u64()?;
         self.ops_generated = r.get_u64()?;
+        if pc_offset % 4 != 0 || pc_offset >= self.code_bytes {
+            return Err(SnapshotError::Corrupt("trace PC outside the code region"));
+        }
+        if stream_offset % 64 != 0 || stream_offset >= self.stream_span {
+            return Err(SnapshotError::Corrupt(
+                "stream cursor outside the stream region",
+            ));
+        }
+        if hot_head >= self.hot_blocks || hot_loop_pos >= self.hot_blocks {
+            return Err(SnapshotError::Corrupt("hot cursor outside the hot region"));
+        }
+        // A profile without a shared region keeps its head at 0.
+        if shared_head >= (self.profile.shared_kb * 16).max(1) {
+            return Err(SnapshotError::Corrupt(
+                "shared head outside the shared region",
+            ));
+        }
+        self.pc_offset = pc_offset;
+        self.stream_offset = stream_offset;
+        self.hot_head = hot_head;
+        self.hot_loop_pos = hot_loop_pos;
+        self.shared_head = shared_head;
         Ok(())
     }
 
@@ -439,6 +467,81 @@ mod tests {
         for op in reference_ops.iter().skip(1_500) {
             assert_eq!(&resumed.next_op(), op);
         }
+    }
+
+    #[test]
+    fn load_state_refuses_cursors_no_run_can_produce() {
+        // Each case re-encodes a live generator's state with one cursor
+        // bent out of range; the loader must refuse it rather than hand
+        // the next `next_op` a PC, stream offset or head it cannot wrap.
+        let p = AppProfileBuilder::new("t")
+            .shared_reads(0.1, 64)
+            .build()
+            .unwrap();
+        let mut live = TraceGenerator::new(&p, SimRng::seed_from(29));
+        for _ in 0..2_000 {
+            live.next_op();
+        }
+        // Cursor fields by position in the encoding: PC, stream, hot
+        // head, hot loop, shared head.
+        let encode = |field: usize, value: u64| {
+            let mut g = live.clone();
+            let cursor = match field {
+                0 => &mut g.pc_offset,
+                1 => &mut g.stream_offset,
+                2 => &mut g.hot_head,
+                3 => &mut g.hot_loop_pos,
+                _ => &mut g.shared_head,
+            };
+            *cursor = value;
+            let mut w = simcore::snapshot::SnapshotWriter::new();
+            g.save_state(&mut w);
+            w.finish()
+        };
+        let load = |bytes: &[u8]| {
+            let mut fresh = TraceGenerator::new(&p, SimRng::seed_from(1));
+            let mut r = simcore::snapshot::SnapshotReader::open(bytes).unwrap();
+            fresh.load_state(&mut r)
+        };
+        assert!(
+            load(&encode(0, live.pc_offset)).is_ok(),
+            "a live state loads"
+        );
+        let (code, span, hot) = (live.code_bytes, live.stream_span, live.hot_blocks);
+        let shared = p.shared_kb * 16;
+        assert!(load(&encode(4, shared - 1)).is_ok(), "last shared block");
+        let bends = [
+            ("PC past the code", 0, 10 * code),
+            ("PC at the code end", 0, code),
+            ("unaligned PC", 0, 6),
+            ("stream past its span", 1, span),
+            ("unaligned stream", 1, 96),
+            ("hot head", 2, hot),
+            ("hot loop cursor", 3, hot + 5),
+            ("shared head", 4, shared),
+        ];
+        for (what, field, value) in bends {
+            assert!(
+                matches!(
+                    load(&encode(field, value)),
+                    Err(simcore::snapshot::SnapshotError::Corrupt(_))
+                ),
+                "{what} loaded"
+            );
+        }
+        // Without a shared region the head must stay at 0.
+        let plain = AppProfileBuilder::new("t")
+            .shared_reads(0.0, 0)
+            .build()
+            .unwrap();
+        let mut g = TraceGenerator::new(&plain, SimRng::seed_from(3));
+        g.shared_head = 1;
+        let mut w = simcore::snapshot::SnapshotWriter::new();
+        g.save_state(&mut w);
+        let bytes = w.finish();
+        let mut fresh = TraceGenerator::new(&plain, SimRng::seed_from(3));
+        let mut r = simcore::snapshot::SnapshotReader::open(&bytes).unwrap();
+        assert!(fresh.load_state(&mut r).is_err());
     }
 
     #[test]

@@ -114,9 +114,10 @@ OPTIONS:
     --l3-mb <N>            aggregate L3 capacity in MiB    [default: 4]
     --tech-scaled          apply the Figure 10 latency scaling
     --reeval <N>           adaptive re-evaluation period   [default: 2000]
-    --jobs <N>             worker threads for the organization list
-                           (0 = one per core; output is bit-identical
-                           to --jobs 1)                    [default: 1]
+    --jobs <N>             host threads a run may use: cells first,
+                           then each cell's warm (0 = one per core;
+                           output is bit-identical to --jobs 1)
+                                                           [default: 1]
     --paranoid             audit L3 structural invariants after every
                            timed step; abort on the first violation (slow),
                            dumping the tail of the telemetry event ring

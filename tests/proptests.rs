@@ -385,6 +385,61 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(le)
 }
 
+/// Byte offsets of core 0's trace cursor, predictor history and DTLB
+/// entries inside a finished chip snapshot, derived the same way as
+/// [`L3Layout`]: walked from the header through the snapshot's own
+/// length fields and cross-checked against the configuration.
+#[derive(Debug, Clone, Copy)]
+struct Core0Layout {
+    /// The five trace cursors (PC, stream, hot head, hot loop, shared
+    /// head), one `u64` each.
+    cursors: usize,
+    /// The predictor's global history (`u32`).
+    history: usize,
+    /// The DTLB's entries, 16 bytes each (page, stamp), and their count.
+    dtlb: (usize, usize),
+    /// The DTLB's stamp counter (`u64`).
+    dtlb_stamp: usize,
+}
+
+fn core0_layout(cfg: &nuca_repro::simcore::config::MachineConfig, bytes: &[u8]) -> Core0Layout {
+    // Header (8), core count, clock and window start (8 each), core 0's
+    // id (1), its generator's four-word RNG state (32).
+    let cursors = 8 + 24 + 1 + 32;
+    // Cursors, then the generator's op count.
+    let mut at = cursors + 6 * 8;
+    for entries in [
+        cfg.branch.bimodal_entries,
+        cfg.branch.level2_entries,
+        cfg.branch.chooser_entries,
+    ] {
+        assert_eq!(read_u64(bytes, at), entries as u64, "predictor table size");
+        at += 8 + entries;
+    }
+    let history = at;
+    at += 4;
+    assert_eq!(
+        read_u64(bytes, at),
+        cfg.branch.btb_entries as u64,
+        "BTB size"
+    );
+    // BTB entries, then its use counter and the predictor's statistics.
+    at += 8 + 16 * cfg.branch.btb_entries + 3 * 8;
+    // The ITLB, then the DTLB: count, entries, stamp counter, statistics.
+    let itlb = read_u64(bytes, at) as usize;
+    assert!(itlb <= cfg.tlb.entries, "ITLB count");
+    at += 8 + 16 * itlb + 3 * 8;
+    let dtlb = read_u64(bytes, at) as usize;
+    assert!((2..=cfg.tlb.entries).contains(&dtlb), "DTLB count {dtlb}");
+    let dtlb_stamp = at + 8 + 16 * dtlb;
+    Core0Layout {
+        cursors,
+        history,
+        dtlb: (at + 8, dtlb),
+        dtlb_stamp,
+    }
+}
+
 fn l3_layout(
     cmp: &nuca_repro::nuca_core::cmp::Cmp,
     cfg: &nuca_repro::simcore::config::MachineConfig,
@@ -443,7 +498,7 @@ proptest! {
     #[test]
     fn snapshot_loader_restores_an_audit_clean_chip_or_refuses(
         org_pick in 0u8..4,
-        target in 0u8..5,
+        target in 0u8..8,
         pos in any::<u64>(),
         value in any::<u64>(),
         width in 1usize..9,
@@ -469,10 +524,13 @@ proptest! {
         warm.warm(3_000);
         let mut bytes = warm.save_chip_state().unwrap();
         let layout = l3_layout(&warm, &cfg, &bytes);
+        let core0 = core0_layout(&cfg, &bytes);
 
         // Aim the mutation: anywhere in the organization's section, an
-        // owner id (out of range), a quota, an LRU permutation, or a
-        // valid bit at or beyond the associativity.
+        // owner id (out of range), a quota, an LRU permutation, a valid
+        // bit at or beyond the associativity, or in core 0 a trace
+        // cursor no run can reach, a DTLB page listed twice or a stamp
+        // above the counter, or a history bit above the history mask.
         let le = value.to_le_bytes();
         let (at, patch): (usize, Vec<u8>) = match (target, layout.quotas) {
             (1, _) => {
@@ -493,6 +551,36 @@ proptest! {
                 let bit = layout.ways + (value % u64::from(32 - layout.ways)) as u32;
                 (at, (read_u32(&bytes, at) | 1 << bit).to_le_bytes().to_vec())
             }
+            (5, _) => {
+                let field = (pos % 5) as usize;
+                let at = core0.cursors + 8 * field;
+                let bent = if field < 2 && value.is_multiple_of(2) {
+                    // The PC and stream cursors keep an alignment.
+                    read_u64(&bytes, at) + 1 + value % 3
+                } else {
+                    // Beyond every region of every profile.
+                    (1 << 40) + (value >> 24)
+                };
+                (at, bent.to_le_bytes().to_vec())
+            }
+            (6, _) => {
+                let (base, n) = core0.dtlb;
+                let k = (pos % (n as u64 - 1)) as usize;
+                if value.is_multiple_of(2) {
+                    // Entry k + 1 repeats entry k's page.
+                    let page = read_u64(&bytes, base + 16 * k);
+                    (base + 16 * (k + 1), page.to_le_bytes().to_vec())
+                } else {
+                    let stamp = read_u64(&bytes, core0.dtlb_stamp) + 1 + value % 1_000;
+                    (base + 16 * k + 8, stamp.to_le_bytes().to_vec())
+                }
+            }
+            (7, _) => {
+                let bits = cfg.branch.history_bits;
+                let bit = bits + (value % u64::from(32 - bits)) as u32;
+                let at = core0.history;
+                (at, (read_u32(&bytes, at) | 1 << bit).to_le_bytes().to_vec())
+            }
             _ => {
                 let span = (layout.end - layout.start) as u64;
                 (layout.start + (pos % span) as usize, le[..width].to_vec())
@@ -505,14 +593,102 @@ proptest! {
         bytes[trailer..].copy_from_slice(&sum.to_le_bytes());
 
         let mut restored = Cmp::new(&cfg, org, &mix, 3).unwrap();
-        if target == 4 {
-            // `find` would walk the stray bit into another set's tags.
-            prop_assert!(restored.load_chip_state(&bytes).is_err(), "loaded a stray valid bit");
+        if target >= 4 {
+            // A stray valid bit would make `find` walk into another set's
+            // tags; a bent cursor would leave its region on the next op;
+            // a repeated DTLB page would shrink the TLB and a stamp above
+            // the counter would tie with a later touch; a history bit
+            // above the mask would steer a level-2 lookup no run makes.
+            prop_assert!(
+                restored.load_chip_state(&bytes).is_err(),
+                "target {} loaded", target
+            );
         } else if restored.load_chip_state(&bytes).is_ok() {
             prop_assert!(restored.audit().is_empty(), "loaded a chip that fails its audit");
             // A restored chip must also run.
             restored.run(2_000);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The chunked warm (DESIGN.md §8): core sides fanned out over host
+// threads, L3 drained in the serial order — byte-identical to the
+// one-at-a-time reference for any workload, length and thread count.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    #[test]
+    fn fanned_out_warm_matches_the_reference_warm(
+        org_pick in 0u8..4,
+        width in 1usize..5,
+        instructions in 0u64..40_000,
+        seed in 1u64..1_000,
+        spec_mix in any::<bool>(),
+        knobs in proptest::collection::vec(
+            (0.05f64..0.35, 0.0f64..0.5, 0.0f64..0.3, 64u64..4096, 0.0f64..0.2),
+            4..5,
+        ),
+        forwards in proptest::collection::vec(0u64..2_000_000_000, 4..5),
+    ) {
+        use nuca_repro::nuca_core::cmp::Cmp;
+        use nuca_repro::nuca_core::l3::Organization;
+        use nuca_repro::simcore::config::MachineConfig;
+        use nuca_repro::simcore::parallel::run_indexed;
+        use nuca_repro::telemetry::NullSink;
+        use nuca_repro::tracegen::profile::{AppProfile, AppProfileBuilder, MemoryMix};
+        use nuca_repro::tracegen::spec::SpecApp;
+        use nuca_repro::tracegen::workload::WorkloadPool;
+
+        let org = match org_pick {
+            0 => Organization::Private,
+            1 => Organization::Shared,
+            2 => Organization::adaptive(),
+            _ => Organization::Cooperative { seed: 7 },
+        };
+        let cfg = MachineConfig::baseline();
+        // Either a SPEC-like mix, or four custom profiles (some reading
+        // a shared region) with arbitrary fast-forwards.
+        let (profiles, forwards): (Vec<AppProfile>, Vec<u64>) = if spec_mix {
+            let mix = WorkloadPool::random_mixes(&SpecApp::ALL, 4, 1, seed)
+                .pop()
+                .unwrap();
+            (mix.profiles().into_iter().cloned().collect(), mix.forwards)
+        } else {
+            let profiles = knobs
+                .iter()
+                .map(|&(loads, hot, streaming, hot_kb, shared)| {
+                    let rest = 1.0 - hot - streaming;
+                    AppProfileBuilder::new("prop")
+                        .loads(loads)
+                        .mix(MemoryMix {
+                            l1_resident: 0.7 * rest,
+                            l2_resident: 0.3 * rest,
+                            l3_hot: hot,
+                            streaming,
+                        })
+                        .hot_kb(hot_kb)
+                        .shared_reads(shared, 256)
+                        .build()
+                        .unwrap()
+                })
+                .collect();
+            (profiles, forwards)
+        };
+        let build = || {
+            Cmp::with_profiles_and_sink(&cfg, org, &profiles, &forwards, seed, NullSink).unwrap()
+        };
+        let mut reference = build();
+        reference.warm_reference(instructions);
+        let reference = reference.save_chip_state().unwrap();
+        // The only cell of a `width`-job runner fans its warm out
+        // `width` ways.
+        let fanned = run_indexed(width, 1, |_| {
+            let mut cmp = build();
+            cmp.warm(instructions);
+            cmp.save_chip_state().unwrap()
+        });
+        prop_assert!(fanned[0] == reference, "warm diverged at width {}", width);
     }
 }
 
