@@ -15,10 +15,11 @@
 //! it, and exits 1 if the worst exceeds its `--max-*-error` budget. The
 //! exact pass's chips also fill `attribution`: per organization, hits
 //! and modeled demand cycles (count x configured latency) per level,
-//! and the side-channel `fast_path` and `core_steps` counters. The JSON
-//! (schema v7) goes to stdout and, with `--out`, to FILE. Any other
-//! flag, or a missing or malformed value, exits 2 before anything runs.
-//! Wall-clock numbers are informational: `nucabench` measures speed.
+//! and the side-channel `fast_path`, `core_steps` and `drain_visits`
+//! counters. The JSON (schema v8) goes to stdout and, with `--out`, to
+//! FILE. Any other flag, or a missing or malformed value, exits 2 before
+//! anything runs. Wall-clock numbers are informational: `nucabench`
+//! measures speed.
 
 // Figure-harness binary: failing fast on experiment errors is intended.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -104,6 +105,7 @@ struct ExactCell {
     result: CmpResult,
     fast: FastPathStats,
     core_steps: u64,
+    drain_visits: u64,
 }
 
 /// One organization's `attribution` block over its exact cells.
@@ -155,6 +157,10 @@ fn attribution(m: &MachineConfig, cells: &[ExactCell]) -> Json {
         (
             "core_steps",
             Json::num(cells.iter().map(|c| c.core_steps).sum::<u64>() as f64),
+        ),
+        (
+            "drain_visits",
+            Json::num(cells.iter().map(|c| c.drain_visits).sum::<u64>() as f64),
         ),
     ])
 }
@@ -213,6 +219,7 @@ fn main() {
                 result,
                 fast: cmp.fast_path_stats(),
                 core_steps: cmp.core_steps(),
+                drain_visits: cmp.drain_visits(),
             }
         })
         .collect();
@@ -288,7 +295,7 @@ fn main() {
     ]);
     let slices = orgs.iter().zip(exact.chunks(n_mixes));
     let text = object([
-        ("schema_version", Json::num(7.0)),
+        ("schema_version", Json::num(8.0)),
         ("bench", Json::str("nuca-bench perf")),
         ("quick", Json::Bool(args.quick)),
         ("workload", workload),

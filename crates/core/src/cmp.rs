@@ -9,6 +9,7 @@
 //! [`Cmp::run`]/[`Cmp::reset_stats`].
 
 use std::borrow::Borrow;
+use std::ops::Range;
 
 use cpusim::core::{Core, CoreStats};
 use cpusim::l3iface::{L3Batch, L3Op, LastLevel, OPS_PER_WARM_OP};
@@ -120,6 +121,10 @@ pub struct Cmp<S: Sink = NullSink> {
     /// Per-core side of the functional engine, in core order (see
     /// [`Cmp::warm`]).
     lanes: Vec<Lane>,
+    /// (cycle, core) marks the functional engine's drain served since
+    /// the chip was built (a work counter for `perf`; never part of
+    /// results, traces or snapshots).
+    drain_visits: u64,
     /// The chip-level telemetry sink (window-boundary events; cores and
     /// the organization carry their own clones).
     sink: S,
@@ -177,21 +182,32 @@ impl TsAccum {
 const FUNCTIONAL_CHUNK: u64 = 16_384;
 
 /// One core's side of the functional engine: its deferred L3 requests
-/// over the current chunk and its gap pacing. Log storage is reserved
-/// on first use and kept, so building a chip reserves none.
+/// over the current chunk, the drain's cursor into them, and its gap
+/// pacing. Storage is reserved on first use and kept, so building a chip
+/// reserves none and a chunk allocates nothing once the lane has seen
+/// one as large.
 #[derive(Debug)]
 struct Lane {
     /// The core's L3 requests over the chunk, in push order.
     log: L3Batch,
-    /// `log.len()` after each cycle of the chunk.
-    ends: Vec<usize>,
+    /// One `(cycle offset, log length)` mark per cycle of the chunk in
+    /// which the core queued at least one request, in cycle order: the
+    /// requests of that cycle end at that log length and begin where the
+    /// previous mark's requests end. Cycles without a request leave no
+    /// mark.
+    marks: Vec<(u64, usize)>,
+    /// The drain's cursor: the next mark to serve.
+    next: usize,
+    /// The drain's cursor: the log length already served.
+    served: usize,
     /// Gap retirement pacing, as the exact rational `pace_num /
     /// TsAccum::pace_den` instructions per cycle: the last detailed
     /// window's committed count (floored at one, so a fully stalled
     /// window cannot starve the generator stream) over its span. The
-    /// functional gap retires by Bresenham accumulation against it, so
-    /// the core advances its instruction stream at the density the
-    /// detailed model just measured — integer math only, deterministic.
+    /// functional gap retires on the Bresenham schedule of that rational
+    /// (see [`pace`]), so the core advances its instruction stream at
+    /// the density the detailed model just measured — integer math only,
+    /// deterministic.
     pace_num: u64,
     /// Bresenham credit carried across gap cycles.
     pace_acc: u64,
@@ -201,42 +217,126 @@ impl Lane {
     fn new() -> Self {
         Lane {
             log: L3Batch::with_capacity(0),
-            ends: Vec::new(),
+            marks: Vec::new(),
+            next: 0,
+            served: 0,
             pace_num: 0,
             pace_acc: 0,
         }
     }
 
     /// The core side of one chunk: runs `core` functionally for `span`
-    /// cycles from `start` — one instruction per cycle, or credit-paced
-    /// at `pace_num / den` when `den` is given — into a fresh log.
-    /// Touches nothing but `core` and this lane.
+    /// cycles from `start` into a fresh log, marking each cycle that
+    /// queued a request. Without `den`, op `k` fires at cycle `k`; with
+    /// it, the ops fire on the Bresenham schedule of `pace_num / den`
+    /// ([`pace`]), which jumps from one firing cycle to the next. Work
+    /// tracks instructions, never idle cycles. Touches nothing but
+    /// `core` and this lane.
     fn run<S: Sink>(&mut self, core: &mut Core<S>, start: Cycle, span: u64, den: Option<u64>) {
-        let ops = match den {
-            None => span,
-            Some(den) => (self.pace_acc + self.pace_num * span) / den,
-        };
+        let ops = den.map_or(u128::from(span), |den| {
+            (u128::from(self.pace_acc) + u128::from(self.pace_num) * u128::from(span))
+                / u128::from(den.max(1))
+        });
         self.log.clear();
-        self.ends.clear();
+        self.marks.clear();
+        self.next = 0;
+        self.served = 0;
         // Reserve the chunk's worst case up front (a no-op once the
         // lane has seen a chunk this large), so no push allocates.
-        self.log
-            .reserve(usize::try_from(ops).map_or(0, |n| n.saturating_mul(OPS_PER_WARM_OP)));
-        self.ends.reserve(usize::try_from(span).unwrap_or(0));
-        for c in 0..span {
-            let now = start + c;
-            match den {
-                None => core.warm_op_batched(now, &mut self.log),
-                Some(den) => {
-                    self.pace_acc += self.pace_num;
-                    while self.pace_acc >= den {
-                        self.pace_acc -= den;
-                        core.warm_op_batched(now, &mut self.log);
-                    }
-                }
+        let ops = usize::try_from(ops).unwrap_or(usize::MAX);
+        self.log.reserve(ops.saturating_mul(OPS_PER_WARM_OP));
+        let worst_marks = usize::try_from(span).map_or(ops, |cycles| cycles.min(ops));
+        self.marks.reserve(worst_marks);
+        let (log, marks) = (&mut self.log, &mut self.marks);
+        let mut fire = |at: u64, n: u64| {
+            let before = log.len();
+            for _ in 0..n {
+                core.warm_op_batched(start + at, log);
             }
-            self.ends.push(self.log.len());
+            if log.len() > before {
+                marks.push((at, log.len()));
+            }
+        };
+        match den {
+            None => (0..span).for_each(|at| fire(at, 1)),
+            Some(den) => self.pace_acc = pace(self.pace_acc, self.pace_num, den, span, fire),
         }
+    }
+
+    /// The cycle offset of the next mark the drain has not served.
+    fn next_mark(&self) -> Option<u64> {
+        self.marks.get(self.next).map(|&(at, _)| at)
+    }
+
+    /// When the next unserved mark falls at cycle offset `at`, advances
+    /// the cursor past it and returns the log range of its requests.
+    fn take_mark(&mut self, at: u64) -> Option<Range<usize>> {
+        match self.marks.get(self.next) {
+            Some(&(mark, end)) if mark == at => {
+                self.next += 1;
+                Some(std::mem::replace(&mut self.served, end)..end)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The gap's retirement schedule over `span` cycles, op to op. From
+/// credit `acc`, every cycle earns `num` credits and one op fires per
+/// `den` accumulated: the per-cycle Bresenham loop. Calls
+/// `fire(offset, ops)` for each cycle offset at which `ops ≥ 1` ops
+/// fire, in cycle order, and returns the credit carried out of the
+/// span — both exactly the per-cycle loop's.
+///
+/// At a pace of one op per cycle or more, every cycle fires `num / den`
+/// ops, plus one whenever the carried remainders reach `den`. Below it,
+/// the walk jumps from one firing cycle to the next: the next op fires
+/// `ceil((den − acc) / num)` cycles on (one when `acc + num ≥ den`),
+/// and there the ops fire while the credit covers `den`. From credit
+/// below `num`, which every fire from credit below `den` leaves, that
+/// jump is `den / num`, plus one when `den % num > acc`, so only a
+/// span's first jump divides. From credit below `den`, no intermediate
+/// reaches `den + num`, the per-cycle loop's own bound.
+fn pace(mut acc: u64, num: u64, den: u64, span: u64, mut fire: impl FnMut(u64, u64)) -> u64 {
+    debug_assert!(den > 0, "a pace has a denominator");
+    if num == 0 {
+        return acc;
+    }
+    if num >= den {
+        let (per, extra) = (num / den, num % den);
+        for at in 0..span {
+            acc += extra;
+            let mut ops = per;
+            while acc >= den {
+                acc -= den;
+                ops += 1;
+            }
+            fire(at, ops);
+        }
+        return acc;
+    }
+    let (per, extra) = (den / num, den % num);
+    let mut at = 0;
+    loop {
+        let wait = if acc < num {
+            per + u64::from(extra > acc)
+        } else {
+            den.saturating_sub(acc).div_ceil(num).max(1)
+        };
+        let left = span - at;
+        if wait > left {
+            // No op fires in the rest of the span: `left · num` is below
+            // `den − acc`.
+            return acc + left * num;
+        }
+        at += wait;
+        acc += wait * num;
+        let mut ops = 0;
+        while acc >= den {
+            acc -= den;
+            ops += 1;
+        }
+        fire(at - 1, ops);
     }
 }
 
@@ -314,6 +414,7 @@ impl<S: Sink> Cmp<S> {
             time_sample: None,
             ts,
             lanes,
+            drain_visits: 0,
             sink,
         })
     }
@@ -353,6 +454,16 @@ impl<S: Sink> Cmp<S> {
     /// cycle; the event-driven loop adds one per core that can act.
     pub fn core_steps(&self) -> u64 {
         self.core_steps
+    }
+
+    /// The (cycle, core) marks the functional engine's drain served since
+    /// the chip was built — the exact work count of the warm's and the
+    /// time-sampling gaps' L3 side (a side channel like
+    /// [`core_steps`](Self::core_steps); never part of results, traces or
+    /// snapshots). A mark is one cycle in which one core queued at least
+    /// one L3 request, so cycles and cores without a request add nothing.
+    pub fn drain_visits(&self) -> u64 {
+        self.drain_visits
     }
 
     /// Configures SMARTS-style time sampling: [`run`](Self::run)
@@ -594,15 +705,19 @@ impl<S: Sink> Cmp<S> {
     /// spacing). Mirrors the paper's long fast-forward before measuring.
     ///
     /// The engine splits the warm into a core side and an L3 side. For
-    /// each chunk of 16,384 cycles, every core first runs
-    /// its instructions for the whole chunk, deferring its L3-bound
-    /// requests into its own log ([`L3Batch`]) and recording the log's
-    /// length after each cycle. The chip then drains the logs through
-    /// the organization in (cycle, core, push) order, each request at
-    /// its own cycle, and routes each access outcome to its core with
-    /// [`Core::note_l3_outcome`]. The core sides of one chunk run on up
-    /// to [`cell_share`] host threads (the cell's share of `--jobs`, or
-    /// the host's parallelism outside any runner).
+    /// each chunk of 16,384 cycles, every core first runs its
+    /// instructions for the whole chunk, deferring its L3-bound requests
+    /// into its own log ([`L3Batch`]) and leaving one mark — the cycle
+    /// and the log's length after it — for each cycle in which it queued
+    /// a request. The chip then merges the marks through the organization
+    /// in (cycle, core) order, each mark's requests in push order at its
+    /// own cycle, and routes each access outcome to its core with
+    /// [`Core::note_l3_outcome`]. Work tracks instructions and L3
+    /// requests: a cycle or a core without a request costs the drain
+    /// nothing ([`drain_visits`](Self::drain_visits) counts the marks).
+    /// The core sides of one chunk run on up to [`cell_share`] host
+    /// threads (the cell's share of `--jobs`, or the host's parallelism
+    /// outside any runner).
     ///
     /// The result is bit-identical to the one-at-a-time loop kept as
     /// [`warm_reference`](Self::warm_reference), at every thread count:
@@ -615,8 +730,10 @@ impl<S: Sink> Cmp<S> {
     ///   cores, or on another thread, cannot change its requests.
     /// - (b) the drain order is the reference order. The reference loop
     ///   issues cycle by cycle, core by core, each access followed by its
-    ///   dependent writeback; the drain replays exactly that, so the
-    ///   organization and memory channel see the same request sequence.
+    ///   dependent writeback; the merge serves the smallest next cycle
+    ///   first and the lowest core on a tie, so the organization and
+    ///   memory channel see the same request sequence. A (cycle, core)
+    ///   slot without a mark issued nothing in the reference loop either.
     /// - (c) each request carries the cycle the reference loop issued it
     ///   at, so time-dependent L3 and bus state evolves identically.
     /// - (d) the core side emits no telemetry, so a traced chip's event
@@ -647,17 +764,18 @@ impl<S: Sink> Cmp<S> {
     /// The time-sampling gap engine: [`run_functional`](Self::run_functional)
     /// on one thread, with retirement credit-paced at the last detailed
     /// window's measured per-core IPC (`Lane::pace_num / TsAccum::pace_den`,
-    /// exact integers via Bresenham accumulation). Each cycle, core `i`
-    /// earns `pace_num` credits and retires one instruction per `pace_den`
-    /// accumulated — so over the whole gap its stream advances by
-    /// `gap × window_ipc` instructions, the count the detailed model
+    /// exact integers on the Bresenham schedule of [`pace`]). Each cycle,
+    /// core `i` earns `pace_num` credits and retires one instruction per
+    /// `pace_den` accumulated — so over the whole gap its stream advances
+    /// by `gap × window_ipc` instructions, the count the detailed model
     /// would have consumed in that time, instead of the flat one per
-    /// cycle the instruction-budgeted warm phase uses. Deterministic:
-    /// the pace is a pure function of the preceding window, and the
-    /// credit carry lives in the stats window (`reset_stats` clears it).
-    /// One thread, because a gap is short: fanned out, each gap would
-    /// move half the cores' state to another host CPU and back for a
-    /// few tens of thousands of cycles of work.
+    /// cycle the instruction-budgeted warm phase uses. The engine jumps
+    /// from one firing cycle to the next, so a gap costs per instruction,
+    /// not per cycle. Deterministic: the pace is a pure function of the
+    /// preceding window, and the credit carry lives in the stats window
+    /// (`reset_stats` clears it). One thread, because a gap is short:
+    /// fanned out, each gap would move half the cores' state to another
+    /// host CPU and back for a few tens of thousands of cycles of work.
     fn run_functional_paced(&mut self, cycles: u64) {
         debug_assert!(self.ts.pace_den > 0, "gap must follow a detailed window");
         let den = self.ts.pace_den.max(1);
@@ -678,37 +796,39 @@ impl<S: Sink> Cmp<S> {
             fan_out(width, &mut work, |(core, lane)| {
                 lane.run(core, start, span, den);
             });
-            self.drain_lanes();
+            self.drain_lanes(start, span);
             left -= span;
         }
         self.l3.quiesce(self.now);
     }
 
-    /// The L3 side of one chunk: walks the lanes' logs through the
-    /// organization in (cycle, core, push) order, each request at its
-    /// own cycle, routing each access outcome back to its issuing core,
-    /// and advances the clock past the chunk.
-    fn drain_lanes(&mut self) {
-        let span = self.lanes.first().map_or(0, |lane| lane.ends.len());
-        let mut from = vec![0; self.lanes.len()];
-        for c in 0..span {
-            for (lane, start) in self.lanes.iter().zip(&mut from) {
-                let end = lane.ends[c];
-                for op in &lane.log.ops()[*start..end] {
+    /// The L3 side of the chunk of `span` cycles from `start`: merges the
+    /// lanes' marks in (cycle, core) order — the smallest next cycle
+    /// first, the lowest core on a tie — and serves each mark's requests
+    /// in push order at its own cycle, routing each access outcome back
+    /// to its issuing core. Then the clock moves past the chunk.
+    fn drain_lanes(&mut self, start: Cycle, span: u64) {
+        while let Some(at) = self.lanes.iter().filter_map(Lane::next_mark).min() {
+            let now = start + at;
+            for lane in &mut self.lanes {
+                let Some(range) = lane.take_mark(at) else {
+                    continue;
+                };
+                self.drain_visits += 1;
+                for op in &lane.log.ops()[range] {
                     match *op {
                         L3Op::Access { core, addr, write } => {
-                            let out = self.l3.access(core, addr, write, self.now);
+                            let out = self.l3.access(core, addr, write, now);
                             self.cores[core.index()].note_l3_outcome(out.source);
                         }
                         L3Op::Writeback { core, addr } => {
-                            self.l3.writeback(core, addr, self.now);
+                            self.l3.writeback(core, addr, now);
                         }
                     }
                 }
-                *start = end;
             }
-            self.now += 1;
         }
+        self.now = start + span;
     }
 
     /// The one-at-a-time reference warm loop the chunked
@@ -861,6 +981,7 @@ impl<S: Sink> Cmp<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpusim::l3iface::LastLevel;
     use tracegen::spec::SpecApp;
     use tracegen::workload::WorkloadPool;
 
@@ -1041,6 +1162,35 @@ mod tests {
         }
     }
 
+    /// The one-at-a-time paced loop the gap engine is checked against:
+    /// every cycle, each core earns its `num` credits and retires one
+    /// instruction per `den` accumulated, straight into the organization.
+    /// Returns the carried credit.
+    fn paced_reference(cmp: &mut Cmp, gap: u64, num: &[u64], den: u64, acc: &[u64]) -> Vec<u64> {
+        let mut credit = acc.to_vec();
+        for _ in 0..gap {
+            for (i, core) in cmp.cores.iter_mut().enumerate() {
+                credit[i] += num[i];
+                while credit[i] >= den {
+                    credit[i] -= den;
+                    core.warm_op(cmp.now, &mut cmp.l3);
+                }
+            }
+            cmp.now += 1;
+        }
+        cmp.l3.quiesce(cmp.now);
+        credit
+    }
+
+    /// Arms every lane's gap pacing at `num[i] / den` with credit `acc[i]`.
+    fn arm_pacing(cmp: &mut Cmp, num: &[u64], den: u64, acc: &[u64]) {
+        cmp.ts.pace_den = den;
+        for ((lane, &n), &a) in cmp.lanes.iter_mut().zip(num).zip(acc) {
+            lane.pace_num = n;
+            lane.pace_acc = a;
+        }
+    }
+
     #[test]
     fn paced_gap_engine_matches_one_at_a_time() {
         // The time-sampling gap engine against a one-at-a-time loop with
@@ -1057,29 +1207,14 @@ mod tests {
             let build = || {
                 let mut cmp = Cmp::new(&cfg, org, &quick_mix(), 41).unwrap();
                 cmp.warm(2_000);
-                cmp.ts.pace_den = den;
-                for ((lane, n), a) in cmp.lanes.iter_mut().zip(num).zip(acc) {
-                    lane.pace_num = n;
-                    lane.pace_acc = a;
-                }
+                arm_pacing(&mut cmp, &num, den, &acc);
                 cmp
             };
             let mut engine = build();
             engine.run_functional_paced(gap);
 
             let mut reference = build();
-            let mut credit = acc;
-            for _ in 0..gap {
-                for (i, core) in reference.cores.iter_mut().enumerate() {
-                    credit[i] += num[i];
-                    while credit[i] >= den {
-                        credit[i] -= den;
-                        core.warm_op(reference.now, &mut reference.l3);
-                    }
-                }
-                reference.now += 1;
-            }
-            reference.l3.quiesce(reference.now);
+            let credit = paced_reference(&mut reference, gap, &num, den, &acc);
 
             let carried: Vec<u64> = engine.lanes.iter().map(|l| l.pace_acc).collect();
             assert_eq!(carried, credit, "credit carry under {}", org.label());
@@ -1087,6 +1222,282 @@ mod tests {
                 engine.save_chip_state().unwrap() == reference.save_chip_state().unwrap(),
                 "paced gap diverged under {}",
                 org.label()
+            );
+        }
+    }
+
+    /// The per-cycle Bresenham loop [`pace`] jumps over: the offset of
+    /// every op it fires over `span` cycles, and the carried credit.
+    fn pace_per_cycle(mut acc: u64, num: u64, den: u64, span: u64) -> (Vec<u64>, u64) {
+        let mut fired = Vec::new();
+        for at in 0..span {
+            acc += num;
+            while acc >= den {
+                acc -= den;
+                fired.push(at);
+            }
+        }
+        (fired, acc)
+    }
+
+    /// [`pace`]'s firing offsets, one entry per op, and its carry.
+    fn pace_jumping(acc: u64, num: u64, den: u64, span: u64) -> (Vec<u64>, u64) {
+        let mut fired = Vec::new();
+        let mut last = None;
+        let carry = pace(acc, num, den, span, |at, ops| {
+            assert!(ops >= 1, "a reported cycle fires at least one op");
+            assert!(last < Some(at), "cycles are reported once, in order");
+            last = Some(at);
+            fired.extend(std::iter::repeat_n(at, usize::try_from(ops).unwrap()));
+        });
+        (fired, carry)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn pacing_jump_matches_the_per_cycle_loop(
+            den in 1u64..2_000,
+            ratio in 1u64..4_000,
+            acc_draw in proptest::prelude::any::<u64>(),
+            span in 0u64..3_000,
+            edge in 0u8..4,
+        ) {
+            // `num` up to about twice `den` (paces above one op per
+            // cycle), with the corners drawn on purpose: a one-credit
+            // op (`den = 1`), credit one short of an op, and a pace of
+            // exactly one op per cycle.
+            let den = if edge == 1 { 1 } else { den };
+            let num = (ratio * den).div_ceil(2_000).max(1);
+            let num = if edge == 3 { den } else { num };
+            let acc = if edge == 2 { den - 1 } else { acc_draw % den };
+            proptest::prop_assert_eq!(
+                pace_jumping(acc, num, den, span),
+                pace_per_cycle(acc, num, den, span),
+                "num {} den {} acc {} span {}", num, den, acc, span
+            );
+        }
+    }
+
+    #[test]
+    fn pacing_jump_covers_the_corners() {
+        // No credit earned, a span too short to fire, a fire on the
+        // span's last cycle, paces of several ops per cycle, values far
+        // from the proptest's range, and credit of a whole op or more.
+        for (acc, num, den, span) in [
+            (0, 0, 5, 100),
+            (0, 1, 1, 0),
+            (0, 1, 1, 7),
+            (3, 1, 10, 6),
+            (3, 1, 10, 7),
+            (9, 1, 10, 1),
+            (0, 7, 2, 9),
+            (1, 5, 2, 9),
+            (0, 3, 1, 5),
+            (12_345, 40_000, 1 << 40, 50),
+            ((1 << 40) - 1, 1, 1 << 40, 3),
+            (0, 1, u64::MAX / 2, 1_000),
+            // Credit carried in at or above `den` (a gap whose window
+            // span shrank): the first cycle fires every op it covers.
+            (10, 3, 10, 4),
+            (15, 3, 10, 6),
+            (25, 3, 10, 6),
+            (31, 12, 10, 4),
+        ] {
+            assert_eq!(
+                pace_jumping(acc, num, den, span),
+                pace_per_cycle(acc, num, den, span),
+                "acc {acc} num {num} den {den} span {span}"
+            );
+        }
+    }
+
+    /// A profile whose data and code stay in the L1s: once its cold
+    /// misses are served, it sends nothing to the L3.
+    fn l1_resident_profile() -> tracegen::AppProfile {
+        tracegen::profile::AppProfileBuilder::new("l1-resident")
+            .mix(tracegen::profile::MemoryMix {
+                l1_resident: 1.0,
+                l2_resident: 0.0,
+                l3_hot: 0.0,
+                streaming: 0.0,
+            })
+            .l1_kb(8)
+            .code_kb(8)
+            .build()
+            .unwrap()
+    }
+
+    /// A profile that streams on nine ops in ten: nearly every op it
+    /// retires misses all the way to memory.
+    fn streaming_profile() -> tracegen::AppProfile {
+        tracegen::profile::AppProfileBuilder::new("streaming")
+            .loads(0.5)
+            .stores(0.4)
+            .branches(0.05)
+            .mix(tracegen::profile::MemoryMix {
+                l1_resident: 0.0,
+                l2_resident: 0.0,
+                l3_hot: 0.0,
+                streaming: 1.0,
+            })
+            .build()
+            .unwrap()
+    }
+
+    fn chip_of(cfg: &MachineConfig, org: Organization, profiles: &[tracegen::AppProfile]) -> Cmp {
+        let forwards = vec![0; profiles.len()];
+        Cmp::with_profiles_and_sink(cfg, org, profiles, &forwards, 47, NullSink).unwrap()
+    }
+
+    /// Forwards to the organization and notes whether a request arrived.
+    struct Touched<'a> {
+        l3: &'a mut L3System,
+        touched: bool,
+    }
+
+    impl LastLevel for Touched<'_> {
+        fn access(
+            &mut self,
+            core: CoreId,
+            addr: simcore::types::Address,
+            write: bool,
+            now: Cycle,
+        ) -> cpusim::l3iface::L3Outcome {
+            self.touched = true;
+            self.l3.access(core, addr, write, now)
+        }
+
+        fn writeback(&mut self, core: CoreId, addr: simcore::types::Address, now: Cycle) {
+            self.touched = true;
+            self.l3.writeback(core, addr, now);
+        }
+    }
+
+    /// [`Cmp::warm_reference`] that also counts the (cycle, core) slots
+    /// in which a core sent the organization at least one request.
+    fn requesting_slots(cmp: &mut Cmp, cycles: u64) -> u64 {
+        cmp.l3.set_adaptation_frozen(true);
+        let mut slots = 0;
+        for _ in 0..cycles {
+            for core in &mut cmp.cores {
+                let mut port = Touched {
+                    l3: &mut cmp.l3,
+                    touched: false,
+                };
+                core.warm_op(cmp.now, &mut port);
+                slots += u64::from(port.touched);
+            }
+            cmp.now += 1;
+        }
+        cmp.l3.quiesce(cmp.now);
+        cmp.l3.set_adaptation_frozen(false);
+        slots
+    }
+
+    #[test]
+    fn drain_visits_count_the_requesting_slots() {
+        // The drain serves one mark per (cycle, core) slot that sent the
+        // L3 a request — the count a one-at-a-time loop sees — not one
+        // per cycle and core. A chip whose cores stay in their L1s visits
+        // nothing once its cold misses are served.
+        let cfg = MachineConfig::baseline();
+        let warm = FUNCTIONAL_CHUNK + 500;
+        let org = Organization::adaptive();
+        let mut engine = Cmp::new(&cfg, org, &quick_mix(), 45).unwrap();
+        engine.warm(warm);
+        let mut reference = Cmp::new(&cfg, org, &quick_mix(), 45).unwrap();
+        let slots = requesting_slots(&mut reference, warm);
+        assert_eq!(engine.drain_visits(), slots);
+        assert!(
+            slots > 0 && slots < 4 * warm,
+            "{slots} of {} slots",
+            4 * warm
+        );
+        assert!(engine.save_chip_state().unwrap() == reference.save_chip_state().unwrap());
+
+        let quiet = vec![l1_resident_profile(); 4];
+        let mut engine = chip_of(&cfg, org, &quiet);
+        engine.warm(warm);
+        let cold = engine.drain_visits();
+        engine.warm(warm);
+        assert_eq!(
+            engine.drain_visits(),
+            cold,
+            "an L1-resident chip visited the drain"
+        );
+        let mut reference = chip_of(&cfg, org, &quiet);
+        assert_eq!(requesting_slots(&mut reference, warm), cold);
+        assert_eq!(requesting_slots(&mut reference, warm), 0);
+    }
+
+    #[test]
+    fn quiet_lanes_and_ties_match_the_references() {
+        // Two corners of the merge: lanes with no marks at all (cores 0
+        // and 2 stay in their L1s), and several cores requesting in the
+        // same cycle, the chunk's last one included (every core streams).
+        // Each is warmed at widths 1–4 against the one-at-a-time warm and
+        // run through a paced gap against the one-at-a-time paced loop.
+        let cfg = MachineConfig::baseline();
+        let org = Organization::adaptive();
+        let quiet = l1_resident_profile();
+        let busy = SpecApp::Mcf.profile().clone();
+        let cases = [
+            (
+                "quiet lanes",
+                vec![quiet.clone(), busy.clone(), quiet, busy],
+            ),
+            ("ties", vec![streaming_profile(); 4]),
+        ];
+        let warm = 2 * FUNCTIONAL_CHUNK;
+        let last = FUNCTIONAL_CHUNK - 1;
+        for (what, profiles) in cases {
+            let mut reference = chip_of(&cfg, org, &profiles);
+            reference.warm_reference(warm);
+            let reference = reference.save_chip_state().unwrap();
+            for width in 1..=4 {
+                let (bytes, marks) = at_width(width, || {
+                    let mut cmp = chip_of(&cfg, org, &profiles);
+                    cmp.warm(warm);
+                    let marks: Vec<Vec<(u64, usize)>> =
+                        cmp.lanes.iter().map(|l| l.marks.clone()).collect();
+                    (cmp.save_chip_state().unwrap(), marks)
+                });
+                assert!(bytes == reference, "{what}: warm diverged at width {width}");
+                let at_last = marks
+                    .iter()
+                    .filter(|m| m.last().map(|&(at, _)| at) == Some(last))
+                    .count();
+                if what == "ties" {
+                    assert!(
+                        at_last >= 2,
+                        "{what}: {at_last} lanes end at the last cycle"
+                    );
+                } else {
+                    assert!(marks[0].is_empty() && marks[2].is_empty(), "{what}: marks");
+                    assert!(!marks[1].is_empty(), "{what}: the busy lane left no mark");
+                }
+            }
+
+            // A gap over two chunks and a bit, paced below, at and above
+            // one op per cycle.
+            let (den, num, acc) = (6, [5, 6, 13, 1], [2, 0, 5, 5]);
+            let gap = 2 * FUNCTIONAL_CHUNK + 3;
+            let build = || {
+                let mut cmp = chip_of(&cfg, org, &profiles);
+                cmp.warm(4_000);
+                arm_pacing(&mut cmp, &num, den, &acc);
+                cmp
+            };
+            let mut engine = build();
+            engine.run_functional_paced(gap);
+            let mut paced = build();
+            let credit = paced_reference(&mut paced, gap, &num, den, &acc);
+            let carried: Vec<u64> = engine.lanes.iter().map(|l| l.pace_acc).collect();
+            assert_eq!(carried, credit, "{what}: credit carry");
+            assert!(
+                engine.save_chip_state().unwrap() == paced.save_chip_state().unwrap(),
+                "{what}: paced gap diverged"
             );
         }
     }
