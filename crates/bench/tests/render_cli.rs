@@ -76,3 +76,17 @@ fn bad_arguments_and_manifests_exit_non_zero_without_panicking() {
         assert!(out.stdout.is_empty(), "{args:?} printed a figure");
     }
 }
+
+#[test]
+fn deeply_nested_manifest_is_an_error_not_a_stack_overflow() {
+    let deep = write("deep.jsonl", &format!("{}\n", "[".repeat(50_000)));
+    let out = fig6(&[&deep]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("manifest error"), "{stderr}");
+    assert!(
+        !stderr.contains("overflow") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}

@@ -428,8 +428,8 @@ impl<S: Sink> Cmp<S> {
     }
 
     /// Enables or disables the exact core-side hit fast path (fused
-    /// TLB+L1 probe, memo-served lookups, warm trace decode) on every
-    /// core. Results are bit-identical either way; this is the
+    /// TLB+L1 probe/walk, memo-served lookups, the pipeline bookkeeping
+    /// bypass) on every core. Results are bit-identical either way; this is the
     /// `--no-fast-path` escape hatch the differential CI job flips.
     pub fn set_fast_path(&mut self, enabled: bool) {
         for core in &mut self.cores {
@@ -1632,8 +1632,8 @@ mod tests {
 
     #[test]
     fn hit_fast_path_matches_reference_walk_exactly() {
-        // The core-side hit fast path (fused TLB+L1 probe, memos, warm
-        // decode) must be bit-identical to the reference
+        // The core-side hit fast path (fused TLB+L1 probe/walk, memos,
+        // bookkeeping bypass) must be bit-identical to the reference
         // walks across warm + detailed + reset + detailed, for every
         // organization, including the chip snapshot encoding.
         let cfg = MachineConfig::baseline();

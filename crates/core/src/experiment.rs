@@ -65,7 +65,7 @@ pub struct ExperimentConfig {
     /// that keeps the reference stepping loop alive.
     pub cycle_skip: bool,
     /// Whether cores may use the exact hit fast path (fused TLB+L1
-    /// probe, memo-served lookups, warm trace decode). Another
+    /// probe/walk, memos, pipeline bookkeeping bypass). Another
     /// execution policy: results are bit-identical
     /// either way (enforced by the differential tests and the CI
     /// exactness-differential job); `false` is the `--no-fast-path`

@@ -9,10 +9,10 @@
 //! is handed to a [`LastLevel`] organization.
 //!
 //! The model is trace-driven: micro-ops come from a
-//! [`tracegen::TraceGenerator`], carrying dependency distances that the
-//! scheduler honors, so IPC responds to memory latency exactly the way the
-//! paper's evaluation requires (stalls overlap while the window lasts,
-//! then the core drains).
+//! [`tracegen::TraceGenerator`], carrying dependency draws that dispatch
+//! resolves into distances the scheduler honors, so IPC responds to
+//! memory latency exactly the way the paper's evaluation requires (stalls
+//! overlap while the window lasts, then the core drains).
 
 pub mod functional;
 
@@ -219,8 +219,8 @@ pub struct Core<S: Sink = NullSink> {
     l3_remote_hits: u64,
     l3_misses: u64,
     /// Whether the exact hit fast path (fused TLB+L1 probe/walk,
-    /// memo-served lookups, warm trace decode) is enabled. Results are
-    /// bit-identical either way; `--no-fast-path` clears it.
+    /// memo-served lookups, the pipeline bookkeeping bypass) is enabled.
+    /// Results are bit-identical either way; `--no-fast-path` clears it.
     fast_path: bool,
     /// Fast-path effectiveness counters (perf side channel only; never
     /// part of [`CoreStats`], traces or snapshots).
@@ -285,10 +285,10 @@ impl<S: Sink> Core<S> {
     }
 
     /// Enables or disables the exact hit fast path on this core: the
-    /// fused TLB+L1 probe/walk with its memos and warm trace decode.
-    /// Disabled, every access runs the reference sequence; results are
-    /// bit-identical in both modes, so this only exists as the
-    /// `--no-fast-path` escape hatch the differential CI job flips.
+    /// fused TLB+L1 probe/walk, its memos and the pipeline bookkeeping
+    /// bypass. Disabled, every access runs the reference sequence;
+    /// results are bit-identical in both modes, so this only exists as
+    /// the `--no-fast-path` escape hatch the differential CI job flips.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
         self.itlb.set_memo(enabled);
@@ -296,9 +296,6 @@ impl<S: Sink> Core<S> {
         self.l1i.set_memo(enabled);
         self.l1d.set_memo(enabled);
         self.l2.set_memo(enabled);
-        if !enabled {
-            self.gen.set_warm_decode(false);
-        }
     }
 
     /// Fast-path effectiveness counters since the last statistics reset.
@@ -492,12 +489,6 @@ impl<S: Sink> Core<S> {
     }
 
     fn warm_op_port(&mut self, now: Cycle, port: &mut impl WarmPort) {
-        if self.fast_path {
-            // Warm consumers read only pc/class/addr/taken; warm decode
-            // skips the dependency-distance math while consuming the
-            // identical RNG draws. Cheap flag compare once enabled.
-            self.gen.set_warm_decode(true);
-        }
         let mut op = self.gen.next_op();
         op.pc = op.pc.with_asid(self.id.asid());
         let block = op.pc.block(self.cfg.l1i.offset_bits()).raw();
@@ -1010,12 +1001,11 @@ impl<S: Sink> Core<S> {
                 self.lsq_occupancy += 1;
             }
             self.ready_ring[(seq as usize) % RING] = u64::MAX;
-            let dep1 = seq.saturating_sub(op.dep1 as u64);
-            let dep2 = if op.dep2 == 0 || op.dep2 as u64 >= seq {
-                0
-            } else {
-                seq - op.dep2 as u64
-            };
+            // Only dispatched ops need their distances, so the draws are
+            // resolved here rather than at fetch.
+            let dep1 = seq.saturating_sub(self.gen.dep_distance(op.dep1));
+            let d2 = self.gen.dep_distance(op.dep2);
+            let dep2 = if d2 == 0 || d2 >= seq { 0 } else { seq - d2 };
             if mispredicted {
                 self.waiting_branch = Some(seq);
             }
@@ -1040,9 +1030,6 @@ impl<S: Sink> Core<S> {
         if self.waiting_branch.is_some() || now < self.fetch_resume_at {
             return;
         }
-        // The detailed pipeline reads dependency distances: leave warm
-        // decode, so every op fetched here is full-decoded.
-        self.gen.set_warm_decode(false);
         let width = self.cfg.pipeline.width;
         for _ in 0..width {
             if self.fetch_queue.len() >= self.cfg.pipeline.fetch_queue.max(width) {

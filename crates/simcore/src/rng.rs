@@ -106,36 +106,6 @@ impl SimRng {
         self.next_f64() < p
     }
 
-    /// A geometrically distributed integer with success probability `p`:
-    /// the number of failures before the first success. Used for reuse
-    /// (stack) distance sampling in the workload generators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `(0, 1]`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "geometric() requires p in (0, 1]");
-        if p >= 1.0 {
-            return 0;
-        }
-        self.geometric_from_ln((1.0 - p).ln())
-    }
-
-    /// [`geometric`](Self::geometric) with the denominator `ln(1 - p)`
-    /// precomputed by the caller. Hot generators sample this once per
-    /// micro-op; hoisting the constant logarithm out of the loop halves
-    /// the transcendental work while producing bit-identical samples
-    /// (the division operands are the same values either way).
-    #[inline]
-    pub fn geometric_from_ln(&mut self, ln_one_minus_p: f64) -> u64 {
-        debug_assert!(
-            ln_one_minus_p < 0.0,
-            "ln(1-p) must be negative for p in (0, 1)"
-        );
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / ln_one_minus_p) as u64
-    }
-
     /// Picks an index according to the given relative weights.
     ///
     /// # Panics
@@ -241,17 +211,6 @@ mod tests {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn geometric_mean_matches_theory() {
-        let mut rng = SimRng::seed_from(9);
-        let p = 0.25;
-        let n = 50_000;
-        let sum: u64 = (0..n).map(|_| rng.geometric(p)).sum();
-        let mean = sum as f64 / n as f64;
-        let expected = (1.0 - p) / p; // 3.0
-        assert!((mean - expected).abs() < 0.15, "mean {mean} vs {expected}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use simcore::rng::SimRng;
 use simcore::types::Address;
 
-use crate::op::{MicroOp, OpClass};
+use crate::op::{MicroOp, OpClass, NO_DEP};
 use crate::profile::AppProfile;
 
 /// Base virtual address of the code region.
@@ -89,12 +89,6 @@ pub struct TraceGenerator {
     /// Taken-probability of each static branch.
     branch_bias: Vec<f64>,
     ops_generated: u64,
-    /// Whether decode runs in warm mode (see
-    /// [`set_warm_decode`](Self::set_warm_decode)): dependency distances
-    /// come out as placeholders while the RNG consumes the identical
-    /// draw sequence, so the pc/class/addr/taken stream and the cursor
-    /// are bit-identical to full decode.
-    warm_decode: bool,
     // Precomputed thresholds over the unit interval for class selection.
     t_load: f64,
     t_store: f64,
@@ -104,8 +98,8 @@ pub struct TraceGenerator {
     m_l2: f64,
     m_hot: f64,
     dep_p: f64,
-    /// `ln(1 - dep_p)`, hoisted so each dependency draw costs one
-    /// logarithm instead of two (see [`SimRng::geometric_from_ln`]).
+    /// `ln(1 - dep_p)`, hoisted so each resolved dependency costs one
+    /// logarithm instead of two.
     dep_ln: f64,
     // Cached region extents (bytes / blocks), so the per-op path reads
     // flat fields instead of chasing the nested profile structs.
@@ -159,7 +153,6 @@ impl TraceGenerator {
             shared_head: 0,
             branch_bias,
             ops_generated: 0,
-            warm_decode: false,
             t_load,
             t_store,
             t_branch,
@@ -184,19 +177,6 @@ impl TraceGenerator {
     /// Number of micro-ops generated so far.
     pub fn ops_generated(&self) -> u64 {
         self.ops_generated
-    }
-
-    /// Switches between full and warm decode. Warm decode is for
-    /// functional consumers (warming, gap engine) that provably read
-    /// only `pc`/`class`/`addr`/`taken`: the dependency-distance fields
-    /// come out as placeholders (`dep1 = 1`, `dep2 = 0`) while the RNG
-    /// consumes the *identical* draw sequence, skipping only the
-    /// logarithm math — so the fields the consumer reads, the cursor,
-    /// and every snapshot are bit-identical to full decode. Cheap enough
-    /// that callers may set it per op.
-    #[inline]
-    pub fn set_warm_decode(&mut self, enabled: bool) {
-        self.warm_decode = enabled;
     }
 
     /// Emulates the paper's random fast-forward (0.5–1.5 billion
@@ -310,13 +290,32 @@ impl TraceGenerator {
         Address::new(raw)
     }
 
+    /// One raw dependency draw: the 53 bits [`SimRng::next_f64`] scales,
+    /// or 0 without touching the RNG when every distance is 1
+    /// (`dep_mean <= 1`).
     #[inline]
-    fn dep_distance(&mut self) -> u32 {
+    fn dep_draw(&mut self) -> u64 {
         if self.dep_p >= 1.0 {
-            // Matches geometric(): p = 1 yields 0 without an RNG draw.
+            return 0;
+        }
+        self.rng.next_u64() >> 11
+    }
+
+    /// Resolves a dependency draw of this generator's [`MicroOp`]s into a
+    /// distance in ops: 0 for [`NO_DEP`], else the geometric variate
+    /// `1 + min(63, ⌊ln u / ln(1 − 1/dep_mean)⌋)` of the uniform `u` the
+    /// draw encodes. A pure function of the draw and the profile, so the
+    /// core calls it only for the ops it dispatches.
+    #[inline]
+    pub fn dep_distance(&self, draw: u64) -> u64 {
+        if draw == NO_DEP {
+            return 0;
+        }
+        if self.dep_p >= 1.0 {
             return 1;
         }
-        1 + self.rng.geometric_from_ln(self.dep_ln).min(63) as u32
+        let u = (draw as f64 * (1.0 / (1u64 << 53) as f64)).max(f64::MIN_POSITIVE);
+        1 + ((u.ln() / self.dep_ln) as u64).min(63)
     }
 
     /// Generates the next micro-op in program order.
@@ -365,26 +364,11 @@ impl TraceGenerator {
             (class, None, false)
         };
 
-        let (dep1, dep2) = if self.warm_decode {
-            // Warm decode: consume the same draws `dep_distance` would
-            // ([`chance`](SimRng::chance) and `geometric_from_ln` each
-            // cost exactly one `next_f64`) but skip the `ln` math — the
-            // functional consumers never read these fields.
-            if self.dep_p < 1.0 {
-                let _ = self.rng.next_f64();
-            }
-            if self.rng.chance(self.profile.dep2_prob) && self.dep_p < 1.0 {
-                let _ = self.rng.next_f64();
-            }
-            (1, 0)
+        let dep1 = self.dep_draw();
+        let dep2 = if self.rng.chance(self.profile.dep2_prob) {
+            self.dep_draw()
         } else {
-            let dep1 = self.dep_distance();
-            let dep2 = if self.rng.chance(self.profile.dep2_prob) {
-                self.dep_distance()
-            } else {
-                0
-            };
-            (dep1, dep2)
+            NO_DEP
         };
 
         // Advance the PC: sequential, except taken branches jump to a
@@ -405,7 +389,6 @@ impl TraceGenerator {
             taken,
             dep1,
             dep2,
-            latency: class.base_latency(),
         }
     }
 }
@@ -545,55 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_decode_preserves_the_functional_stream_and_the_cursor() {
-        // Warm decode must keep every field the functional consumers
-        // read (pc/class/addr/taken) and the whole cursor bit-identical
-        // to full decode — only dep1/dep2 become placeholders. Run both
-        // modes in lockstep, then switch the warm generator back to full
-        // mid-stream: from there the streams must agree on every field,
-        // and snapshots must be byte-identical throughout.
-        let snap = |g: &TraceGenerator| {
-            let mut w = simcore::snapshot::SnapshotWriter::new();
-            g.save_state(&mut w);
-            w.finish()
-        };
-        let mut full = generator(37);
-        let mut warm = generator(37);
-        warm.set_warm_decode(true);
-        for i in 0..3_000 {
-            let f = full.next_op();
-            let w = warm.next_op();
-            assert_eq!(
-                (f.pc, f.class, f.addr, f.taken),
-                (w.pc, w.class, w.addr, w.taken),
-                "op {i}"
-            );
-            assert_eq!((w.dep1, w.dep2), (1, 0), "op {i} placeholder deps");
-        }
-        assert_eq!(snap(&full), snap(&warm), "cursor after warm stretch");
-        warm.set_warm_decode(false);
-        for i in 0..1_000 {
-            assert_eq!(full.next_op(), warm.next_op(), "full-mode op {i}");
-        }
-        assert_eq!(snap(&full), snap(&warm), "cursor after switch back");
-        // Toggling mid-stream must not disturb the stream.
-        let mut reference = generator(41);
-        let mut toggled = generator(41);
-        for (i, chunk) in [53usize, 64, 1, 700, 129].iter().enumerate() {
-            toggled.set_warm_decode(i % 2 == 0);
-            for _ in 0..*chunk {
-                let r = reference.next_op();
-                let t = toggled.next_op();
-                assert_eq!(
-                    (r.pc, r.class, r.addr, r.taken),
-                    (t.pc, t.class, t.addr, t.taken)
-                );
-            }
-        }
-        assert_eq!(snap(&reference), snap(&toggled));
-    }
-
-    #[test]
     fn mix_fractions_are_respected() {
         let mut g = generator(5);
         let n = 200_000;
@@ -703,8 +637,68 @@ mod tests {
         let mut g = generator(17);
         for _ in 0..10_000 {
             let op = g.next_op();
-            assert!(op.dep1 >= 1 && op.dep1 <= 64);
-            assert!(op.dep2 <= 64);
+            assert!((1..=64).contains(&g.dep_distance(op.dep1)));
+            assert!(g.dep_distance(op.dep2) <= 64);
+        }
+    }
+
+    #[test]
+    fn dependency_distances_have_the_profile_mean() {
+        let p = AppProfileBuilder::new("d").dep_mean(4.0).build().unwrap();
+        let mut g = TraceGenerator::new(&p, SimRng::seed_from(23));
+        let n = 100_000;
+        let sum: u64 = (0..n)
+            .map(|_| {
+                let op = g.next_op();
+                g.dep_distance(op.dep1)
+            })
+            .sum();
+        let mean = sum as f64 / n as f64;
+        assert!((mean - 4.0).abs() < 0.02 * 4.0, "mean distance {mean}");
+    }
+
+    /// FNV-1a over every field a consumer reads, dependencies resolved.
+    fn fingerprint(g: &mut TraceGenerator, n: usize) -> u64 {
+        let fnv = |mut h: u64, x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+            h
+        };
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..n {
+            let op = g.next_op();
+            h = fnv(h, op.pc.raw());
+            h = fnv(h, op.class as u64);
+            h = fnv(h, op.addr.map_or(u64::MAX, |a| a.raw()));
+            h = fnv(h, u64::from(op.taken));
+            h = fnv(h, g.dep_distance(op.dep1));
+            h = fnv(h, g.dep_distance(op.dep2));
+        }
+        h
+    }
+
+    #[test]
+    fn op_streams_match_their_fingerprints() {
+        use crate::spec::SpecApp;
+        // Pins the decoded stream, distances included, so a change to the
+        // order or number of RNG draws shows up even where no simulated
+        // output covers it: the custom profile (`dep_mean = 1`) takes no
+        // draw for its distances, and half its ops have a second source.
+        let custom = AppProfileBuilder::new("t")
+            .dep_mean(1.0)
+            .dep2(0.5)
+            .build()
+            .unwrap();
+        let cases = [
+            (SpecApp::Gzip.profile().clone(), 2007, 0xe804_601a_2168_4b9c),
+            (SpecApp::Mcf.profile().clone(), 1971, 0xf17a_7a30_4bae_ecf5),
+            (custom, 21, 0x856f_d440_e44c_9fe2),
+        ];
+        for (p, seed, expected) in cases {
+            let mut g = TraceGenerator::new(&p, SimRng::seed_from(seed));
+            assert_eq!(fingerprint(&mut g, 20_000), expected, "{}", p.name);
         }
     }
 

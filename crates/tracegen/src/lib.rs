@@ -33,7 +33,7 @@
 //!
 //! let mut gen = TraceGenerator::new(SpecApp::Mcf.profile(), SimRng::seed_from(1));
 //! let op = gen.next_op();
-//! assert!(op.latency >= 1);
+//! assert!(gen.dep_distance(op.dep1) >= 1);
 //! ```
 
 pub mod generator;

@@ -60,14 +60,22 @@ impl fmt::Display for OpClass {
     }
 }
 
+/// Marks a missing second source in [`MicroOp::dep2`]. Dependency draws
+/// are below 2^53, so the sentinel never clashes with one.
+pub const NO_DEP: u64 = u64::MAX;
+
 /// One dynamic micro-operation produced by a [`TraceGenerator`].
 ///
-/// Dependencies are expressed as *distances*: `dep1 = 3` means this op
-/// reads the value produced by the op three positions earlier in program
-/// order (`0` means no dependency). The core model resolves distances
-/// against its reorder buffer, which bounds them naturally.
+/// Dependencies travel as raw draws, which
+/// [`TraceGenerator::dep_distance`] turns into *distances*: 3 means this
+/// op reads the value produced by the op three positions earlier in
+/// program order (0 means no dependency). The core resolves them at
+/// dispatch, against its reorder buffer, which bounds them naturally;
+/// ops that never dispatch (functional warm, the drain at a window
+/// boundary) never pay for the conversion.
 ///
 /// [`TraceGenerator`]: crate::generator::TraceGenerator
+/// [`TraceGenerator::dep_distance`]: crate::generator::TraceGenerator::dep_distance
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroOp {
     /// Program counter of the instruction.
@@ -78,28 +86,11 @@ pub struct MicroOp {
     pub addr: Option<Address>,
     /// Architected branch outcome (meaningful only for branches).
     pub taken: bool,
-    /// Distance (in ops) back to the first source operand's producer; 0 = none.
-    pub dep1: u32,
-    /// Distance back to the second source operand's producer; 0 = none.
-    pub dep2: u32,
-    /// Execution latency on the functional unit.
-    pub latency: u64,
-}
-
-impl MicroOp {
-    /// A convenience constructor for non-memory, dependency-free ops
-    /// (used by tests).
-    pub fn nop(pc: Address) -> Self {
-        MicroOp {
-            pc,
-            class: OpClass::IntAlu,
-            addr: None,
-            taken: false,
-            dep1: 0,
-            dep2: 0,
-            latency: OpClass::IntAlu.base_latency(),
-        }
-    }
+    /// Raw dependency draw of the first source operand (53 bits).
+    pub dep1: u64,
+    /// Raw draw of the second source operand, or [`NO_DEP`] when the op
+    /// has none.
+    pub dep2: u64,
 }
 
 #[cfg(test)]
@@ -118,14 +109,6 @@ mod tests {
         assert!(OpClass::Load.is_mem());
         assert!(OpClass::Store.is_mem());
         assert!(!OpClass::Branch.is_mem());
-    }
-
-    #[test]
-    fn nop_has_no_deps() {
-        let op = MicroOp::nop(Address::new(0x400000));
-        assert_eq!(op.dep1, 0);
-        assert_eq!(op.dep2, 0);
-        assert_eq!(op.class, OpClass::IntAlu);
     }
 
     #[test]

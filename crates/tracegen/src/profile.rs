@@ -168,8 +168,9 @@ impl AppProfile {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for out-of-range fractions or empty
-    /// regions.
+    /// Returns [`ConfigError`] for out-of-range fractions, empty
+    /// regions, or a shared region that would run into the ASID byte of
+    /// a tagged address (`SHARED_BASE + shared_kb · 1024 > 2^56`).
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(ConfigError::new("profile name must be nonempty"));
@@ -201,6 +202,15 @@ impl AppProfile {
         }
         if self.shared_read_frac > 0.0 && self.shared_kb == 0 {
             return Err(ConfigError::new("shared region must be nonzero when used"));
+        }
+        let shared_end = self
+            .shared_kb
+            .checked_mul(1024)
+            .and_then(|bytes| bytes.checked_add(crate::generator::SHARED_BASE));
+        if shared_end.is_none_or(|end| end > 1 << 56) {
+            return Err(ConfigError::new(
+                "shared region must end below the ASID byte (2^56)",
+            ));
         }
         if !(0.0..=1.0).contains(&self.hot_loop) {
             return Err(ConfigError::new("hot_loop must be in [0, 1]"));

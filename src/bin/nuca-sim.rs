@@ -13,8 +13,9 @@ fn main() -> ExitCode {
     let request = match nuca_repro::cli::parse_args(&args) {
         Ok(r) => r,
         Err(e) => {
+            // A usage error, like a bad flag to any other front end.
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     match nuca_repro::cli::run_all(&request) {

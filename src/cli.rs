@@ -125,10 +125,10 @@ OPTIONS:
                            reference stepping loop (bit-identical output,
                            slower; exists as a differential check)
     --no-fast-path         disable the exact core-side hit fast path
-                           (fused TLB+L1 probe, memo-served lookups,
-                           warm trace decode) and run the reference
-                           walks (bit-identical output, slower; exists
-                           as a differential check)
+                           (fused TLB+L1 probe/walk, memo-served
+                           lookups, pipeline bookkeeping bypass) and run
+                           the reference walks (bit-identical output,
+                           slower; exists as a differential check)
     --sample-sets <K>      simulate only 1/2^K of the L3 sets in full
                            detail and charge the rest a calibrated
                            latency estimate (SMARTS-style confidence
@@ -272,7 +272,14 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
                 .ok_or_else(|| CliError::new("workload pool produced no mix"))?;
             (profiles, mix.forwards)
         }
-        (None, Some((app, frac, kb))) => parallel_workload(app, machine.cores, frac, kb, seed),
+        (None, Some((app, frac, kb))) => {
+            let (profiles, forwards) = parallel_workload(app, machine.cores, frac, kb, seed);
+            // The spec overrides the preset's sharing, so check the result.
+            for p in &profiles {
+                p.validate()?;
+            }
+            (profiles, forwards)
+        }
         (Some(_), Some(_)) => {
             return Err(CliError::new(
                 "--apps and --parallel are mutually exclusive",
@@ -675,6 +682,22 @@ mod tests {
         assert_eq!(req.profiles.len(), 4);
         assert!((req.profiles[0].shared_read_frac - 0.4).abs() < 1e-12);
         assert_eq!(req.profiles[0].shared_kb, 2048);
+    }
+
+    #[test]
+    fn rejects_parallel_specs_outside_the_profile_ranges() {
+        // A zero-size region, fractions outside [0, 1], and a region
+        // whose byte span wraps `u64`.
+        for spec in [
+            "galgel:0.4:0",
+            "galgel:1.5:64",
+            "galgel:nan:64",
+            "galgel:-0.1:64",
+            "galgel:0.4:1152921504606846976",
+        ] {
+            let err = parse_args(&argv(&format!("--org adaptive --parallel {spec}")));
+            assert!(err.is_err(), "{spec} accepted");
+        }
     }
 
     #[test]

@@ -351,7 +351,7 @@ fn cycle_skip_is_invisible_end_to_end() {
 
 #[test]
 fn no_fast_path_is_invisible_end_to_end() {
-    // The fused TLB+L1 probe, way/page memos, warm decode and pipeline
+    // The fused TLB+L1 probe/walk, way/page memos and pipeline
     // bookkeeping bypass are pure search-order optimizations.
     assert_invisible_end_to_end(&Variant {
         flags: &["--no-fast-path"],

@@ -277,8 +277,7 @@ proptest! {
         let mut gen = TraceGenerator::new(&profile, SimRng::seed_from(seed));
         for _ in 0..500 {
             let op = gen.next_op();
-            prop_assert!(op.dep1 >= 1);
-            prop_assert!(op.latency >= 1);
+            prop_assert!(gen.dep_distance(op.dep1) >= 1);
             if op.class.is_mem() {
                 prop_assert!(op.addr.is_some());
             } else {
