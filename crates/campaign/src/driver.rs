@@ -2,11 +2,12 @@
 //! printing and exit-status mapping.
 //!
 //! The binary stays a thin shell — it hands this module the argument
-//! slice after the `campaign` word and a print callback, and maps the
-//! returned code to `std::process::exit`. Keeping the driver here (and
-//! print-free except through the callback) keeps the whole subsystem
-//! inside the deterministic-lint wall: no clocks, no `std::env`, no
-//! direct stdout.
+//! slice after the `campaign` word and two print callbacks, one for
+//! output and one for error lines, and maps the returned code to
+//! `std::process::exit`. Keeping the driver here (and print-free except
+//! through the callbacks) keeps the whole subsystem inside the
+//! deterministic-lint wall: no clocks, no `std::env`, no direct stdout
+//! or stderr.
 //!
 //! ```text
 //! nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] [--resume]
@@ -15,8 +16,13 @@
 //! nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...
 //! ```
 //!
-//! Exit codes: `0` success, `2` usage/configuration error, `3` the run
-//! was cut short by `--fail-after` (the kill-injection test hook).
+//! Exit codes: `0` success, `1` a runtime failure (a manifest, snapshot
+//! or file-system error: an existing manifest without `--resume`, a
+//! corrupt merge input, an unwritable output), `2` usage/configuration
+//! error (a bad flag, spec or shard; a bad command line is followed by
+//! the usage text), `3` the run was cut short by `--fail-after` (the
+//! kill-injection test hook). Error lines and the usage after an error
+//! go through the error callback; nothing else does.
 
 use std::path::PathBuf;
 
@@ -31,6 +37,8 @@ use crate::CampaignError;
 pub const EXIT_KILLED: i32 = 3;
 /// Exit code for usage and configuration errors.
 pub const EXIT_USAGE: i32 = 2;
+/// Exit code for manifest, snapshot and file-system failures.
+pub const EXIT_FAILURE: i32 = 1;
 
 /// One-line usage summary, printed on argument errors.
 pub const USAGE: &str = "usage: nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] \
@@ -38,11 +46,13 @@ pub const USAGE: &str = "usage: nuca-sim campaign <spec.toml> [--out PATH] [--sh
 nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...";
 
 /// Runs the `campaign` subcommand. `args` is everything after the
-/// `campaign` word; every line of output goes through `print`.
-pub fn run(args: &[String], print: &mut dyn FnMut(&str)) -> i32 {
+/// `campaign` word; every line of output goes through `print` and every
+/// error line (with the usage text after an argument error) through
+/// `eprint`.
+pub fn run(args: &[String], print: &mut dyn FnMut(&str), eprint: &mut dyn FnMut(&str)) -> i32 {
     match args.first().map(String::as_str) {
         None => {
-            print(USAGE);
+            eprint(USAGE);
             EXIT_USAGE
         }
         Some("merge") => match merge_command(&args[1..]) {
@@ -51,12 +61,27 @@ pub fn run(args: &[String], print: &mut dyn FnMut(&str)) -> i32 {
                 0
             }
             Err(e) => {
-                print(&format!("campaign merge: {e}"));
-                print(USAGE);
-                EXIT_USAGE
+                eprint(&format!("campaign merge: {e}"));
+                let code = exit_code(&e);
+                // Only merge's argument checks raise configuration errors.
+                if code == EXIT_USAGE {
+                    eprint(USAGE);
+                }
+                code
             }
         },
-        Some(_) => campaign_command(args, print),
+        Some(_) => campaign_command(args, print, eprint),
+    }
+}
+
+/// The exit code of `e`: [`EXIT_USAGE`] for a bad spec or configuration,
+/// [`EXIT_FAILURE`] for a manifest, snapshot or file-system failure.
+fn exit_code(e: &CampaignError) -> i32 {
+    match e {
+        CampaignError::Spec(_) | CampaignError::Config(_) => EXIT_USAGE,
+        CampaignError::Io(_) | CampaignError::Manifest(_) | CampaignError::Snapshot(_) => {
+            EXIT_FAILURE
+        }
     }
 }
 
@@ -150,26 +175,32 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
 }
 
 /// `campaign <spec.toml> ...`: parse, run, narrate, map the exit code.
-fn campaign_command(args: &[String], print: &mut dyn FnMut(&str)) -> i32 {
+fn campaign_command(
+    args: &[String],
+    print: &mut dyn FnMut(&str),
+    eprint: &mut dyn FnMut(&str),
+) -> i32 {
     let parsed = match parse_args(args) {
         Ok(p) => p,
         Err(e) => {
-            print(&format!("campaign: {e}"));
-            print(USAGE);
+            eprint(&format!("campaign: {e}"));
+            eprint(USAGE);
             return EXIT_USAGE;
         }
     };
+    // An unreadable or invalid spec is a bad argument, not a failure of
+    // the run.
     let text = match std::fs::read_to_string(&parsed.spec_path) {
         Ok(t) => t,
         Err(e) => {
-            print(&format!("campaign: {}: {e}", parsed.spec_path));
+            eprint(&format!("campaign: {}: {e}", parsed.spec_path));
             return EXIT_USAGE;
         }
     };
     let mut spec = match CampaignSpec::parse(&text) {
         Ok(s) => s,
         Err(e) => {
-            print(&format!("campaign: {}: {e}", parsed.spec_path));
+            eprint(&format!("campaign: {}: {e}", parsed.spec_path));
             return EXIT_USAGE;
         }
     };
@@ -224,8 +255,8 @@ fn campaign_command(args: &[String], print: &mut dyn FnMut(&str)) -> i32 {
             }
         }
         Err(e) => {
-            print(&format!("campaign: {e}"));
-            EXIT_USAGE
+            eprint(&format!("campaign: {e}"));
+            exit_code(&e)
         }
     }
 }
@@ -250,10 +281,23 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Runs the driver, returning its code and every line it printed:
+    /// output lines first, then error lines.
     fn collect(args: &[&str]) -> (i32, Vec<String>) {
-        let mut out = Vec::new();
-        let code = run(&strings(args), &mut |line| out.push(line.to_string()));
+        let (code, mut out, err) = collect_split(args);
+        out.extend(err);
         (code, out)
+    }
+
+    /// Runs the driver, returning its code, output lines and error lines.
+    fn collect_split(args: &[&str]) -> (i32, Vec<String>, Vec<String>) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = run(
+            &strings(args),
+            &mut |line| out.push(line.to_string()),
+            &mut |line| err.push(line.to_string()),
+        );
+        (code, out, err)
     }
 
     #[test]
@@ -349,6 +393,24 @@ mod tests {
         let (code, _) = collect(&["merge", out.to_str().unwrap()]);
         assert_eq!(code, EXIT_USAGE);
         for p in [&a, &b, &out] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn corrupt_merge_input_exits_1_on_the_error_stream_only() {
+        let dir = std::env::temp_dir();
+        let deep = dir.join(format!("nuca-driver-deep-{}.jsonl", std::process::id()));
+        let out = dir.join(format!("nuca-driver-deep-m-{}.jsonl", std::process::id()));
+        std::fs::write(&deep, format!("{}\n", "[".repeat(50_000))).unwrap();
+        let (code, printed, errors) =
+            collect_split(&["merge", out.to_str().unwrap(), deep.to_str().unwrap()]);
+        assert_eq!(code, EXIT_FAILURE, "{errors:?}");
+        assert!(printed.is_empty(), "{printed:?}");
+        let errors = errors.join("\n");
+        assert!(errors.contains("manifest error"), "{errors}");
+        assert!(!errors.contains("usage:"), "{errors}");
+        for p in [&deep, &out] {
             let _ = std::fs::remove_file(p);
         }
     }

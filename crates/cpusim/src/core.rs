@@ -16,8 +16,7 @@
 
 pub mod functional;
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use cachesim::cache::Cache;
 use cachesim::mshr::MshrFile;
@@ -44,14 +43,80 @@ const RING: usize = 512;
 /// End of a consumer list.
 const NO_LINK: u32 = u32::MAX;
 
-// The ready set is one `u64` indexed by `seq % 64`; every member lies in
-// the scheduler window, so the window must fit in it without aliasing.
+// The ready set and the calendar are indexed by `seq % 64`; every member
+// lies in the scheduler window, so the window must fit without aliasing.
 const _: () = assert!(SCHED_WINDOW <= 64);
 
-/// The ready-set bit of sequence number `seq`.
+/// The ready-set (and calendar) bit of sequence number `seq`.
 #[inline]
 fn ready_bit(seq: u64) -> u64 {
     1 << (seq % 64)
+}
+
+/// Window entries whose operands arrive at a known later cycle. Members
+/// are unissued window entries, so like the ready set's they are unique
+/// mod 64: a member bit and an operand-ready cycle per `seq % 64`, plus
+/// the earliest of those cycles, make the set exact without a heap.
+#[derive(Debug)]
+struct Calendar {
+    /// One bit per member, by `seq % 64`.
+    members: u64,
+    /// Each member's operand-ready cycle, by `seq % 64`. Boxed, so a
+    /// `Core` keeps its size: inline, the 512 bytes reshuffled the cores
+    /// that `Cmp` keeps side by side and warms on parallel threads, and
+    /// cost that warm about 6 % on nucabench `light`.
+    ready_at: Box<[u64; 64]>,
+    /// The earliest `ready_at` of a member; `u64::MAX` when there is none.
+    next: u64,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Calendar {
+            members: 0,
+            ready_at: Box::new([0; 64]), // lint:allow(L7): constructor
+            next: u64::MAX,
+        }
+    }
+
+    /// Files entry `seq`, whose operands arrive at cycle `at`.
+    #[inline]
+    fn insert(&mut self, seq: u64, at: u64) {
+        debug_assert_eq!(self.members & ready_bit(seq), 0, "seq {seq} filed twice");
+        self.members |= ready_bit(seq);
+        self.ready_at[(seq % 64) as usize] = at;
+        self.next = self.next.min(at);
+    }
+
+    /// Removes the members whose operands are available by `now` and
+    /// returns their bits; one compare while none is.
+    #[inline]
+    fn take_due(&mut self, now: u64) -> u64 {
+        if self.next > now {
+            return 0;
+        }
+        let (mut due, mut next) = (0, u64::MAX);
+        let mut rest = self.members;
+        while rest != 0 {
+            let slot = rest.trailing_zeros();
+            rest &= rest - 1;
+            let at = self.ready_at[slot as usize];
+            if at <= now {
+                due |= 1 << slot;
+            } else {
+                next = next.min(at);
+            }
+        }
+        self.members &= !due;
+        self.next = next;
+        due
+    }
+
+    /// Empties the calendar; stale `ready_at` slots are never read.
+    fn clear(&mut self) {
+        self.members = 0;
+        self.next = u64::MAX;
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -195,10 +260,11 @@ pub struct Core<S: Sink = NullSink> {
     /// Ready window entries, one bit per `seq % 64`; age order is bit
     /// order rotated to start at `sched_head`.
     ready_set: u64,
-    /// `(operand-ready cycle, seq)` of window entries waiting for their
-    /// operands, earliest first. Holds at most `SCHED_WINDOW` entries, so
-    /// the preallocated capacity is never exceeded.
-    calendar: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Window entries waiting for their operands: a member mask by
+    /// `seq % 64` like the ready set's, each member's operand-ready cycle
+    /// and the earliest of them, so `idle_until` reads the next wake in
+    /// one load and `release_due` costs one compare until it arrives.
+    calendar: Calendar,
     /// Head link of each in-flight producer's consumer list, by
     /// `seq % RING`. Link `2 * slot + k` is operand `k` of the consumer
     /// in `slot`; `consumer_next` chains the links.
@@ -266,7 +332,7 @@ impl<S: Sink> Core<S> {
             ready_ring: vec![0; RING], // lint:allow(L7): constructor
             sched_head: 1,
             ready_set: 0,
-            calendar: BinaryHeap::with_capacity(SCHED_WINDOW),
+            calendar: Calendar::new(),
             consumers: vec![NO_LINK; RING], // lint:allow(L7): constructor
             consumer_next: vec![NO_LINK; 2 * RING], // lint:allow(L7): constructor
             fetch_resume_at: Cycle::ZERO,
@@ -597,9 +663,10 @@ impl<S: Sink> Core<S> {
     ///   `MshrStall` telemetry event, so such cycles must be stepped to
     ///   keep traced runs bit-identical). Those entries are exactly the
     ///   ready set plus any calendar entries due by `now`; the calendar's
-    ///   head is a wake source. Entries still waiting on an unissued
-    ///   producer are not, because the producer's own issue happens on a
-    ///   stepped cycle which re-opens the proof.
+    ///   earliest operand-ready cycle, which it caches, is a wake source.
+    ///   Entries still waiting on an unissued producer are not, because
+    ///   the producer's own issue happens on a stepped cycle which
+    ///   re-opens the proof.
     /// - **Dispatch** is time-independent: it acts whenever the fetch
     ///   queue is nonempty, the ROB has room and (for memory ops) the LSQ
     ///   has room. Those resources only free on commit, already covered.
@@ -611,11 +678,12 @@ impl<S: Sink> Core<S> {
         if self.ready_set != 0 {
             return None;
         }
-        match self.calendar.peek() {
-            Some(&Reverse((at, _))) if at <= now.raw() => None,
-            Some(&Reverse((at, _))) => Some(Cycle::new(wake.min(at))),
-            None => Some(Cycle::new(wake)),
+        // `u64::MAX` for an empty calendar.
+        let next = self.calendar.next;
+        if next <= now.raw() {
+            return None;
         }
+        Some(Cycle::new(wake.min(next)))
     }
 
     /// The fetch, dispatch, commit and MSHR obligations of
@@ -703,10 +771,7 @@ impl<S: Sink> Core<S> {
         if at <= now {
             self.ready_set |= ready_bit(seq);
         } else {
-            // At most one calendar entry per window slot, so the
-            // preallocated capacity is never exceeded.
-            debug_assert!(self.calendar.len() < SCHED_WINDOW);
-            self.calendar.push(Reverse((at, seq)));
+            self.calendar.insert(seq, at);
         }
     }
 
@@ -775,13 +840,7 @@ impl<S: Sink> Core<S> {
     /// into the ready set.
     #[inline]
     fn release_due(&mut self, now: u64) {
-        while let Some(&Reverse((at, seq))) = self.calendar.peek() {
-            if at > now {
-                break;
-            }
-            self.calendar.pop();
-            self.ready_set |= ready_bit(seq);
-        }
+        self.ready_set |= self.calendar.take_due(now);
     }
 
     /// Issues up to `width` ready window entries, oldest first, under the

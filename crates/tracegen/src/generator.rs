@@ -9,9 +9,12 @@
 //! model, and dependency distances bound the instruction-level
 //! parallelism the out-of-order core can extract.
 
+use std::sync::Arc;
+
 use simcore::rng::SimRng;
 use simcore::types::Address;
 
+use crate::dep::DepTable;
 use crate::op::{MicroOp, OpClass, NO_DEP};
 use crate::profile::AppProfile;
 
@@ -98,9 +101,9 @@ pub struct TraceGenerator {
     m_l2: f64,
     m_hot: f64,
     dep_p: f64,
-    /// `ln(1 - dep_p)`, hoisted so each resolved dependency costs one
-    /// logarithm instead of two.
-    dep_ln: f64,
+    /// The profile's dependency distances, shared by every generator of
+    /// its `dep_mean`.
+    dep: Arc<DepTable>,
     // Cached region extents (bytes / blocks), so the per-op path reads
     // flat fields instead of chasing the nested profile structs.
     code_bytes: u64,
@@ -160,7 +163,7 @@ impl TraceGenerator {
             m_l2,
             m_hot,
             dep_p: 1.0 / profile.dep_mean,
-            dep_ln: (1.0 - 1.0 / profile.dep_mean).ln(),
+            dep: DepTable::shared(profile.dep_mean),
             code_bytes: profile.regions.code_kb * 1024,
             l1_span: profile.regions.l1_kb * 1024,
             l2_span: profile.regions.l2_kb * 1024,
@@ -304,18 +307,14 @@ impl TraceGenerator {
     /// Resolves a dependency draw of this generator's [`MicroOp`]s into a
     /// distance in ops: 0 for [`NO_DEP`], else the geometric variate
     /// `1 + min(63, ⌊ln u / ln(1 − 1/dep_mean)⌋)` of the uniform `u` the
-    /// draw encodes. A pure function of the draw and the profile, so the
-    /// core calls it only for the ops it dispatches.
+    /// draw encodes (1 for every draw when `dep_mean` is 1). A pure
+    /// function of the draw and the profile, so the core calls it only
+    /// for the ops it dispatches. It takes no logarithm: the profile's
+    /// table, built once per `dep_mean` from that expression, answers in
+    /// one bucket lookup and compare, exactly (see the `dep` module).
     #[inline]
     pub fn dep_distance(&self, draw: u64) -> u64 {
-        if draw == NO_DEP {
-            return 0;
-        }
-        if self.dep_p >= 1.0 {
-            return 1;
-        }
-        let u = (draw as f64 * (1.0 / (1u64 << 53) as f64)).max(f64::MIN_POSITIVE);
-        1 + ((u.ln() / self.dep_ln) as u64).min(63)
+        self.dep.distance(draw)
     }
 
     /// Generates the next micro-op in program order.

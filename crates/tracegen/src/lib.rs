@@ -36,6 +36,7 @@
 //! assert!(gen.dep_distance(op.dep1) >= 1);
 //! ```
 
+mod dep;
 pub mod generator;
 pub mod op;
 pub mod profile;

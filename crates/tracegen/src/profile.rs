@@ -168,7 +168,8 @@ impl AppProfile {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for out-of-range fractions, empty
+    /// Returns [`ConfigError`] for out-of-range fractions, a `dep_mean`
+    /// or `hot_skew` that is not a finite number of at least 1, empty
     /// regions, or a shared region that would run into the ASID byte of
     /// a tagged address (`SHARED_BASE + shared_kb · 1024 > 2^56`).
     pub fn validate(&self) -> Result<()> {
@@ -194,8 +195,10 @@ impl AppProfile {
                 return Err(ConfigError::new(format!("{what} must be in [0, 1]")));
             }
         }
-        if self.dep_mean < 1.0 {
-            return Err(ConfigError::new("dep_mean must be at least 1"));
+        // Written so that NaN fails too: the dependency table assumes a
+        // finite mean of at least 1.
+        if !(self.dep_mean.is_finite() && self.dep_mean >= 1.0) {
+            return Err(ConfigError::new("dep_mean must be finite and at least 1"));
         }
         if !(0.0..=1.0).contains(&self.shared_read_frac) {
             return Err(ConfigError::new("shared_read_frac must be in [0, 1]"));
@@ -215,9 +218,9 @@ impl AppProfile {
         if !(0.0..=1.0).contains(&self.hot_loop) {
             return Err(ConfigError::new("hot_loop must be in [0, 1]"));
         }
-        if self.hot_skew < 1.0 {
+        if !(self.hot_skew.is_finite() && self.hot_skew >= 1.0) {
             return Err(ConfigError::new(
-                "hot_skew must be at least 1 (1 = uniform)",
+                "hot_skew must be finite and at least 1 (1 = uniform)",
             ));
         }
         if self.branch_pool == 0 {
@@ -424,6 +427,16 @@ mod tests {
             code_kb: 16,
         };
         assert!((r.hot_blocks_per_set(4096, 64) - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn profile_rejects_non_finite_dep_mean_and_hot_skew() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let dep = AppProfileBuilder::new("x").dep_mean(bad).build();
+            assert!(dep.is_err(), "dep_mean {bad} accepted");
+            let skew = AppProfileBuilder::new("x").hot_skew(bad).build();
+            assert!(skew.is_err(), "hot_skew {bad} accepted");
+        }
     }
 
     #[test]

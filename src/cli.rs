@@ -60,19 +60,38 @@ impl SimRequest {
     }
 }
 
-/// Error from argument parsing.
+/// Error from argument parsing, or the request for help.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError(String);
+pub struct CliError {
+    message: String,
+    help: bool,
+}
 
 impl CliError {
     fn new(msg: impl Into<String>) -> Self {
-        CliError(msg.into())
+        CliError {
+            message: msg.into(),
+            help: false,
+        }
+    }
+
+    /// `--help` or `-h`: the message is [`USAGE`], for standard output.
+    fn help() -> Self {
+        CliError {
+            message: USAGE.to_string(),
+            help: true,
+        }
+    }
+
+    /// Whether this is a request for help rather than an argument error.
+    pub fn is_help(&self) -> bool {
+        self.help
     }
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.message)
     }
 }
 
@@ -80,7 +99,7 @@ impl std::error::Error for CliError {}
 
 impl From<ConfigError> for CliError {
     fn from(e: ConfigError) -> Self {
-        CliError(e.to_string())
+        CliError::new(e.to_string())
     }
 }
 
@@ -153,7 +172,7 @@ OPTIONS:
 /// # Errors
 ///
 /// Returns [`CliError`] with a human-readable message for any invalid or
-/// missing argument.
+/// missing argument, and [`CliError::is_help`] set for `--help`/`-h`.
 pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     let mut org_name: Option<String> = None;
     let mut apps: Option<Vec<SpecApp>> = None;
@@ -210,7 +229,7 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
             "--metrics-out" => metrics_out = Some(PathBuf::from(value()?)),
             "--tech-scaled" => tech_scaled = true,
             "--paranoid" => paranoid = true,
-            "--help" | "-h" => return Err(CliError::new(USAGE)),
+            "--help" | "-h" => return Err(CliError::help()),
             other => return Err(CliError::new(format!("unknown argument: {other}"))),
         }
     }

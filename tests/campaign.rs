@@ -178,7 +178,7 @@ fn smoke_spec_shards_merge_and_resume_byte_identically() {
 
     // The merge subcommand (what CI's campaign-smoke job calls) agrees.
     let merged2_out = tmp("merged2.jsonl");
-    let mut printed = Vec::new();
+    let (mut printed, mut errors) = (Vec::new(), Vec::new());
     let code = driver::run(
         &[
             "merge".to_string(),
@@ -187,8 +187,9 @@ fn smoke_spec_shards_merge_and_resume_byte_identically() {
             shard_out[1].to_string_lossy().into_owned(),
         ],
         &mut |line| printed.push(line.to_string()),
+        &mut |line| errors.push(line.to_string()),
     );
-    assert_eq!(code, 0, "merge subcommand failed: {printed:?}");
+    assert_eq!(code, 0, "merge subcommand failed: {printed:?} {errors:?}");
     assert_eq!(
         fs::read(&merged2_out).expect("merged manifest"),
         serial,
