@@ -95,6 +95,9 @@ impl OrgKind {
     }
 }
 
+/// Most cells one spec may expand to; `paper.toml` has 50.
+const MAX_CELLS: usize = 1 << 20;
+
 /// A `private/shared` latency pair, spelled `"14/19"` in specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatPair {
@@ -636,20 +639,42 @@ impl CampaignSpec {
             return bad("`measure` must be at least 1".to_string());
         }
         let a = &self.axes;
-        if a.organization.is_empty()
-            || a.l3_mb.is_empty()
-            || a.l3_assoc.is_empty()
-            || a.l3_latency.is_empty()
-            || a.l2_latency.is_empty()
-            || a.mem_latency.is_empty()
-            || a.mix_seed.is_empty()
-            || a.sample_shift.is_empty()
-            || a.time_sample.is_empty()
-        {
+        let axis_lens = [
+            a.organization.len(),
+            a.l3_mb.len(),
+            a.l3_assoc.len(),
+            a.l3_latency.len(),
+            a.l2_latency.len(),
+            a.mem_latency.len(),
+            a.mix_seed.len(),
+            a.sample_shift.len(),
+            a.time_sample.len(),
+        ];
+        if axis_lens.contains(&0) {
             return bad("every axis needs at least one value".to_string());
+        }
+        let cells = axis_lens
+            .iter()
+            .try_fold(self.mixes, |n, &len| n.checked_mul(len));
+        if cells.is_none_or(|n| n > MAX_CELLS) {
+            return bad(format!(
+                "the grid must have at most {MAX_CELLS} cells (every axis length times `mixes`)"
+            ));
         }
         if a.l3_mb.iter().any(|&mb| mb == 0 || mb > 1024) {
             return bad("`l3_mb` values must be in 1..=1024".to_string());
+        }
+        let too_long = |cycles: u64| cycles > u64::from(u32::MAX);
+        if a.l2_latency.iter().any(|&c| too_long(c))
+            || a.l3_latency
+                .iter()
+                .chain(&a.mem_latency)
+                .any(|l| too_long(l.private) || too_long(l.shared))
+        {
+            return bad(format!(
+                "`l3_latency`, `l2_latency` and `mem_latency` values must be at most {} cycles",
+                u32::MAX
+            ));
         }
         if a.l3_assoc.contains(&0) {
             return bad("`l3_assoc` values must be at least 1".to_string());
@@ -776,6 +801,36 @@ time_sample = ["0:0", "20000:80000"]
         expect_err(&l3_assoc, "`l3_assoc` value 4294967312 is out of range");
         let shift = SMOKE.replace("sample_shift = [0, 4]", "sample_shift = [4294967297]");
         expect_err(&shift, "`sample_shift` value 4294967297 is out of range");
+    }
+
+    #[test]
+    fn an_oversized_grid_is_refused() {
+        // 99,999,999,999 mixes would grow the mix list and cell grid
+        // until the host ran out of memory.
+        let huge = SMOKE.replace("mixes = 2", "mixes = 99999999999");
+        expect_err(&huge, "at most 1048576 cells");
+        // Here the count itself overflows `usize`.
+        let overflow = SMOKE.replace("mixes = 2", "mixes = 9223372036854775807");
+        expect_err(&overflow, "at most 1048576 cells");
+    }
+
+    #[test]
+    fn latencies_beyond_u32_cycles_are_refused() {
+        // Release builds would wrap the cycle sums of such a latency.
+        let mem = SMOKE.replace(
+            "mem_latency = [\"258/260\"]",
+            "mem_latency = [\"18446744073709551615/18446744073709551615\"]",
+        );
+        expect_err(&mem, "must be at most 4294967295 cycles");
+        let l3 = SMOKE.replace("\"16/24\"", "\"16/4294967296\"");
+        expect_err(&l3, "must be at most 4294967295 cycles");
+        let l2 = SMOKE.replace("[axes]\n", "[axes]\nl2_latency = [4294967296]\n");
+        expect_err(&l2, "must be at most 4294967295 cycles");
+        let edge = SMOKE.replace("[axes]\n", "[axes]\nl2_latency = [4294967295]\n");
+        assert!(
+            CampaignSpec::parse(&edge).is_ok(),
+            "u32::MAX cycles is allowed"
+        );
     }
 
     #[test]

@@ -185,8 +185,10 @@ const FUNCTIONAL_CHUNK: u64 = 16_384;
 /// over the current chunk, the drain's cursor into them, and its gap
 /// pacing. Storage is reserved on first use and kept, so building a chip
 /// reserves none and a chunk allocates nothing once the lane has seen
-/// one as large.
+/// one as large. Aligned like [`Core`], so lanes kept side by side and
+/// filled on different host threads share no cache line.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Lane {
     /// The core's L3 requests over the chunk, in push order.
     log: L3Batch,

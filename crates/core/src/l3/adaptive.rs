@@ -35,7 +35,7 @@
 //! L7.
 
 use cachesim::lru::Recency;
-use cachesim::percore::{PerCore, PerCoreTable};
+use cachesim::percore::PerCoreTable;
 use cpusim::l3iface::{L3Outcome, L3Source, LastLevel};
 use memsim::{MainMemory, MemoryStats};
 use simcore::config::MachineConfig;
@@ -146,8 +146,6 @@ pub struct AdaptiveL3<S: Sink = NullSink> {
     private_latency: u64,
     shared_latency: u64,
     stats: AdaptiveStats,
-    victims_by_owner: PerCore<u64>,
-    lru_fallback_victims_by_owner: PerCore<u64>,
     sink: S,
 }
 
@@ -188,20 +186,8 @@ impl<S: Sink> AdaptiveL3<S> {
             private_latency: cfg.l3.private.latency(),
             shared_latency: cfg.l3.neighbor_latency,
             stats: AdaptiveStats::default(),
-            victims_by_owner: PerCore::filled(cfg.cores, 0), // lint:allow(D4): constructor
-            lru_fallback_victims_by_owner: PerCore::filled(cfg.cores, 0), // lint:allow(D4): constructor
             sink,
         }
-    }
-
-    /// How many blocks each core has had evicted from the shared
-    /// partition (diagnostics), and how many of those came from the
-    /// global-LRU fallback rather than the over-quota rule.
-    pub fn eviction_breakdown(&self) -> (Vec<u64>, Vec<u64>) {
-        (
-            self.victims_by_owner.iter().copied().collect(),
-            self.lru_fallback_victims_by_owner.iter().copied().collect(),
-        )
     }
 
     /// Freezes or unfreezes quota adaptation (see
@@ -519,10 +505,6 @@ impl<S: Sink> AdaptiveL3<S> {
         w.put_u64(self.stats.evictions);
         w.put_u64(self.stats.over_quota_evictions);
         w.put_u64(self.stats.demotions);
-        for core in CoreId::all(self.cores) {
-            w.put_u64(self.victims_by_owner[core]);
-            w.put_u64(self.lru_fallback_victims_by_owner[core]);
-        }
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into an
@@ -584,10 +566,6 @@ impl<S: Sink> AdaptiveL3<S> {
         self.stats.evictions = r.get_u64()?;
         self.stats.over_quota_evictions = r.get_u64()?;
         self.stats.demotions = r.get_u64()?;
-        for core in CoreId::all(self.cores) {
-            self.victims_by_owner[core] = r.get_u64()?;
-            self.lru_fallback_victims_by_owner[core] = r.get_u64()?;
-        }
         Ok(())
     }
 }
@@ -800,11 +778,8 @@ impl<S: Sink> LastLevel for AdaptiveL3<S> {
             }
             self.shared[set_idx].remove(way as u8);
             self.stats.evictions += 1;
-            self.victims_by_owner[victim_owner] += 1;
             if over_quota {
                 self.stats.over_quota_evictions += 1;
-            } else {
-                self.lru_fallback_victims_by_owner[victim_owner] += 1;
             }
             if S::ENABLED {
                 self.sink.emit(

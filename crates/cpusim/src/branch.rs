@@ -32,15 +32,6 @@ impl Sat2 {
     }
 }
 
-/// Outcome of one prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prediction {
-    /// Predicted direction.
-    pub taken: bool,
-    /// Whether the BTB knew the target (only relevant for taken branches).
-    pub btb_hit: bool,
-}
-
 /// The combined (bimodal + 2-level + chooser) predictor with BTB.
 ///
 /// # Example

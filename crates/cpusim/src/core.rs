@@ -61,11 +61,8 @@ fn ready_bit(seq: u64) -> u64 {
 struct Calendar {
     /// One bit per member, by `seq % 64`.
     members: u64,
-    /// Each member's operand-ready cycle, by `seq % 64`. Boxed, so a
-    /// `Core` keeps its size: inline, the 512 bytes reshuffled the cores
-    /// that `Cmp` keeps side by side and warms on parallel threads, and
-    /// cost that warm about 6 % on nucabench `light`.
-    ready_at: Box<[u64; 64]>,
+    /// Each member's operand-ready cycle, by `seq % 64`.
+    ready_at: [u64; 64],
     /// The earliest `ready_at` of a member; `u64::MAX` when there is none.
     next: u64,
 }
@@ -74,7 +71,7 @@ impl Calendar {
     fn new() -> Self {
         Calendar {
             members: 0,
-            ready_at: Box::new([0; 64]), // lint:allow(L7): constructor
+            ready_at: [0; 64],
             next: u64::MAX,
         }
     }
@@ -230,6 +227,10 @@ impl IssueSlots {
 ///
 /// The `S` parameter selects the telemetry sink for MSHR events; the
 /// default [`NullSink`] compiles all emission sites away.
+///
+/// Aligned to 128 bytes (an adjacent-line prefetch pair), so cores kept
+/// side by side and warmed on different host threads share no cache line.
+#[repr(align(128))]
 pub struct Core<S: Sink = NullSink> {
     id: CoreId,
     cfg: MachineConfig,

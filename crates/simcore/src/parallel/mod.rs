@@ -2,41 +2,28 @@
 //!
 //! Every figure in the paper is a grid of *cells* — one (machine,
 //! organization, mix) simulation each — with no data flowing between
-//! cells. [`run_indexed`] executes such a grid on `jobs` worker threads
-//! using [`std::thread::scope`] and a shared atomic work index
-//! (work-stealing by next-index claim), then reassembles the results in
-//! cell order. Because each cell seeds its own [`crate::rng::SimRng`]
-//! stream and touches no shared mutable state, the output is
-//! **bit-identical** for every `jobs` value, including `jobs == 1`
-//! (which short-circuits to a plain serial loop and spawns nothing).
+//! cells. [`run_indexed`] executes such a grid on up to `jobs` host
+//! threads and returns the results in cell order. Because each cell
+//! seeds its own [`crate::rng::SimRng`] stream and touches no shared
+//! mutable state, the output is **bit-identical** for every `jobs`
+//! value, including `jobs == 1` (which short-circuits to a plain serial
+//! loop and spawns nothing).
 //!
-//! The claim/reassemble protocol is factored into three pieces the real
-//! runner and the [`model`] schedule explorer share, so the property the
-//! explorer proves is the property the runner actually executes:
-//!
-//! - [`WorkSource`] — the claim protocol (production impl:
-//!   [`AtomicSource`], a `fetch_add` over `0..n`);
-//! - [`WorkerState`] — one worker's loop body, advanced one claim at a
-//!   time by [`WorkerState::step`];
-//! - [`reassemble`] — the index-ordered merge of per-worker results.
-//!
-//! [`model`] drives these same pieces through *every* interleaving of
-//! worker steps on small grids, turning "bit-identical for any `--jobs`"
-//! from a sampled property into an exhaustively checked one.
-//!
-//! Inside one cell, [`fan_out`] spreads independent per-item work (a
-//! chip's per-core functional warm) over host threads. A cell's thread
-//! budget is its worker's share of `jobs` ([`cell_share`]): a one-cell
-//! run keeps the caller's whole `jobs`, a grid of many cells gives each
-//! worker `jobs / workers`, and code outside any runner gets the host's
-//! [`default_jobs`].
+//! There is one claim loop, [`fan_out`]: threads take item indices from
+//! a shared atomic counter, each index exactly once, so uneven items
+//! balance across threads. [`run_indexed`] hands it one slot per cell,
+//! and each cell writes its result into its own slot, so the results
+//! are in index order by construction. Inside one cell, [`fan_out`]
+//! also spreads independent per-item work (a chip's per-core functional
+//! warm) over host threads. A cell's thread budget is its share of
+//! `jobs` ([`cell_share`]): a one-cell run keeps the caller's whole
+//! `jobs`, a grid of many cells gives each cell `jobs / workers`, and
+//! code outside any runner gets the host's [`default_jobs`].
 //!
 //! This is the only module in the workspace allowed to spawn threads
 //! (enforced by `nuca-lint` rule L5): ad-hoc threading elsewhere could
 //! reorder floating-point reductions or share RNG streams and silently
 //! break the determinism the test suite relies on.
-
-pub mod model;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,130 +53,25 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// The claim side of the work-stealing protocol: hands out each cell
-/// index exactly once, then reports drained.
+/// Runs `f(0..n)` on up to `jobs` host threads and returns the results
+/// in index order.
 ///
-/// The real runner uses [`AtomicSource`] across threads; the model
-/// checker drives the same trait from a virtual scheduler, so every
-/// protocol state the explorer visits is one the runner can reach.
-pub trait WorkSource: Sync {
-    /// Claims the next unprocessed cell index, or `None` once the grid
-    /// is drained. Each index in `0..n` is returned exactly once across
-    /// all callers.
-    fn claim(&self) -> Option<usize>;
-}
-
-/// Production [`WorkSource`]: a shared atomic counter over `0..n`.
-///
-/// `fetch_add` makes the claim a single atomic read-modify-write, so a
-/// slow cell never stalls the rest of the grid (work-stealing by claim
-/// rather than by deque).
-#[derive(Debug)]
-pub struct AtomicSource {
-    next: AtomicUsize,
-    n: usize,
-}
-
-impl AtomicSource {
-    /// A source that will hand out `0..n` once each.
-    pub fn new(n: usize) -> AtomicSource {
-        AtomicSource {
-            next: AtomicUsize::new(0),
-            n,
-        }
-    }
-}
-
-impl Clone for AtomicSource {
-    fn clone(&self) -> AtomicSource {
-        AtomicSource {
-            next: AtomicUsize::new(self.next.load(Ordering::Relaxed)),
-            n: self.n,
-        }
-    }
-}
-
-impl WorkSource for AtomicSource {
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.n).then_some(i)
-    }
-}
-
-/// One worker's half of the protocol: local `(index, result)` pairs,
-/// advanced one claim at a time.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerState<R> {
-    local: Vec<(usize, R)>,
-}
-
-impl<R> WorkerState<R> {
-    /// A worker with no claims yet.
-    pub fn new() -> WorkerState<R> {
-        WorkerState { local: Vec::new() }
-    }
-
-    /// One protocol step: claim the next index from `source` and run the
-    /// cell. Returns `false` when the source is drained (the worker's
-    /// exit condition).
-    pub fn step<S: WorkSource + ?Sized, F: Fn(usize) -> R>(&mut self, source: &S, f: &F) -> bool {
-        match source.claim() {
-            Some(i) => {
-                self.local.push((i, f(i)));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The worker's accumulated `(index, result)` pairs, in claim order.
-    pub fn into_local(self) -> Vec<(usize, R)> {
-        self.local
-    }
-}
-
-/// Merges per-worker `(index, result)` pairs into index order — the
-/// reassembly half of the protocol. Returns `None` if the pairs are not
-/// a permutation of `0..n` (a protocol violation: an index claimed twice
-/// or never).
-pub fn reassemble<R>(locals: Vec<Vec<(usize, R)>>, n: usize) -> Option<Vec<R>> {
-    let mut pairs: Vec<(usize, R)> = locals.into_iter().flatten().collect();
-    if pairs.len() != n {
-        return None;
-    }
-    pairs.sort_unstable_by_key(|(i, _)| *i);
-    if pairs
-        .iter()
-        .enumerate()
-        .any(|(want, (got, _))| want != *got)
-    {
-        return None;
-    }
-    Some(pairs.into_iter().map(|(_, r)| r).collect())
-}
-
-/// Runs `f(0..n)` on up to `jobs` scoped worker threads and returns the
-/// results in index order.
-///
-/// Workers claim cell indices from a shared [`AtomicSource`]; each
-/// worker keeps `(index, result)` pairs locally ([`WorkerState`]); after
-/// all workers join, [`reassemble`] merges the pairs by index, so the
+/// Each cell gets its own slot, [`fan_out`] hands every slot to exactly
+/// one thread, and the cell writes its result into that slot, so the
 /// caller sees exactly the order a serial loop would produce regardless
-/// of thread scheduling. [`model::explore`] checks this protocol under
-/// every possible schedule.
+/// of thread scheduling.
 ///
 /// With `jobs <= 1` or `n <= 1` no threads are spawned at all — the
 /// serial path is the parallel path's reference semantics, not a
 /// separate implementation.
 ///
-/// Each cell runs with its worker's share of `jobs` as its
-/// [`cell_share`]: `jobs / workers` on the threaded path, the caller's
-/// whole `jobs` on the serial one (so a one-cell `jobs = 4` run may fan
-/// its own work out four ways, while a full grid leaves each cell one
-/// thread).
+/// Each cell runs with its share of `jobs` as its [`cell_share`]:
+/// `jobs / workers` on the threaded path, the caller's whole `jobs` on
+/// the serial one (so a one-cell `jobs = 4` run may fan its own work out
+/// four ways, while a full grid leaves each cell one thread).
 ///
-/// A panic inside `f` is propagated to the caller after the remaining
-/// workers drain (standard scoped-thread behavior).
+/// A panic inside `f` is propagated to the caller after the other
+/// threads drain (see [`fan_out`]).
 pub fn run_indexed<R, F>(jobs: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -200,44 +82,16 @@ where
         return with_share(jobs.max(1), || (0..n).map(f).collect());
     }
     let share = jobs / workers;
-    let source = AtomicSource::new(n);
-    let f = &f;
-    let source = &source;
-    let mut locals: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    SHARE.with(|c| c.set(share));
-                    let mut state = WorkerState::new();
-                    while state.step(source, f) {}
-                    state.into_local()
-                })
-            })
-            .collect();
-        for w in workers {
-            match w.join() {
-                Ok(local) => locals.push(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+    let mut slots: Vec<(usize, Option<R>)> = (0..n).map(|i| (i, None)).collect();
+    fan_out(workers, &mut slots, |(i, out)| {
+        *out = Some(with_share(share, || f(*i)));
     });
-    // Every index in 0..n is claimed by exactly one fetch_add, so after
-    // a panic-free join the pairs are a permutation of 0..n.
-    match reassemble(locals, n) {
-        Some(out) => out,
-        None => {
-            debug_assert!(
-                false,
-                "claim protocol violated: result set is not a permutation"
-            );
-            Vec::new()
-        }
-    }
+    // `fan_out` returned, so it ran every cell: every slot is filled.
+    slots.into_iter().filter_map(|(_, out)| out).collect()
 }
 
 /// Host threads the cell running on this thread may use for its own
-/// [`fan_out`]: its worker's share of the `jobs` passed to the enclosing
+/// [`fan_out`]: its share of the `jobs` passed to the enclosing
 /// [`run_indexed`] (see there), or [`default_jobs`] outside any runner.
 /// Always at least one.
 pub fn cell_share() -> usize {
@@ -264,9 +118,9 @@ fn with_share<R>(share: usize, f: impl FnOnce() -> R) -> R {
 /// host threads (the calling thread included), and returns when all
 /// items are done.
 ///
-/// Items are claimed one at a time from an [`AtomicSource`], so uneven
-/// per-item costs balance across threads. Which thread runs which item
-/// is scheduling-dependent; callers must only hand over items whose
+/// Items are claimed one at a time through a shared atomic counter, so
+/// uneven per-item costs balance across threads. Which thread runs which
+/// item is scheduling-dependent; callers must only hand over items whose
 /// processing is independent (each `f(item)` touches its own item and
 /// shared state only through `&` access), which makes the outcome the
 /// same at every width. With `width <= 1` or at most one item nothing is
@@ -288,13 +142,13 @@ where
     // Each index is claimed exactly once, so no lock is contended or
     // taken twice: a lock poisoned by a panicking `f` is never seen
     // again, and the panic itself reaches the caller through the join.
+    // The counter publishes no data (the locks and the join do), so its
+    // claims can be `Relaxed`.
     let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    let source = AtomicSource::new(slots.len());
+    let next = AtomicUsize::new(0);
     let work = || {
-        while let Some(i) = source.claim() {
-            if let Some(slot) = slots.get(i) {
-                f(&mut slot.lock().unwrap_or_else(PoisonError::into_inner));
-            }
+        while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+            f(&mut slot.lock().unwrap_or_else(PoisonError::into_inner));
         }
     };
     let work = &work;
@@ -324,11 +178,32 @@ where
 mod tests {
     use super::*;
 
+    /// A miniature experiment cell: a per-cell seeded RNG stream reduced
+    /// into a digest, the shape of real grid cells (no shared state, all
+    /// randomness derived from the cell index).
+    fn sim_cell(i: usize) -> (u64, u64) {
+        let mut rng = crate::rng::SimRng::seed_from(0xC0FF_EE00 ^ i as u64);
+        let mut hits = 0u64;
+        let mut acc = 0u64;
+        for _ in 0..256 {
+            let v = rng.next_u64();
+            acc = acc.wrapping_mul(31).wrapping_add(v);
+            if v.is_multiple_of(3) {
+                hits += 1;
+            }
+        }
+        (hits, acc)
+    }
+
     #[test]
     fn serial_and_parallel_agree() {
         let serial = run_indexed(1, 100, |i| i * i);
         for jobs in [2, 3, 4, 8, 100, 1000] {
             assert_eq!(run_indexed(jobs, 100, |i| i * i), serial, "jobs={jobs}");
+        }
+        let serial: Vec<(u64, u64)> = (0..9).map(sim_cell).collect();
+        for jobs in [1, 2, 3, 4, 8] {
+            assert_eq!(run_indexed(jobs, 9, sim_cell), serial, "digest jobs={jobs}");
         }
     }
 
@@ -389,6 +264,25 @@ mod tests {
     }
 
     #[test]
+    fn run_indexed_propagates_a_panicking_cell() {
+        // On the threaded path a cell may run on the calling thread or on
+        // a helper; either way its panic must reach the caller.
+        for jobs in [2, 4] {
+            for bad in [0, 3, 5] {
+                let outcome = std::panic::catch_unwind(|| {
+                    run_indexed(jobs, 6, |i| {
+                        if i == bad {
+                            panic!("cell {bad} fails");
+                        }
+                        i
+                    })
+                });
+                assert!(outcome.is_err(), "jobs {jobs} swallowed cell {bad}'s panic");
+            }
+        }
+    }
+
+    #[test]
     fn cell_share_follows_the_runner() {
         // Outside any runner: the host default.
         assert_eq!(cell_share(), default_jobs());
@@ -413,29 +307,5 @@ mod tests {
     fn resolve_jobs_auto_and_literal() {
         assert!(resolve_jobs(0) >= 1);
         assert_eq!(resolve_jobs(3), 3);
-    }
-
-    #[test]
-    fn atomic_source_hands_out_each_index_once() {
-        let s = AtomicSource::new(3);
-        assert_eq!(s.claim(), Some(0));
-        assert_eq!(s.claim(), Some(1));
-        assert_eq!(s.claim(), Some(2));
-        assert_eq!(s.claim(), None);
-        assert_eq!(s.claim(), None, "drained source stays drained");
-    }
-
-    #[test]
-    fn reassemble_rejects_protocol_violations() {
-        assert_eq!(
-            reassemble(vec![vec![(1, 'b')], vec![(0, 'a')]], 2),
-            Some(vec!['a', 'b'])
-        );
-        assert_eq!(reassemble(vec![vec![(0, 'a')]], 2), None, "missing index");
-        assert_eq!(
-            reassemble(vec![vec![(0, 'a'), (0, 'b')]], 2),
-            None,
-            "duplicate claim"
-        );
     }
 }

@@ -674,10 +674,44 @@ mod tests {
 
     #[test]
     fn validator_rejects_broken_replay() {
+        let expect = |trace: Trace, needle: &str| {
+            let errs = validate_jsonl(&render_jsonl(&[trace])).unwrap_err();
+            assert!(
+                errs.iter().any(|e| e.contains(needle)),
+                "{needle}: {errs:?}"
+            );
+        };
+        fn repartition(trace: &mut Trace) -> (&mut CoreId, &mut Vec<u32>) {
+            trace
+                .events
+                .iter_mut()
+                .find_map(|r| match &mut r.event {
+                    Event::Repartition { gainer, quotas, .. } => Some((gainer, quotas)),
+                    _ => None,
+                })
+                .unwrap()
+        }
         let mut trace = sample_trace();
         trace.final_quotas = vec![9, 9, 9, 9];
-        let errs = validate_jsonl(&render_jsonl(&[trace])).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("final_quotas")), "{errs:?}");
+        expect(trace, "final_quotas");
+        // The loser has no quota left to give.
+        let mut trace = sample_trace();
+        trace.meta.initial_quotas = vec![4, 0, 4, 4];
+        expect(trace, "underflow");
+        let mut trace = sample_trace();
+        *repartition(&mut trace).0 = CoreId::from_index(9);
+        expect(trace, "out of range");
+        let mut trace = sample_trace();
+        *repartition(&mut trace).1 = vec![9, 9, 9, 9];
+        expect(trace, "carried quotas");
+        // A carried vector that breaks the quota sum cannot match the
+        // replayed state, which conserves it by construction.
+        let mut trace = sample_trace();
+        *repartition(&mut trace).1 = vec![5, 3, 4, 5];
+        expect(
+            trace,
+            "carried quotas [5, 3, 4, 5] != replayed [5, 3, 4, 4]",
+        );
     }
 
     #[test]

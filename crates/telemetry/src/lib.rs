@@ -18,10 +18,10 @@
 //!   with full retention of structural (quota-trajectory) events and
 //!   exact per-kind/per-core counts.
 //! - [`export`]: deterministic JSONL export ([`export::render_jsonl`]),
-//!   schema + replay validation ([`export::validate_jsonl`]) and the
-//!   `--metrics-out` document ([`export::metrics_json`]).
-//! - [`replay`]: reconstructs `SharingEngine::quotas()` from the event
-//!   stream — the bit-for-bit property CI enforces.
+//!   schema + replay validation ([`export::validate_jsonl`], which
+//!   reconstructs `SharingEngine::quotas()` from the event stream — the
+//!   bit-for-bit property CI enforces) and the `--metrics-out` document
+//!   ([`export::metrics_json`]).
 //! - [`Registry`] / [`Counter`] / [`Gauge`] / [`Family`]: hierarchical
 //!   metric aggregation behind the JSON export.
 //! - [`collector`]: opt-in process-wide collection used by the figure
@@ -36,7 +36,6 @@ pub mod event;
 pub mod export;
 pub mod json;
 pub mod registry;
-pub mod replay;
 pub mod sink;
 
 pub use event::{CoreOccupancy, Event, EventKind, TraceRecord};

@@ -9,6 +9,12 @@
 //! 2. **Replay** — applying the Repartition stream to the initial quota
 //!    vector reproduces `SharingEngine::quotas()` at end of run,
 //!    bit-for-bit, for any `--jobs` count.
+//!
+//! Both are checked the way `trace-view --check-schema` checks a trace
+//! file: the trace is rendered to JSONL and `validate_jsonl` replays it,
+//! demanding a conserved quota sum at every repartition and bit-equality
+//! with every carried vector, every epoch snapshot and the summary's
+//! final quotas, which each test takes from the engine.
 
 use proptest::prelude::*;
 
@@ -19,10 +25,15 @@ use nuca_repro::nuca_core::l3::{AdaptiveL3, Organization};
 use nuca_repro::simcore::config::MachineConfig;
 use nuca_repro::simcore::rng::SimRng;
 use nuca_repro::simcore::types::{Address, CoreId, Cycle};
-use nuca_repro::telemetry::replay::{check_conservation, replay_quotas};
-use nuca_repro::telemetry::{EventKind, Recorder, TraceMeta};
+use nuca_repro::telemetry::export::{render_jsonl, validate_jsonl, JsonlReport};
+use nuca_repro::telemetry::{EventKind, Recorder, Trace, TraceMeta};
 use nuca_repro::tracegen::spec::SpecApp;
 use nuca_repro::tracegen::workload::WorkloadPool;
+
+/// Validates `trace` as a rendered JSONL document (schema and replay).
+fn replay(trace: &Trace) -> Result<JsonlReport, Vec<String>> {
+    validate_jsonl(&render_jsonl(std::slice::from_ref(trace)))
+}
 
 /// Hammers a recorded adaptive L3 with `accesses` random accesses using
 /// a short re-evaluation period so repartitions actually happen, then
@@ -71,10 +82,11 @@ fn repartitions_conserve_quota_and_replay_to_engine_state() {
             .any(|r| r.event.kind() == EventKind::Repartition),
         "workload was imbalanced enough to repartition"
     );
-    check_conservation(&trace.events, total).expect("quota sum conserved");
-    let replayed = replay_quotas(&trace.meta.initial_quotas, &trace.events)
-        .expect("repartition stream replays");
-    assert_eq!(replayed, final_quotas, "replay lands on engine state");
+    let report = replay(&trace).expect("quota sum conserved, stream replays to engine state");
+    assert!(report.repartitions > 0);
+    assert_eq!(trace.final_quotas, final_quotas);
+    let sum: u64 = final_quotas.iter().map(|&q| u64::from(q)).sum();
+    assert_eq!(sum, total);
 }
 
 #[test]
@@ -87,19 +99,15 @@ fn epoch_snapshots_match_the_repartition_trajectory() {
         initial_quotas: vec![4; 4],
     };
     let trace = recorder.finish(meta, final_quotas);
-    // Replay incrementally: at every Epoch event the carried quota
-    // vector must equal the state replayed from the Repartitions so far.
-    let mut upto = Vec::new();
-    let mut checked = 0;
-    for record in &trace.events {
-        upto.push(record.clone());
-        if let nuca_repro::telemetry::Event::Epoch { quotas, .. } = &record.event {
-            let replayed = replay_quotas(&trace.meta.initial_quotas, &upto).unwrap();
-            assert_eq!(&replayed, quotas, "epoch snapshot at seq {}", record.seq);
-            checked += 1;
-        }
-    }
-    assert!(checked > 0, "run crossed at least one epoch boundary");
+    // At every Epoch event the carried quota vector must equal the state
+    // replayed from the Repartitions so far.
+    replay(&trace).expect("every epoch snapshot matches the replayed state");
+    let epochs = trace
+        .events
+        .iter()
+        .filter(|r| r.event.kind() == EventKind::Epoch)
+        .count();
+    assert!(epochs > 0, "run crossed at least one epoch boundary");
 }
 
 #[test]
@@ -112,9 +120,8 @@ fn run_mix_traced_replays_to_final_engine_quotas() {
     let org = Organization::adaptive();
     let (result, trace) = run_mix_traced(&machine, org, &mix, &exp, 8192).unwrap();
     assert_eq!(trace.meta.initial_quotas, initial_quotas(&machine, org));
-    let replayed = replay_quotas(&trace.meta.initial_quotas, &trace.events).unwrap();
-    assert_eq!(Some(&replayed), result.result.quotas.as_ref());
-    assert_eq!(replayed, trace.final_quotas);
+    replay(&trace).expect("the traced cell replays to its final quotas");
+    assert_eq!(Some(&trace.final_quotas), result.result.quotas.as_ref());
     // The same request must trace identically when repeated (the
     // determinism the trace-smoke CI job checks across --jobs values).
     let (_, again) = run_mix_traced(&machine, org, &mix, &exp, 8192).unwrap();
@@ -153,10 +160,8 @@ proptest! {
             initial_quotas: vec![4; 4],
         };
         let trace = recorder.finish(meta, final_quotas.clone());
-        prop_assert!(check_conservation(&trace.events, total).is_ok());
-        let replayed = replay_quotas(&trace.meta.initial_quotas, &trace.events)
-            .map_err(TestCaseError::fail)?;
-        prop_assert_eq!(replayed, final_quotas);
+        replay(&trace).map_err(|errs| TestCaseError::fail(errs.join("; ")))?;
+        prop_assert_eq!(&trace.final_quotas, &final_quotas);
         // Sum of the final vector is the machine total, too.
         let sum: u64 = trace.final_quotas.iter().map(|&q| u64::from(q)).sum();
         prop_assert_eq!(sum, total);
@@ -192,6 +197,6 @@ fn replay_survives_ring_pressure() {
         final_quotas.clone(),
     );
     assert!(trace.dropped > 0, "the tiny ring must actually drop");
-    let replayed = replay_quotas(&trace.meta.initial_quotas, &trace.events).unwrap();
-    assert_eq!(replayed, final_quotas);
+    replay(&trace).expect("structural events survive the ring");
+    assert_eq!(trace.final_quotas, final_quotas);
 }
