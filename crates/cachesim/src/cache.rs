@@ -80,6 +80,12 @@ pub struct Cache {
     geom: CacheGeometry,
     /// Associativity, cached out of `geom` for the hot path.
     ways: usize,
+    /// Block-offset bits and the set-index mask over the block number
+    /// (the set count is a power of two), cached out of `geom`: every
+    /// probe, fill and invalidate indexes a set, and
+    /// `CacheGeometry::index_bits` divides to count the sets.
+    offset_bits: u32,
+    index_mask: u64,
     /// Flat set-major block addresses: `tags[set * ways + way]`.
     /// Meaningful only where the set's valid bit is set.
     tags: Vec<BlockAddr>,
@@ -112,6 +118,8 @@ impl Cache {
         Cache {
             geom,
             ways,
+            offset_bits: geom.offset_bits(),
+            index_mask: geom.sets() - 1,
             tags: vec![BlockAddr::new(0); sets * ways], // lint:allow(L7): constructor
             owners: vec![CoreId::from_index(0); sets * ways], // lint:allow(L7): constructor
             valid: vec![0; sets],                       // lint:allow(L7): constructor
@@ -141,8 +149,7 @@ impl Cache {
     /// The set index for an address.
     #[inline]
     pub fn set_index(&self, addr: Address) -> usize {
-        addr.block(self.geom.offset_bits())
-            .index_bits(0, self.geom.index_bits()) as usize
+        (addr.block(self.offset_bits).raw() & self.index_mask) as usize
     }
 
     /// The way holding `blk` in `set`, if resident: the validated
@@ -175,7 +182,7 @@ impl Cache {
     /// marked dirty for writes); on a miss nothing changes — callers decide
     /// whether and when to [`fill`](Self::fill).
     pub fn access(&mut self, addr: Address, write: bool, _core: CoreId) -> Lookup {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         let set = self.set_index(addr);
         if let Some(w) = self.find(set, blk) {
             return self.commit_hit(set, w, write);
@@ -195,7 +202,7 @@ impl Cache {
 
     /// Probes for a block without updating recency or statistics.
     pub fn probe(&self, addr: Address) -> bool {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         self.find(self.set_index(addr), blk).is_some()
     }
 
@@ -205,7 +212,7 @@ impl Cache {
     /// fused probe has decided the whole access goes through.
     #[inline]
     pub fn peek_hit_way(&self, addr: Address) -> Option<usize> {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         self.find(self.set_index(addr), blk)
     }
 
@@ -237,7 +244,7 @@ impl Cache {
     /// Returns the evicted block, if any. Filling a block that is already
     /// present just promotes it (and merges the dirty bit).
     pub fn fill(&mut self, addr: Address, dirty: bool, owner: CoreId) -> Option<EvictedBlock> {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         let set = self.set_index(addr);
 
         // Already present: refresh.
@@ -262,7 +269,7 @@ impl Cache {
         write: bool,
         owner: CoreId,
     ) -> (Lookup, Option<EvictedBlock>) {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         let set = self.set_index(addr);
         if let Some(w) = self.find(set, blk) {
             return (self.commit_hit(set, w, write), None);
@@ -321,7 +328,7 @@ impl Cache {
     /// Removes a block if present, returning its metadata (used when an
     /// organization migrates a block to another slice).
     pub fn invalidate(&mut self, addr: Address) -> Option<EvictedBlock> {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         let set = self.set_index(addr);
         let w = self.find(set, blk)?;
         let out = EvictedBlock {
@@ -337,7 +344,7 @@ impl Cache {
 
     /// The owner recorded for a resident block.
     pub fn owner_of(&self, addr: Address) -> Option<CoreId> {
-        let blk = addr.block(self.geom.offset_bits());
+        let blk = addr.block(self.offset_bits);
         let set = self.set_index(addr);
         self.find(set, blk)
             .map(|w| self.owners[set * self.ways + w])
@@ -786,6 +793,43 @@ mod tests {
         }
         assert!(c.check_invariants());
         assert!(c.stats().accesses() == 5_000);
+    }
+
+    #[test]
+    fn set_index_matches_the_geometry_on_every_built_shape() {
+        // `set_index` masks with what the constructor cached; it must pick
+        // the set `CacheGeometry` defines for every geometry the simulator
+        // builds: Table 1's L1I, L1D, L2 and both L3s, as built, at twice
+        // the L3 capacity (Figure 9) and technology-scaled (Figure 10);
+        // Figure 3's slices (the private L3's sets at 1 to 16 ways); one
+        // set; 32 ways.
+        use simcore::config::MachineConfig;
+        use simcore::rng::SimRng;
+        let table1 = MachineConfig::baseline();
+        let mut geoms = Vec::new();
+        for m in [
+            table1,
+            table1.with_l3_scale(2).unwrap(),
+            table1.technology_scaled(),
+        ] {
+            geoms.extend([m.l1i, m.l1d, m.l2, m.l3.shared, m.l3.private]);
+        }
+        let private = table1.l3.private;
+        for ways in [1, 2, 3, 4, 6, 8, 16] {
+            let bytes = private.sets() * u64::from(ways) * 64;
+            geoms.push(CacheGeometry::new(bytes, ways, 64, private.latency()).unwrap());
+        }
+        geoms.push(CacheGeometry::new(16 * 64, 16, 64, 1).unwrap());
+        geoms.push(CacheGeometry::new(64 * 32 * 64, 32, 64, 1).unwrap());
+        let mut rng = SimRng::seed_from(5);
+        for geom in geoms {
+            let c = Cache::new(geom);
+            for _ in 0..10_000 {
+                let a = Address::new(rng.next_u64());
+                let want = a.block(geom.offset_bits()).index_bits(0, geom.index_bits());
+                assert_eq!(c.set_index(a) as u64, want, "{geom:?} at {a}");
+            }
+        }
     }
 
     #[test]

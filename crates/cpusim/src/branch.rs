@@ -58,7 +58,8 @@ pub struct BranchPredictor {
     /// BTB: `btb_entries / btb_assoc` sets of `btb_assoc` tags with LRU
     /// counters.
     btb: Vec<(u64, u64)>, // (tag, last_use)
-    btb_sets: usize,
+    /// The BTB set count minus one (the count is a power of two).
+    btb_set_mask: usize,
     btb_use: u64,
     predictions: u64,
     mispredictions: u64,
@@ -69,8 +70,9 @@ impl BranchPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if any table size is zero or not a power of two where an
-    /// index mask is required.
+    /// Panics if any table size, or the BTB's set count, is zero or not a
+    /// power of two where an index mask is required, or if the BTB does
+    /// not divide into whole sets.
     pub fn new(cfg: BranchConfig) -> Self {
         assert!(
             cfg.bimodal_entries.is_power_of_two(),
@@ -89,6 +91,10 @@ impl BranchPredictor {
             "BTB must divide into whole sets"
         );
         let btb_sets = cfg.btb_entries / cfg.btb_assoc;
+        assert!(
+            btb_sets.is_power_of_two(),
+            "BTB set count must be a power of two"
+        );
         BranchPredictor {
             bimodal: vec![Sat2::WEAK_TAKEN; cfg.bimodal_entries],
             level2: vec![Sat2::WEAK_TAKEN; cfg.level2_entries],
@@ -96,7 +102,7 @@ impl BranchPredictor {
             history: 0,
             history_mask: (1u32 << cfg.history_bits) - 1,
             btb: vec![(u64::MAX, 0); cfg.btb_entries],
-            btb_sets,
+            btb_set_mask: btb_sets - 1,
             btb_use: 0,
             predictions: 0,
             mispredictions: 0,
@@ -132,7 +138,7 @@ impl BranchPredictor {
     }
 
     fn btb_lookup_update(&mut self, pc: u64, taken: bool) -> bool {
-        let set = (pc >> 2) as usize % self.btb_sets;
+        let set = (pc >> 2) as usize & self.btb_set_mask;
         let base = set * self.cfg.btb_assoc;
         self.btb_use += 1;
         let ways = &mut self.btb[base..base + self.cfg.btb_assoc];
@@ -376,6 +382,17 @@ mod tests {
             p.access(pc, true);
         }
         assert!(p.mispredictions() >= 4, "evictions force repeat misfetches");
+    }
+
+    #[test]
+    #[should_panic(expected = "BTB set count must be a power of two")]
+    fn btb_set_count_must_be_a_power_of_two() {
+        // Three 2-way sets: the mask that indexes the BTB needs 2^k sets.
+        BranchPredictor::new(BranchConfig {
+            btb_entries: 6,
+            btb_assoc: 2,
+            ..BranchConfig::default()
+        });
     }
 
     #[test]

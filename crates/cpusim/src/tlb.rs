@@ -3,7 +3,7 @@
 //!
 //! Storage is a pair of flat vectors (`pages`/`stamps`) plus a small
 //! direct-mapped *residency memo* that remembers the slot of the last
-//! translation per low-page-bits bucket. The memo is a pure search-order
+//! translation per page-hash bucket. The memo is a pure search-order
 //! optimization, like the last-hit-way memo in `cachesim::cache`: a memo
 //! hit skips the linear scan, a memo mismatch falls back to it, and because
 //! pages are unique within the TLB both paths find the same slot. The
@@ -13,8 +13,10 @@
 use simcore::config::TlbConfig;
 use simcore::types::Address;
 
-/// Direct-mapped memo size; indexed by `page & (MEMO_SLOTS - 1)`.
-const MEMO_SLOTS: usize = 256;
+/// Index bits of the direct-mapped memo (see [`Tlb::memo_slot`]).
+const MEMO_BITS: u32 = 8;
+/// Direct-mapped memo size.
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
 
 /// A fully-associative, LRU-replaced TLB over 4-KiB pages.
 ///
@@ -78,9 +80,14 @@ impl Tlb {
         self.memo_on = enabled;
     }
 
+    /// The memo slot of `page`: the top [`MEMO_BITS`] of the page times
+    /// 2^64/φ (Fibonacci hashing). The page's low bits would spread a
+    /// dense page range just as well, but every data region of a trace
+    /// starts on a 256-page boundary, so the regions' first pages would
+    /// all share one slot.
     #[inline]
     fn memo_slot(page: u64) -> usize {
-        (page as usize) & (MEMO_SLOTS - 1)
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_BITS)) as usize
     }
 
     /// Finds the slot holding `page`, memo first when enabled. Pages are
@@ -308,26 +315,40 @@ mod tests {
 
     #[test]
     fn memo_and_reference_scan_agree() {
-        // The memo is a pure search-order optimization: an aliasing page
-        // stream (memo buckets collide every MEMO_SLOTS pages) must
-        // produce identical verdicts, statistics and snapshots with the
-        // memo read on and off.
+        // The memo is a pure search-order optimization: a page stream
+        // whose resident pages share memo slots must produce identical
+        // verdicts, statistics and snapshots with the memo read on and
+        // off. Pages 0-7 each come with the next two pages that share
+        // their slot, found through the slot function itself.
+        let aliases: Vec<[u64; 3]> = (0..8u64)
+            .map(|page| {
+                let slot = Tlb::memo_slot(page);
+                let mut same = (page + 1..).filter(|&p| Tlb::memo_slot(p) == slot);
+                [page, same.next().unwrap(), same.next().unwrap()]
+            })
+            .collect();
         let run = |memo: bool| {
             let mut t = small(16);
             t.set_memo(memo);
             let mut verdicts = Vec::new();
+            let mut mismatches = 0;
             for i in 0..4_000u64 {
-                // Mix of reuse, bucket aliasing (page ± 256) and fresh
-                // pages, so hits, memo mismatches and evictions all fire.
+                // Mix of reuse, slot aliasing and fresh pages, so hits,
+                // memo mismatches and evictions all fire: each alias group
+                // is walked three times in a row.
                 let page = match i % 5 {
-                    0 => i % 8,
-                    1 => (i % 8) + 256,
-                    2 => (i % 8) + 512,
+                    k @ 0..=2 => aliases[(i / 15 % 8) as usize][k as usize],
                     3 => i % 24,
                     _ => i * 7 % 97,
                 };
+                // A resident page whose memo entry names another page's
+                // slot: the memo misses, and the scan must find it.
+                let m = t.memo[Tlb::memo_slot(page)] as usize;
+                let resident = t.pages.contains(&page);
+                mismatches += u64::from(resident && m != 0 && t.pages[m - 1] != page);
                 verdicts.push(t.access(Address::new(page << 12)));
             }
+            assert!(mismatches > 100, "only {mismatches} memo mismatches");
             let mut w = simcore::snapshot::SnapshotWriter::new();
             t.save_state(&mut w);
             (verdicts, t.hits(), t.misses(), w.finish())

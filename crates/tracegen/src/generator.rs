@@ -60,6 +60,53 @@ fn wrap_inc(x: u64, k: u64) -> u64 {
     wrap_once(x + 1, k)
 }
 
+/// The 53-bit threshold of probability `p`: `⌈p · 2^53⌉`, clamped to
+/// `[0, 2^53]`. A 53-bit draw `u` (what [`SimRng::next_f64`] scales)
+/// passes `u < threshold(p)` exactly when `next_f64() < p` on the same
+/// draw: `next_f64` is `u · 2^-53` with no rounding (`u < 2^53` converts
+/// exactly and the scale is a power of two), so the test is `u < p · 2^53`
+/// over the reals, and for an integer `u` that is `u < ⌈p · 2^53⌉`. The
+/// product and its ceiling are exact too; the saturating cast sends a
+/// negative `p` (and NaN) to 0, and the clamp covers `p > 1`.
+fn threshold(p: f64) -> u64 {
+    ((p * (1u64 << 53) as f64).ceil() as u64).min(1 << 53)
+}
+
+/// Every probability [`TraceGenerator::next_op`] tests but the branch
+/// biases, in the order of the generator's threshold fields: the
+/// cumulative load, store and branch shares of the op class draw, the
+/// cumulative L1, L2 and hot shares of the region draw, then the chances
+/// of a looping hot access, a shared load, a multiply, an FP op and a
+/// second source.
+fn probabilities(p: &AppProfile) -> [f64; 11] {
+    let t_store = p.load_frac + p.store_frac;
+    let m_l2 = p.mix.l1_resident + p.mix.l2_resident;
+    [
+        p.load_frac,
+        t_store,
+        t_store + p.branch_frac,
+        p.mix.l1_resident,
+        m_l2,
+        m_l2 + p.mix.l3_hot,
+        p.hot_loop,
+        p.shared_read_frac,
+        p.mul_frac,
+        p.fp_frac,
+        p.dep2_prob,
+    ]
+}
+
+/// The taken-probability of static branch `i`: each follows one dominant
+/// direction with probability `branch_predictability`, and the dominant
+/// directions alternate so the overall taken rate is near 50 %.
+fn branch_bias(p: &AppProfile, i: usize) -> f64 {
+    if i.is_multiple_of(2) {
+        p.branch_predictability
+    } else {
+        1.0 - p.branch_predictability
+    }
+}
+
 /// A deterministic generator of [`MicroOp`]s for one application.
 ///
 /// # Example
@@ -89,17 +136,23 @@ pub struct TraceGenerator {
     hot_loop_pos: u64,
     /// Recency head of the read-shared region (parallel mode).
     shared_head: u64,
-    /// Taken-probability of each static branch.
-    branch_bias: Vec<f64>,
+    /// Taken-probability of each static branch, as its [`threshold`].
+    branch_bias: Vec<u64>,
     ops_generated: u64,
-    // Precomputed thresholds over the unit interval for class selection.
-    t_load: f64,
-    t_store: f64,
-    t_branch: f64,
-    // Cumulative memory-region thresholds.
-    m_l1: f64,
-    m_l2: f64,
-    m_hot: f64,
+    // The thresholds of every other probability `next_op` tests, in the
+    // order `probabilities` lists them: cumulative class shares,
+    // cumulative memory-region shares, then one chance each.
+    t_load: u64,
+    t_store: u64,
+    t_branch: u64,
+    m_l1: u64,
+    m_l2: u64,
+    m_hot: u64,
+    t_hot_loop: u64,
+    t_shared: u64,
+    t_mul: u64,
+    t_fp: u64,
+    t_dep2: u64,
     dep_p: f64,
     /// The profile's dependency distances, shared by every generator of
     /// its `dep_mean`.
@@ -125,25 +178,11 @@ impl TraceGenerator {
         profile
             .validate()
             .expect("generator requires a valid profile");
-        // Each static branch follows one dominant direction with
-        // probability `branch_predictability`; alternate dominant
-        // directions so the overall taken rate is near 50 %.
         let branch_bias = (0..profile.branch_pool)
-            .map(|i| {
-                let p = profile.branch_predictability;
-                if i % 2 == 0 {
-                    p
-                } else {
-                    1.0 - p
-                }
-            })
+            .map(|i| threshold(branch_bias(profile, i)))
             .collect();
-        let t_load = profile.load_frac;
-        let t_store = t_load + profile.store_frac;
-        let t_branch = t_store + profile.branch_frac;
-        let m_l1 = profile.mix.l1_resident;
-        let m_l2 = m_l1 + profile.mix.l2_resident;
-        let m_hot = m_l2 + profile.mix.l3_hot;
+        let [t_load, t_store, t_branch, m_l1, m_l2, m_hot, t_hot_loop, t_shared, t_mul, t_fp, t_dep2] =
+            probabilities(profile).map(threshold);
         let stream_offset = rng.below(profile.regions.stream_kb * 1024) & !63;
         let hot_head = rng.below(profile.regions.hot_kb * 16); // blocks
         TraceGenerator {
@@ -162,6 +201,11 @@ impl TraceGenerator {
             m_l1,
             m_l2,
             m_hot,
+            t_hot_loop,
+            t_shared,
+            t_mul,
+            t_fp,
+            t_dep2,
             dep_p: 1.0 / profile.dep_mean,
             dep: DepTable::shared(profile.dep_mean),
             code_bytes: profile.regions.code_kb * 1024,
@@ -256,16 +300,23 @@ impl TraceGenerator {
         Ok(())
     }
 
+    /// The 53 random bits [`SimRng::next_f64`] scales, to compare with a
+    /// [`threshold`].
+    #[inline]
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
     #[inline]
     fn data_address(&mut self) -> Address {
-        let r = self.rng.next_f64();
+        let r = self.draw();
         let raw = if r < self.m_l1 {
             L1_BASE + (self.rng.below(self.l1_span) & !7)
         } else if r < self.m_l2 {
             L2_BASE + (self.rng.below(self.l2_span) & !7)
         } else if r < self.m_hot {
             let k = self.hot_blocks; // 64-byte blocks
-            let blk = if self.rng.chance(self.profile.hot_loop) {
+            let blk = if self.draw() < self.t_hot_loop {
                 // Cyclic sequential loop: the access pattern that gives
                 // LRU caches an all-or-nothing capacity cliff at K.
                 // Cursors stay in [0, k), so wrap-around is a compare
@@ -301,7 +352,7 @@ impl TraceGenerator {
         if self.dep_p >= 1.0 {
             return 0;
         }
-        self.rng.next_u64() >> 11
+        self.draw()
     }
 
     /// Resolves a dependency draw of this generator's [`MicroOp`]s into a
@@ -321,12 +372,11 @@ impl TraceGenerator {
     pub fn next_op(&mut self) -> MicroOp {
         let code_bytes = self.code_bytes;
         let pc = Address::new(CODE_BASE + self.pc_offset);
-        let r = self.rng.next_f64();
+        let r = self.draw();
 
         let (class, addr, taken) = if r < self.t_load {
-            let addr = if self.profile.shared_read_frac > 0.0
-                && self.rng.chance(self.profile.shared_read_frac)
-            {
+            // A profile without shared reads takes no draw for them.
+            let addr = if self.t_shared > 0 && self.draw() < self.t_shared {
                 // Read-only sharing: a recency draw over the common
                 // region, so all threads touch the same hot blocks.
                 let k = self.profile.shared_kb * 16;
@@ -345,17 +395,16 @@ impl TraceGenerator {
             // Identify the static branch by its PC so the predictor can
             // learn it; the pool size bounds the number of distinct PCs.
             let idx = (self.pc_offset / 4) as usize % self.branch_bias.len();
-            let taken = self.rng.chance(self.branch_bias[idx]);
+            let taken = self.draw() < self.branch_bias[idx];
             (OpClass::Branch, None, taken)
         } else {
-            let compute = self.rng.next_f64();
-            let class = if compute < self.profile.mul_frac {
-                if self.rng.chance(self.profile.fp_frac) {
+            let class = if self.draw() < self.t_mul {
+                if self.draw() < self.t_fp {
                     OpClass::FpMul
                 } else {
                     OpClass::IntMul
                 }
-            } else if self.rng.chance(self.profile.fp_frac) {
+            } else if self.draw() < self.t_fp {
                 OpClass::FpAlu
             } else {
                 OpClass::IntAlu
@@ -364,7 +413,7 @@ impl TraceGenerator {
         };
 
         let dep1 = self.dep_draw();
-        let dep2 = if self.rng.chance(self.profile.dep2_prob) {
+        let dep2 = if self.draw() < self.t_dep2 {
             self.dep_draw()
         } else {
             NO_DEP
@@ -656,6 +705,56 @@ mod tests {
         assert!((mean - 4.0).abs() < 0.02 * 4.0, "mean distance {mean}");
     }
 
+    /// Checks `u < threshold(p)` against `next_f64() < p` for every
+    /// probability a SPEC profile feeds the generator (its
+    /// `probabilities` and both branch biases) and for edge values: at the
+    /// draws 0, 1, T − 1, T, T + 1 and 2^53 − 1 around each threshold T,
+    /// and on `random` uniform draws per profile, each tested against all
+    /// of the profile's probabilities.
+    fn check_thresholds(random: usize) {
+        use crate::spec::SpecApp;
+        const MAX: u64 = (1 << 53) - 1;
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        // `SimRng::next_f64` of a draw whose 53 bits are `u`.
+        let unit = |u: u64| u as f64 * ulp;
+        let edges = vec![0.0, ulp, 0.5, 1.0 - ulp, 1.0, f64::MIN_POSITIVE / 3.0];
+        assert!(edges[5] > 0.0 && !edges[5].is_normal(), "a subnormal edge");
+        let spec = SpecApp::ALL.iter().map(|app| {
+            let p = app.profile();
+            let mut all = probabilities(p).to_vec();
+            all.extend([branch_bias(p, 0), branch_bias(p, 1)]);
+            (p.name, all)
+        });
+        for (name, probs) in spec.chain([("edges", edges)]) {
+            let thresholds: Vec<u64> = probs.iter().map(|&p| threshold(p)).collect();
+            for (&p, &t) in probs.iter().zip(&thresholds) {
+                let near = [0, 1, t.saturating_sub(1), t, t + 1, MAX];
+                for u in near.into_iter().filter(|&u| u <= MAX) {
+                    assert_eq!(u < t, unit(u) < p, "{name}: p {p:e}, draw {u:#x}");
+                }
+            }
+            let mut rng = SimRng::seed_from(thresholds.iter().fold(0, |h, &t| h ^ t));
+            for _ in 0..random {
+                let mut twin = rng.clone();
+                let (u, x) = (rng.next_u64() >> 11, twin.next_f64());
+                for (&p, &t) in probs.iter().zip(&thresholds) {
+                    assert_eq!(u < t, x < p, "{name}: p {p:e}, draw {u:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_give_the_verdicts_of_next_f64() {
+        check_thresholds(100_000);
+    }
+
+    #[test]
+    #[ignore = "several seconds in release; CI runs it with --ignored"]
+    fn thresholds_give_the_verdicts_of_next_f64_widely() {
+        check_thresholds(10_000_000);
+    }
+
     /// FNV-1a over every field a consumer reads, dependencies resolved.
     fn fingerprint(g: &mut TraceGenerator, n: usize) -> u64 {
         let fnv = |mut h: u64, x: u64| {
@@ -678,26 +777,103 @@ mod tests {
         h
     }
 
+    /// Every SPEC profile's fingerprint over 20,000 ops at seed 2007, in
+    /// [`SpecApp::ALL`](crate::spec::SpecApp::ALL) order.
+    const SPEC_FINGERPRINTS: [u64; 24] = [
+        0xe804_601a_2168_4b9c,
+        0xcaa4_f590_8a91_4f8b,
+        0xb6dd_11f5_f0a8_fa0b,
+        0x01c3_82d3_9e24_a470,
+        0x417b_d17c_16f8_80a6,
+        0x9b0b_1d4e_b865_1a96,
+        0x43f2_5413_a5b8_0773,
+        0x8d40_f6a8_ba58_de83,
+        0x5e76_a612_b161_ccf9,
+        0x130a_a870_c22e_5e03,
+        0xeb87_25dc_b3b2_a646,
+        0x532f_02c4_0a37_352e,
+        0x329f_1fc6_16ba_3991,
+        0x576d_e0a1_bc2c_4242,
+        0x2ead_d301_cca3_b09f,
+        0xef6e_61fc_5cf1_352c,
+        0x89d7_7ad7_73f3_b401,
+        0xbcfd_d7a2_cd92_1abf,
+        0xda4b_ee7c_b282_a540,
+        0xb4e3_c4ce_033a_130f,
+        0x274d_b3b8_708c_71ac,
+        0x7809_f5b0_1319_0734,
+        0x1e32_25d9_3635_faaa,
+        0x481a_a157_c61b_6111,
+    ];
+
+    /// Custom profiles that reach what the SPEC profiles do not, each with
+    /// its seed and fingerprint over 20,000 ops.
+    fn custom_cases() -> Vec<(AppProfile, u64, u64)> {
+        let hot = |name, hot_loop| {
+            AppProfileBuilder::new(name)
+                .hot_loop(hot_loop)
+                .mix(crate::profile::MemoryMix {
+                    l1_resident: 0.2,
+                    l2_resident: 0.1,
+                    l3_hot: 0.6,
+                    streaming: 0.1,
+                })
+                .build()
+                .unwrap()
+        };
+        vec![
+            // No draw for its distances, and half its ops have a second
+            // source.
+            (
+                AppProfileBuilder::new("dep1")
+                    .dep_mean(1.0)
+                    .dep2(0.5)
+                    .build()
+                    .unwrap(),
+                21,
+                0x856f_d440_e44c_9fe2,
+            ),
+            // The shared-read path of parallel workloads.
+            (
+                AppProfileBuilder::new("shared")
+                    .shared_reads(0.3, 64)
+                    .build()
+                    .unwrap(),
+                2007,
+                0x798d_82d3_83fb_5d71,
+            ),
+            // Hot accesses that never and always loop.
+            (hot("loop0", 0.0), 2007, 0x2bba_9e1f_5166_8ad1),
+            (hot("loop1", 1.0), 2007, 0xc322_1391_24f8_ca5f),
+            // An odd pool: its last branch and its first share a bias.
+            (
+                AppProfileBuilder::new("pool7")
+                    .branch_pool(7)
+                    .branches(0.3)
+                    .predictability(0.8)
+                    .build()
+                    .unwrap(),
+                2007,
+                0xa6b7_ed08_b9c1_7440,
+            ),
+        ]
+    }
+
     #[test]
     fn op_streams_match_their_fingerprints() {
         use crate::spec::SpecApp;
         // Pins the decoded stream, distances included, so a change to the
-        // order or number of RNG draws shows up even where no simulated
-        // output covers it: the custom profile (`dep_mean = 1`) takes no
-        // draw for its distances, and half its ops have a second source.
-        let custom = AppProfileBuilder::new("t")
-            .dep_mean(1.0)
-            .dep2(0.5)
-            .build()
-            .unwrap();
-        let cases = [
-            (SpecApp::Gzip.profile().clone(), 2007, 0xe804_601a_2168_4b9c),
-            (SpecApp::Mcf.profile().clone(), 1971, 0xf17a_7a30_4bae_ecf5),
-            (custom, 21, 0x856f_d440_e44c_9fe2),
-        ];
-        for (p, seed, expected) in cases {
+        // order or number of RNG draws, or to any verdict taken on them,
+        // shows up even where no simulated output covers it.
+        let spec = SpecApp::ALL
+            .iter()
+            .zip(SPEC_FINGERPRINTS)
+            .map(|(app, expected)| (app.profile().clone(), 2007, expected));
+        let mcf = (SpecApp::Mcf.profile().clone(), 1971, 0xf17a_7a30_4bae_ecf5);
+        for (p, seed, expected) in spec.chain([mcf]).chain(custom_cases()) {
             let mut g = TraceGenerator::new(&p, SimRng::seed_from(seed));
-            assert_eq!(fingerprint(&mut g, 20_000), expected, "{}", p.name);
+            let got = fingerprint(&mut g, 20_000);
+            assert_eq!(got, expected, "{} at seed {seed}", p.name);
         }
     }
 
