@@ -12,13 +12,14 @@ use nuca_core::engine::AdaptiveParams;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("ablations: {e}");
-        std::process::exit(2)
-    });
+    let nuca_bench::SimArgs { exp, mixes, tele } = nuca_bench::parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| {
+            eprintln!("ablations: {e}");
+            std::process::exit(2)
+        });
     tele.install();
     let machine = MachineConfig::baseline();
-    let n = nuca_bench::mix_count().min(6);
+    let n = mixes.min(6);
 
     let periods: Vec<(String, u64)> = [500u64, 2000, 8000, 32000]
         .into_iter()

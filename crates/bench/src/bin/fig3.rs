@@ -8,10 +8,11 @@ use nuca_bench::report::Table;
 use simcore::config::MachineConfig;
 
 fn main() {
-    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("fig3: {e}");
-        std::process::exit(2)
-    });
+    let nuca_bench::SimArgs { exp, tele, .. } = nuca_bench::parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| {
+            eprintln!("fig3: {e}");
+            std::process::exit(2)
+        });
     tele.install();
     let machine = MachineConfig::baseline();
     let series = fig3(&machine, &exp).expect("figure 3 experiment");

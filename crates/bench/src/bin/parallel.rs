@@ -14,10 +14,11 @@ use tracegen::spec::SpecApp;
 use tracegen::workload::parallel_workload;
 
 fn main() {
-    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("parallel: {e}");
-        std::process::exit(2)
-    });
+    let nuca_bench::SimArgs { exp, tele, .. } = nuca_bench::parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| {
+            eprintln!("parallel: {e}");
+            std::process::exit(2)
+        });
     tele.install();
     let machine = MachineConfig::baseline();
     let orgs = [

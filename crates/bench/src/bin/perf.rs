@@ -1,23 +1,22 @@
-//! `nuca-bench perf` — scores set and time sampling against the exact
-//! run and gates their error. The matrix is fixed: intensive-pool mixes
-//! x private/shared/adaptive, 4 mixes at 1/5 of the default windows, or
-//! 2 at quick windows with `--quick`.
+//! `nuca-bench perf` — scores time sampling against the exact run and
+//! gates its error. The matrix is fixed: intensive-pool mixes x
+//! private/shared/adaptive, 4 mixes at 1/5 of the default windows, or 2
+//! at quick windows with `--quick`.
 //!
 //! ```text
-//! perf [--quick] [--sample-sets K] [--max-sample-error PCT]
-//!      [--time-sample D:G] [--max-time-sample-error PCT] [--out FILE]
+//! perf [--quick] [--time-sample D:G] [--max-time-sample-error PCT]
+//!      [--out FILE]
 //! ```
 //!
-//! Three passes run serially: exact, set-sampled (shift K, default 4)
-//! and time-sampled (D detailed cycles, then G functionally warmed;
-//! default 10000:40000). Each sampled pass reports its speedup over the
-//! exact pass and its worst and mean harmonic-mean-IPC error against
-//! it, and exits 1 if the worst exceeds its `--max-*-error` budget. The
-//! exact pass's chips also fill `attribution`: per organization, hits
-//! and modeled demand cycles (count x configured latency) per level,
-//! and the side-channel `fast_path`, `core_steps` and `drain_visits`
-//! counters. The JSON (schema v8) goes to stdout and, with `--out`, to
-//! FILE. Any other flag, or a missing or malformed value, exits 2 before
+//! Two passes run serially: exact and time-sampled (D detailed cycles,
+//! then G functionally warmed; default 10000:40000). The sampled pass
+//! reports its speedup over the exact pass and its worst and mean
+//! harmonic-mean-IPC error against it, and exits 1 if the worst exceeds
+//! the `--max-time-sample-error` budget. The exact pass's chips also
+//! fill `attribution`: per organization, hits and modeled demand cycles
+//! (count x configured latency) per level, and the side-channel
+//! `fast_path`, `core_steps` and `drain_visits` counters. The JSON
+//! (schema v9) goes to stdout and, with `--out`, to FILE. Any other flag, or a missing or malformed value, exits 2 before
 //! anything runs. Wall-clock numbers are informational: `nucabench`
 //! measures speed.
 
@@ -29,8 +28,8 @@ use std::time::Instant;
 use cpusim::{CoreStats, FastPathStats};
 use nuca_core::cmp::CmpResult;
 use nuca_core::experiment::{
-    build_chip, flag_args, flag_value, measure, parse_sample_sets, parse_time_sample, parse_value,
-    run_cells, ExperimentConfig, SimCell,
+    build_chip, flag_args, flag_value, measure, parse_time_sample, parse_value, run_cells,
+    ExperimentConfig, SimCell,
 };
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
@@ -41,8 +40,6 @@ use tracegen::workload::WorkloadPool;
 
 struct Args {
     quick: bool,
-    sample_shift: u32,
-    max_sample_error: Option<f64>,
     time_sample: (u64, u64),
     max_time_sample_error: Option<f64>,
     out: Option<String>,
@@ -51,8 +48,6 @@ struct Args {
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         quick: false,
-        sample_shift: 4,
-        max_sample_error: None,
         time_sample: (10_000, 40_000),
         max_time_sample_error: None,
         out: None,
@@ -62,8 +57,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let flag = arg.as_str();
         match flag {
             "--quick" => args.quick = true,
-            "--sample-sets" => args.sample_shift = parse_value(flag, &mut it, parse_sample_sets)?,
-            "--max-sample-error" => args.max_sample_error = Some(parse_value(flag, &mut it, pct)?),
             "--time-sample" => args.time_sample = parse_value(flag, &mut it, parse_time_sample)?,
             "--max-time-sample-error" => {
                 args.max_time_sample_error = Some(parse_value(flag, &mut it, pct)?);
@@ -226,61 +219,50 @@ fn main() {
     let exact_wall = t.elapsed().as_secs_f64();
     eprintln!("perf: {} cells, exact {exact_wall:.2}s", cells.len());
 
-    // One sampled pass, scored cell by cell against the exact pass.
-    let mut failed = false;
-    let mut sampled = |what: &str, pass: ExperimentConfig, budget: Option<f64>| {
-        let t = Instant::now();
-        let results = run_cells(&cells, &pass).unwrap_or_else(|e| panic!("{what} pass: {e}"));
-        let wall = t.elapsed().as_secs_f64();
-        let errors: Vec<f64> = exact
-            .iter()
-            .map(|e| e.result.hmean_ipc)
-            .zip(results.iter().map(|s| s.result.hmean_ipc))
-            .filter(|&(e, _)| e > 0.0)
-            .map(|(e, s)| ((s - e) / e).abs())
-            .collect();
-        let max = errors.iter().fold(0.0f64, |m, &e| m.max(e));
-        let mean = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
-        let speedup = exact_wall / wall.max(1e-9);
-        let (max_pct, mean_pct) = (max * 100.0, mean * 100.0);
-        eprintln!(
-            "perf: {what} {wall:.2}s ({speedup:.2}x vs exact), \
-             hmean-IPC error max {max_pct:.2}% mean {mean_pct:.2}%"
-        );
-        if let Some(limit) = budget {
-            let over = max_pct > limit;
-            failed |= over;
-            let verdict = if over { "FAIL — exceeds" } else { "within" };
-            eprintln!("perf: {what} error {verdict} the {limit}% budget");
-        }
-        let scores = [
-            ("speedup_vs_exact", speedup),
-            ("max_rel_error_hmean_ipc", max),
-            ("mean_rel_error_hmean_ipc", mean),
-        ];
-        rate(wall).into_iter().chain(scores)
-    };
-    let shift = args.sample_shift;
-    let sampling = numbers([("shift", f64::from(shift))].into_iter().chain(sampled(
-        &format!("set-sampled (shift {shift})"),
-        exp.with_sample_sets(Some(shift)),
-        args.max_sample_error,
-    )));
-    // The time-sampled pass cuts the up-front warm to 5/8: the gap engine
-    // keeps warming through the whole run, so the full budget would hide
-    // the time sampling saves. (At the schedule's 1/5 duty cycle the
-    // megabyte working sets stay visibly cold and the worst-cell error
+    // The time-sampled pass, scored cell by cell against the exact pass.
+    // It cuts the up-front warm to 5/8: the gap engine keeps warming
+    // through the whole run, so the full budget would hide the time
+    // sampling saves. (At the schedule's 1/5 duty cycle the megabyte
+    // working sets stay visibly cold and the worst-cell error
     // quintuples.) The gated error prices the residual cold bias.
     let (detail, gap) = args.time_sample;
+    let pass = exp
+        .with_time_sample(Some(args.time_sample))
+        .scaled_warm(5, 8);
+    let t = Instant::now();
+    let results = run_cells(&cells, &pass).unwrap_or_else(|e| panic!("time-sampled pass: {e}"));
+    let wall = t.elapsed().as_secs_f64();
+    let errors: Vec<f64> = exact
+        .iter()
+        .map(|e| e.result.hmean_ipc)
+        .zip(results.iter().map(|s| s.result.hmean_ipc))
+        .filter(|&(e, _)| e > 0.0)
+        .map(|(e, s)| ((s - e) / e).abs())
+        .collect();
+    let max = errors.iter().fold(0.0f64, |m, &e| m.max(e));
+    let mean = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
+    let speedup = exact_wall / wall.max(1e-9);
+    let (max_pct, mean_pct) = (max * 100.0, mean * 100.0);
+    let what = format!("time-sampled ({detail}:{gap})");
+    eprintln!(
+        "perf: {what} {wall:.2}s ({speedup:.2}x vs exact), \
+         hmean-IPC error max {max_pct:.2}% mean {mean_pct:.2}%"
+    );
+    let failed = args.max_time_sample_error.is_some_and(|limit| {
+        let over = max_pct > limit;
+        let verdict = if over { "FAIL — exceeds" } else { "within" };
+        eprintln!("perf: {what} error {verdict} the {limit}% budget");
+        over
+    });
     let time_sampling = numbers(
         [("detail", detail as f64), ("gap", gap as f64)]
             .into_iter()
-            .chain(sampled(
-                &format!("time-sampled ({detail}:{gap})"),
-                exp.with_time_sample(Some(args.time_sample))
-                    .scaled_warm(5, 8),
-                args.max_time_sample_error,
-            )),
+            .chain(rate(wall))
+            .chain([
+                ("speedup_vs_exact", speedup),
+                ("max_rel_error_hmean_ipc", max),
+                ("mean_rel_error_hmean_ipc", mean),
+            ]),
     );
 
     let labels = orgs.iter().map(|o| Json::str(o.label())).collect();
@@ -295,12 +277,11 @@ fn main() {
     ]);
     let slices = orgs.iter().zip(exact.chunks(n_mixes));
     let text = object([
-        ("schema_version", Json::num(8.0)),
+        ("schema_version", Json::num(9.0)),
         ("bench", Json::str("nuca-bench perf")),
         ("quick", Json::Bool(args.quick)),
         ("workload", workload),
         ("exact", numbers(rate(exact_wall))),
-        ("sampling", sampling),
         ("time_sampling", time_sampling),
         (
             "attribution",
@@ -330,16 +311,10 @@ mod tests {
     fn parses_defaults_and_the_ci_invocation() {
         let d = parse(&[]).unwrap();
         assert!(!d.quick);
-        assert_eq!(d.sample_shift, 4);
         assert_eq!(d.time_sample, (10_000, 40_000));
-        assert!(d.out.is_none() && d.max_sample_error.is_none());
-        assert!(d.max_time_sample_error.is_none());
+        assert!(d.out.is_none() && d.max_time_sample_error.is_none());
         let a = parse(&[
             "--quick",
-            "--sample-sets",
-            "2",
-            "--max-sample-error",
-            "12",
             "--time-sample=10000:40000",
             "--max-time-sample-error",
             "10",
@@ -348,8 +323,6 @@ mod tests {
         ])
         .unwrap();
         assert!(a.quick);
-        assert_eq!(a.sample_shift, 2);
-        assert_eq!(a.max_sample_error, Some(12.0));
         assert_eq!(a.time_sample, (10_000, 40_000));
         assert_eq!(a.max_time_sample_error, Some(10.0));
         assert_eq!(a.out.as_deref(), Some("perf.json"));
@@ -358,14 +331,13 @@ mod tests {
     #[test]
     fn rejects_missing_and_malformed_values_instead_of_defaulting() {
         for argv in [
-            &["--max-sample-error", "12%"][..],
+            &["--max-time-sample-error", "12%"][..],
             &["--max-time-sample-error", "ten"],
-            &["--max-sample-error", "NaN"],
-            &["--max-sample-error", "-1"],
-            &["--max-sample-error"],
+            &["--max-time-sample-error", "NaN"],
+            &["--max-time-sample-error", "-1"],
+            &["--max-time-sample-error"],
             &["--out"],
             &["--out", "--quick"],
-            &["--sample-sets", "four"],
             &["--time-sample", "0:10"],
             &["--bogus"],
         ] {

@@ -8,13 +8,14 @@ use nuca_bench::report::{f4, Table};
 use simcore::config::MachineConfig;
 
 fn main() {
-    let (exp, tele) = nuca_bench::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("shadow_sampling: {e}");
-        std::process::exit(2)
-    });
+    let nuca_bench::SimArgs { exp, mixes, tele } = nuca_bench::parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| {
+            eprintln!("shadow_sampling: {e}");
+            std::process::exit(2)
+        });
     tele.install();
     let machine = MachineConfig::baseline();
-    let r = shadow_sampling(&machine, &exp, nuca_bench::mix_count()).expect("4.6 experiment");
+    let r = shadow_sampling(&machine, &exp, mixes).expect("4.6 experiment");
     let mut t = Table::new(
         "Section 4.6 — full shadow coverage vs 1/16 lowest-index sets",
         &["metric", "full", "1/16 sampled", "delta"],

@@ -11,8 +11,8 @@
 //! `specs/paper.toml`, `fig8.toml`, `fig9.toml` and `fig10.toml` (see
 //! [`render_manifests`]), so the specs alone fix their windows, mixes
 //! and machines. The other binaries simulate, as described below. The
-//! `perf` binary scores set and time sampling against the exact run on
-//! a fixed matrix; host speed is measured by the separate `nucabench`
+//! `perf` binary scores time sampling against the exact run on a fixed
+//! matrix; host speed is measured by the separate `nucabench`
 //! package, not here.
 //!
 //! # Scaling
@@ -22,18 +22,19 @@
 //! variables trade fidelity for wall-clock time in the simulating
 //! binaries:
 //!
-//! - `NUCA_BENCH_SCALE` — percentage applied to every simulation phase
-//!   (default 100; e.g. `25` runs quarter-length windows).
+//! - `NUCA_BENCH_SCALE` — whole percentage applied to every simulation
+//!   phase (default 100; e.g. `25` runs quarter-length windows).
 //! - `NUCA_BENCH_MIXES` — number of random 4-app mixes per figure
 //!   (default 10).
 //!
-//! Every simulating binary reads its command line with [`parse_args`]:
-//! the five run-policy flags of `nuca-sim` (`--jobs N`, `--no-skip`,
-//! `--no-fast-path`, `--sample-sets K`, `--time-sample D:G`, parsed by
-//! [`ExperimentConfig::parse_flag`]) plus `--trace <path>` and
-//! `--metrics-out <path>`, which export the telemetry of every
+//! Every simulating binary reads its command line and both variables
+//! with [`parse_args`]: the four run-policy flags of `nuca-sim`
+//! (`--jobs N`, `--no-skip`, `--no-fast-path`, `--time-sample D:G`,
+//! parsed by [`ExperimentConfig::parse_flag`]) plus `--trace <path>`
+//! and `--metrics-out <path>`, which export the telemetry of every
 //! simulation cell (see [`trace_out`] and README.md §Observability).
-//! Anything else exits 2 before a cell runs. Independent cells run on
+//! Anything else, or a variable set to a value it cannot use, exits 2
+//! before a cell runs. Independent cells run on
 //! worker threads (see `simcore::parallel`; `--jobs 0`, the default, is
 //! one per core), and results are bit-identical for every jobs value.
 
@@ -46,7 +47,6 @@ use std::path::Path;
 use campaign::manifest::Manifest;
 use campaign::CampaignError;
 use nuca_core::experiment::{self, ExperimentConfig};
-use simcore::config::MachineConfig;
 use trace_out::TelemetryArgs;
 
 /// Renders one of Figures 6–12 for its binary: reads the `N` manifest
@@ -82,102 +82,189 @@ pub fn render_manifests<const N: usize>(
         .map_err(|e| (1, e.to_string()))
 }
 
-/// The experiment a simulating binary runs before its flags: the
-/// default windows scaled by `NUCA_BENCH_SCALE`, on one worker per
-/// available core.
-pub fn experiment_config() -> ExperimentConfig {
-    let base = ExperimentConfig::default().with_jobs(0);
-    match std::env::var("NUCA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        Some(pct) if pct > 0 && pct != 100 => base.scaled(pct, 100),
-        _ => base,
-    }
+/// A simulating binary's parsed command line and environment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimArgs {
+    /// The default experiment scaled by `NUCA_BENCH_SCALE`, on one
+    /// worker per available core, with the run-policy flags applied.
+    pub exp: ExperimentConfig,
+    /// Random 4-app mixes per figure (`NUCA_BENCH_MIXES`).
+    pub mixes: usize,
+    /// Where to export telemetry.
+    pub tele: TelemetryArgs,
 }
 
-/// Parses a simulating binary's arguments: the five run-policy flags
-/// (see [`ExperimentConfig::parse_flag`]) on top of
-/// [`experiment_config`], plus `--trace` and `--metrics-out`. Each
-/// valued flag takes `--flag V` or `--flag=V`.
+/// Parses a simulating binary's arguments and its two environment
+/// variables (see [`SimArgs::parse`]).
 ///
 /// # Errors
 ///
-/// A message for an unknown argument, a missing or malformed value, or
-/// a `--sample-sets` shift that leaves the baseline machine no sampled
-/// set — the binary exits 2 with it before anything simulates.
-pub fn parse_args(
-    args: impl IntoIterator<Item = String>,
-) -> Result<(ExperimentConfig, TelemetryArgs), String> {
-    let mut exp = experiment_config();
-    let mut tele = TelemetryArgs::default();
-    let mut it = experiment::flag_args(args);
-    while let Some(arg) = it.next() {
-        if !exp.parse_flag(&arg, &mut it)? && !tele.parse_flag(&arg, &mut it)? {
-            return Err(format!("unknown argument {arg}\n{SIMULATION_USAGE}"));
-        }
-    }
-    if let Some(shift) = exp.sample_shift {
-        let mut machine = MachineConfig::baseline();
-        machine.l3.sample_shift = Some(shift);
-        machine
-            .validate()
-            .map_err(|e| format!("--sample-sets {shift}: {e}"))?;
-    }
-    Ok((exp, tele))
+/// The message the binary exits 2 with before anything simulates.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<SimArgs, String> {
+    let env = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    SimArgs::parse(
+        args,
+        env("NUCA_BENCH_SCALE").as_deref(),
+        env("NUCA_BENCH_MIXES").as_deref(),
+    )
 }
 
-/// The flags [`parse_args`] accepts.
-const SIMULATION_USAGE: &str = "flags: [--jobs N] [--no-skip] [--no-fast-path] \
-[--sample-sets K] [--time-sample D:G] [--trace PATH] [--metrics-out PATH]";
+impl SimArgs {
+    /// Parses the four run-policy flags (see
+    /// [`ExperimentConfig::parse_flag`]) and `--trace`/`--metrics-out`,
+    /// each valued flag as `--flag V` or `--flag=V`, on top of the
+    /// `scale` and `mixes` settings (`None` when the variable is unset:
+    /// 100 % and 10 mixes).
+    ///
+    /// # Errors
+    ///
+    /// A message for an unknown argument, a missing or malformed value,
+    /// or a scale or mix count the binaries cannot use.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        scale: Option<&str>,
+        mixes: Option<&str>,
+    ) -> Result<Self, String> {
+        let mut exp = scaled_experiment(scale)?;
+        let mut tele = TelemetryArgs::default();
+        let mut it = experiment::flag_args(args);
+        while let Some(arg) = it.next() {
+            if !exp.parse_flag(&arg, &mut it)? && !tele.parse_flag(&arg, &mut it)? {
+                return Err(format!("unknown argument {arg}\n{SIMULATION_USAGE}"));
+            }
+        }
+        Ok(SimArgs {
+            exp,
+            mixes: mix_count(mixes)?,
+            tele,
+        })
+    }
+}
 
-/// Reads the per-figure mix count honoring `NUCA_BENCH_MIXES`.
-pub fn mix_count() -> usize {
-    std::env::var("NUCA_BENCH_MIXES")
+/// The flags [`SimArgs::parse`] accepts.
+const SIMULATION_USAGE: &str = "flags: [--jobs N] [--no-skip] [--no-fast-path] \
+[--time-sample D:G] [--trace PATH] [--metrics-out PATH]";
+
+/// The default experiment on one worker per available core, every phase
+/// scaled to `scale` percent: a whole number above 0 that scales no
+/// phase past `u64`.
+fn scaled_experiment(scale: Option<&str>) -> Result<ExperimentConfig, String> {
+    let base = ExperimentConfig::default().with_jobs(0);
+    let Some(v) = scale else {
+        return Ok(base);
+    };
+    let pct = v
+        .trim()
+        .parse::<u64>()
         .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(10)
+        .filter(|&p| p > 0)
+        .ok_or_else(|| {
+            format!("NUCA_BENCH_SCALE={v}: want a whole percentage above 0, such as 25")
+        })?;
+    let phases = [
+        base.warm_instructions,
+        base.warmup_cycles,
+        base.measure_cycles,
+    ];
+    if phases.iter().any(|n| n.checked_mul(pct).is_none()) {
+        return Err(format!("NUCA_BENCH_SCALE={v}: scales the run past 64 bits"));
+    }
+    Ok(base.scaled(pct, 100))
+}
+
+/// The per-figure mix count: `mixes`, a whole number above 0, or 10.
+fn mix_count(mixes: Option<&str>) -> Result<usize, String> {
+    let Some(v) = mixes else {
+        return Ok(10);
+    };
+    v.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("NUCA_BENCH_MIXES={v}: want a mix count above 0, such as 2"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str], scale: Option<&str>, mixes: Option<&str>) -> Result<SimArgs, String> {
+        SimArgs::parse(args.iter().map(|a| a.to_string()), scale, mixes)
+    }
+
     #[test]
-    fn default_config_is_full_scale() {
-        // The env var is not set under `cargo test`.
-        let exp = experiment_config();
-        assert!(exp.measure_cycles >= 1_000_000);
-        assert!(mix_count() >= 1);
+    fn unset_environment_is_full_scale_and_ten_mixes() {
+        let args = parse(&[], None, None).unwrap();
+        assert_eq!(args.exp, ExperimentConfig::default().with_jobs(0));
+        assert_eq!(args.mixes, 10);
+    }
+
+    #[test]
+    fn scale_and_mixes_are_whole_numbers_above_zero() {
+        let args = parse(&[], Some("25"), Some("2")).unwrap();
+        assert_eq!(
+            args.exp,
+            ExperimentConfig::default().with_jobs(0).scaled(25, 100)
+        );
+        assert_eq!(args.mixes, 2);
+        assert_eq!(
+            parse(&[], Some("100"), None).unwrap().exp,
+            parse(&[], None, None).unwrap().exp
+        );
+        // The largest scale whose every phase fits, and the next one up.
+        let max = u64::MAX / ExperimentConfig::default().warm_instructions;
+        assert!(parse(&[], Some(&max.to_string()), None).is_ok());
+        for (scale, message) in [
+            ("25%", "whole percentage"),
+            ("ten", "whole percentage"),
+            ("0", "whole percentage"),
+            ("", "whole percentage"),
+            ("-5", "whole percentage"),
+            (&(max + 1).to_string(), "past 64 bits"),
+            ("18446744073709551616", "whole percentage"),
+        ] {
+            match parse(&[], Some(scale), None) {
+                Err(e) => assert!(
+                    e.contains(message) && e.contains("NUCA_BENCH_SCALE"),
+                    "{scale:?}: {e}"
+                ),
+                Ok(args) => panic!("scale {scale:?} must be refused, got {:?}", args.exp),
+            }
+        }
+        for mixes in ["ten", "0", "2.5", ""] {
+            match parse(&[], None, Some(mixes)) {
+                Err(e) => assert!(e.contains("NUCA_BENCH_MIXES"), "{mixes:?}: {e}"),
+                Ok(args) => panic!("mixes {mixes:?} must be refused, got {}", args.mixes),
+            }
+        }
     }
 
     #[test]
     fn simulation_flags_parse_strictly() {
-        let parse = |args: &[&str]| parse_args(args.iter().map(|a| a.to_string()));
-        let (exp, tele) = parse(&[
-            "--jobs=2",
-            "--time-sample",
-            "1000:4000",
-            "--sample-sets",
-            "4",
-            "--trace",
-            "t.jsonl",
-        ])
+        let args = parse(
+            &[
+                "--jobs=2",
+                "--time-sample",
+                "1000:4000",
+                "--trace",
+                "t.jsonl",
+            ],
+            None,
+            None,
+        )
         .unwrap();
-        let want = experiment_config()
+        let want = ExperimentConfig::default()
             .with_jobs(2)
-            .with_sample_sets(Some(4))
             .with_time_sample(Some((1_000, 4_000)));
-        assert_eq!(exp, want);
-        assert!(tele.trace.is_some() && tele.metrics_out.is_none());
+        assert_eq!(args.exp, want);
+        assert!(args.tele.trace.is_some() && args.tele.metrics_out.is_none());
         for bad in [
             &["--time-sampel", "1000:4000"][..],
-            &["--sample-sets", "40"],
+            &["--sample-sets", "4"],
             &["--trace"],
             &["fig.jsonl"],
         ] {
-            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+            assert!(parse(bad, None, None).is_err(), "{bad:?} must be rejected");
         }
     }
 }

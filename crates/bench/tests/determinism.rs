@@ -49,7 +49,6 @@ fn tiny() -> ExperimentConfig {
         jobs: 1,
         cycle_skip: true,
         fast_path: true,
-        sample_shift: None,
         time_sample: None,
     }
 }

@@ -61,9 +61,6 @@ impl SetSampling {
     }
 
     /// Computes the monitored-set membership for a cache of `sets` sets.
-    /// Also used by the set-sampled *full* simulation (`SampledL3`), which
-    /// generalizes this table's §4.6 sampling to the whole last-level
-    /// cache.
     pub fn membership(&self, sets: usize) -> Vec<bool> {
         let target = (sets >> self.shift()).max(1);
         match *self {

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] [--resume]
-//!                   [--jobs N] [--sample-sets K] [--time-sample D:G]
+//!                   [--jobs N] [--time-sample D:G]
 //!                   [--fail-after N]
 //! nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...
 //! ```
@@ -42,7 +42,7 @@ pub const EXIT_FAILURE: i32 = 1;
 
 /// One-line usage summary, printed on argument errors.
 pub const USAGE: &str = "usage: nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] \
-[--resume] [--jobs N] [--sample-sets K] [--time-sample D:G] [--fail-after N]\n   or: \
+[--resume] [--jobs N] [--time-sample D:G] [--fail-after N]\n   or: \
 nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...";
 
 /// Runs the `campaign` subcommand. `args` is everything after the
@@ -109,7 +109,6 @@ fn merge_command(args: &[String]) -> Result<String, CampaignError> {
 struct Parsed {
     spec_path: String,
     opts: RunOptions,
-    sample_override: Option<u32>,
     time_override: Option<TsPair>,
 }
 
@@ -117,7 +116,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
     let mut parsed = Parsed {
         spec_path: String::new(),
         opts: RunOptions::default(),
-        sample_override: None,
         time_override: None,
     };
     let mut it = experiment::flag_args(args.iter().cloned());
@@ -146,10 +144,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, CampaignError> {
                     v.parse().map_err(|_| "not a number".to_string())
                 });
                 parsed.opts.fail_after = Some(n.map_err(CampaignError::Config)?);
-            }
-            "--sample-sets" => {
-                let k = experiment::parse_value(flag, &mut it, experiment::parse_sample_sets);
-                parsed.sample_override = Some(k.map_err(CampaignError::Config)?);
             }
             "--time-sample" => {
                 let pair = experiment::parse_value(flag, &mut it, experiment::parse_time_sample);
@@ -204,9 +198,6 @@ fn campaign_command(
             return EXIT_USAGE;
         }
     };
-    if let Some(shift) = parsed.sample_override {
-        spec.axes.sample_shift = vec![shift];
-    }
     if let Some(pair) = parsed.time_override {
         spec.axes.time_sample = vec![pair];
     }
@@ -329,8 +320,6 @@ mod tests {
             "3",
             "--fail-after",
             "7",
-            "--sample-sets",
-            "4",
             "--time-sample",
             "10000:40000",
         ]))
@@ -341,19 +330,8 @@ mod tests {
         assert!(parsed.opts.resume);
         assert_eq!(parsed.opts.jobs, 3);
         assert_eq!(parsed.opts.fail_after, Some(7));
-        assert_eq!(parsed.sample_override, Some(4));
         let pair = parsed.time_override.unwrap();
         assert_eq!((pair.detail, pair.gap), (10_000, 40_000));
-    }
-
-    #[test]
-    fn sample_sets_override_rejects_out_of_range_shifts() {
-        // 2^32 + 1 must not truncate to shift 1.
-        let err = match parse_args(&strings(&["s.toml", "--sample-sets", "4294967297"])) {
-            Err(e) => e,
-            Ok(_) => panic!("4294967297 must be rejected"),
-        };
-        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The grid is the cartesian product of the axes in declaration order —
 //! organization, `l3_mb`, `l3_assoc`, `l3_latency`, `l2_latency`,
-//! `mem_latency`, `mix_seed`, `sample_shift`, `time_sample` — with the
+//! `mem_latency`, `mix_seed`, `time_sample` — with the
 //! mix index innermost, so cell N always means the same point for a
 //! given spec.
 //!
@@ -16,8 +16,7 @@
 //! test). [`warm_fingerprint`] therefore hashes only what warm state
 //! can depend on — core count, cache shapes (size/assoc/block), the
 //! bus occupancy parameters (`inter_chunk`, `chunk_bytes`), the
-//! organization's structural identity, the sampling shift, the mix and
-//! the seeds. Cells that differ only in latency axes share one warm-up
+//! organization's structural identity, the mix and the seeds. Cells that differ only in latency axes share one warm-up
 //! and fork the snapshot, which is where the campaign engine's speedup
 //! comes from. The `time_sample` axis is likewise excluded: warm-up is
 //! functional, so the post-warm state cannot depend on how the *timed*
@@ -55,8 +54,6 @@ pub struct Cell {
     pub mix_seed: u64,
     /// Index into the mix list drawn from `mix_seed`.
     pub mix_index: usize,
-    /// Set-sampling shift (`0` = off).
-    pub sample_shift: u32,
     /// Time-sampling schedule (`0:0` = off).
     pub time_sample: TsPair,
 }
@@ -73,23 +70,20 @@ impl CampaignSpec {
                         for &l2_latency in &a.l2_latency {
                             for &mem_latency in &a.mem_latency {
                                 for &mix_seed in &a.mix_seed {
-                                    for &sample_shift in &a.sample_shift {
-                                        for &time_sample in &a.time_sample {
-                                            for mix_index in 0..self.mixes {
-                                                cells.push(Cell {
-                                                    index: cells.len(),
-                                                    org,
-                                                    l3_mb,
-                                                    l3_assoc,
-                                                    l3_latency,
-                                                    l2_latency,
-                                                    mem_latency,
-                                                    mix_seed,
-                                                    mix_index,
-                                                    sample_shift,
-                                                    time_sample,
-                                                });
-                                            }
+                                    for &time_sample in &a.time_sample {
+                                        for mix_index in 0..self.mixes {
+                                            cells.push(Cell {
+                                                index: cells.len(),
+                                                org,
+                                                l3_mb,
+                                                l3_assoc,
+                                                l3_latency,
+                                                l2_latency,
+                                                mem_latency,
+                                                mix_seed,
+                                                mix_index,
+                                                time_sample,
+                                            });
                                         }
                                     }
                                 }
@@ -144,9 +138,6 @@ pub fn machine_for(cell: &Cell) -> Result<MachineConfig, CampaignError> {
     machine.l2 = machine.l2.with_latency(cell.l2_latency);
     machine.memory.first_chunk_private = cell.mem_latency.private;
     machine.memory.first_chunk_shared = cell.mem_latency.shared;
-    if cell.sample_shift > 0 {
-        machine.l3.sample_shift = Some(cell.sample_shift);
-    }
     machine.validate()?;
     Ok(machine)
 }
@@ -182,7 +173,7 @@ pub fn warm_fingerprint(
         |g: &CacheGeometry| format!("{}x{}x{}", g.size_bytes(), g.total_ways(), g.block_bytes());
     let _ = write!(
         id,
-        "cores={};l1i={};l1d={};l2={};l3s={};l3p={};bus={}x{};shift={:?};",
+        "cores={};l1i={};l1d={};l2={};l3s={};l3p={};bus={}x{};",
         machine.cores,
         shape(&machine.l1i),
         shape(&machine.l1d),
@@ -191,7 +182,6 @@ pub fn warm_fingerprint(
         shape(&machine.l3.private),
         machine.memory.inter_chunk,
         machine.memory.chunk_bytes,
-        machine.l3.sample_shift,
     );
     // The organization's structural identity: variant, adaptive
     // parameters, scale factors and internal seeds all shape warm
@@ -260,7 +250,6 @@ mod tests {
         assert_eq!(m.l3.shared.total_ways(), 16);
         assert_eq!(m.l3.private.total_ways(), 4);
         assert_eq!(m.memory.first_chunk_private, 258);
-        assert_eq!(m.l3.sample_shift, None);
     }
 
     #[test]
@@ -275,15 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_shift_reaches_the_machine() {
-        let mut spec = two_by_two();
-        spec.axes.sample_shift = vec![3];
-        let cells = spec.cells();
-        let m = machine_for(&cells[0]).unwrap();
-        assert_eq!(m.l3.sample_shift, Some(3));
-    }
-
-    #[test]
     fn time_sample_axis_reaches_the_cells() {
         let mut spec = two_by_two();
         spec.axes.time_sample = vec![
@@ -295,7 +275,7 @@ mod tests {
         ];
         let cells = spec.cells();
         assert_eq!(cells.len(), 2 * 2 * 2 * 2, "time_sample doubles the grid");
-        // The time_sample axis sits between sample_shift and mix_index.
+        // The time_sample axis sits between mix_seed and mix_index.
         assert_eq!(cells[0].time_sample.to_config(), None);
         assert_eq!(cells[2].time_sample.to_config(), Some((5_000, 20_000)));
         assert_eq!(cells[2].mix_index, 0);
@@ -325,8 +305,5 @@ mod tests {
         let mut bigger = cells[0];
         bigger.l3_mb = 8;
         assert_ne!(fp(&cells[0]), fp(&bigger));
-        let mut sampled = cells[0];
-        sampled.sample_shift = 4;
-        assert_ne!(fp(&cells[0]), fp(&sampled));
     }
 }

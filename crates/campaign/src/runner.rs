@@ -10,7 +10,7 @@
 //! exactly the single-process manifest.
 //!
 //! Functional warm-up is paid once per *warm group* (cells with equal
-//! [`warm_fingerprint`](crate::grid::warm_fingerprint)) and forked to
+//! [`warm_fingerprint`]) and forked to
 //! the rest of the group through the versioned, checksummed chip
 //! snapshot ([`Cmp::save_chip_state`]). Within a chunk of cells the
 //! warm-ups and the timed runs each fan out over `jobs` worker
@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 
 use nuca_core::cmp::{Cmp, CmpResult};
-use nuca_core::experiment::{build_chip, ExperimentConfig};
+use nuca_core::experiment::build_chip;
 use nuca_core::l3::Organization;
 use simcore::config::MachineConfig;
 use simcore::parallel::{map_slice, resolve_jobs};
@@ -405,9 +405,8 @@ fn warm_group(p: &Prepared, spec: &CampaignSpec) -> Result<Vec<u8>, CampaignErro
     Ok(cmp.save_chip_state()?)
 }
 
-/// Runs one cell from its warm group's snapshot: build the chip (the
-/// cell's machine already carries its sampling shift), restore, timed
-/// warm-up, reset, measure. Returns the headline metric and the
+/// Runs one cell from its warm group's snapshot: build the chip,
+/// restore, timed warm-up, reset, measure. Returns the headline metric and the
 /// finished manifest line.
 fn run_one(
     p: &Prepared,
@@ -421,11 +420,9 @@ fn run_one(
         .ok_or_else(|| {
             CampaignError::Snapshot(format!("cell {}: warm state not cached", p.cell.index))
         })?;
-    let exp = ExperimentConfig {
-        seed: spec.seed,
-        time_sample: p.cell.time_sample.to_config(),
-        ..ExperimentConfig::default()
-    };
+    let exp = spec
+        .experiment()
+        .with_time_sample(p.cell.time_sample.to_config());
     let mut cmp = build_chip(
         &p.machine,
         p.org,
@@ -474,10 +471,6 @@ fn axis_fields(cell: &Cell, mix_label: &str, status: &str) -> Vec<(String, Json)
         ),
         ("mix_seed".to_string(), Json::num(cell.mix_seed as f64)),
         ("mix_index".to_string(), Json::num(cell.mix_index as f64)),
-        (
-            "sample_shift".to_string(),
-            Json::num(f64::from(cell.sample_shift)),
-        ),
         (
             "time_sample".to_string(),
             Json::str(cell.time_sample.render()),
@@ -535,24 +528,6 @@ pub fn done_line(cell: &Cell, mix_label: &str, result: &CmpResult) -> String {
                 ),
                 ("std_error".to_string(), Json::num(t.hmean_ipc_std_error)),
                 ("relative_ci95".to_string(), Json::num(t.relative_ci95)),
-            ]),
-        ));
-    }
-    if let Some(s) = &result.sampling {
-        fields.push((
-            "sampling".to_string(),
-            Json::Obj(vec![
-                ("shift".to_string(), Json::num(f64::from(s.shift))),
-                (
-                    "sampled_accesses".to_string(),
-                    Json::num(s.sampled_accesses as f64),
-                ),
-                (
-                    "estimated_accesses".to_string(),
-                    Json::num(s.estimated_accesses as f64),
-                ),
-                ("mean_latency".to_string(), Json::num(s.mean_latency)),
-                ("std_error".to_string(), Json::num(s.std_error)),
             ]),
         ));
     }

@@ -24,7 +24,6 @@
 //! l2_latency = [9]
 //! mem_latency = ["258/260"]
 //! mix_seed = [2007]
-//! sample_shift = [0]
 //! time_sample = ["0:0"]
 //! ```
 //!
@@ -34,6 +33,8 @@
 //! context; [`CampaignSpec::render`] emits canonical text that
 //! re-parses to an identical spec (the round-trip property the unit
 //! tests pin).
+
+use nuca_core::experiment::ExperimentConfig;
 
 use crate::CampaignError;
 
@@ -169,8 +170,6 @@ pub struct Axes {
     pub mem_latency: Vec<LatPair>,
     /// Workload-mix seeds; each seed draws `mixes` mixes from `pool`.
     pub mix_seed: Vec<u64>,
-    /// Set-sampling shifts (`0` = full-detail simulation).
-    pub sample_shift: Vec<u32>,
     /// Time-sampling schedules as `detail:gap` pairs (`0:0` = every
     /// cycle simulated in detail).
     pub time_sample: Vec<TsPair>,
@@ -192,7 +191,6 @@ impl Default for Axes {
                 shared: 260,
             }],
             mix_seed: vec![2007],
-            sample_shift: vec![0],
             time_sample: vec![TsPair { detail: 0, gap: 0 }],
         }
     }
@@ -619,7 +617,6 @@ impl CampaignSpec {
                 "l2_latency" => self.axes.l2_latency = int_axis(e)?,
                 "mem_latency" => self.axes.mem_latency = lat_axis(e)?,
                 "mix_seed" => self.axes.mix_seed = int_axis(e)?,
-                "sample_shift" => self.axes.sample_shift = u32_axis(e)?,
                 "time_sample" => self.axes.time_sample = ts_axis(e)?,
                 other => return Err(err(e.line, format!("unknown [axes] key `{other}`"))),
             }
@@ -638,6 +635,9 @@ impl CampaignSpec {
         if self.measure_cycles == 0 {
             return bad("`measure` must be at least 1".to_string());
         }
+        if let Err(e) = self.experiment().check_window() {
+            return bad(e.message().to_string());
+        }
         let a = &self.axes;
         let axis_lens = [
             a.organization.len(),
@@ -647,7 +647,6 @@ impl CampaignSpec {
             a.l2_latency.len(),
             a.mem_latency.len(),
             a.mix_seed.len(),
-            a.sample_shift.len(),
             a.time_sample.len(),
         ];
         if axis_lens.contains(&0) {
@@ -680,6 +679,18 @@ impl CampaignSpec {
             return bad("`l3_assoc` values must be at least 1".to_string());
         }
         Ok(())
+    }
+
+    /// The spec's windows and seed as the experiment every cell runs
+    /// (each cell adds its `time_sample` schedule).
+    pub fn experiment(&self) -> ExperimentConfig {
+        ExperimentConfig {
+            warm_instructions: self.warm_instructions,
+            warmup_cycles: self.warmup_cycles,
+            measure_cycles: self.measure_cycles,
+            seed: self.seed,
+            ..ExperimentConfig::default()
+        }
     }
 
     /// Renders the spec as canonical text; `parse(render(s)) == s` for
@@ -744,18 +755,6 @@ impl CampaignSpec {
         let _ = writeln!(out, "mix_seed = [{}]", ints(&self.axes.mix_seed));
         let _ = writeln!(
             out,
-            "sample_shift = [{}]",
-            ints(
-                &self
-                    .axes
-                    .sample_shift
-                    .iter()
-                    .map(|&v| v as u64)
-                    .collect::<Vec<_>>()
-            )
-        );
-        let _ = writeln!(
-            out,
             "time_sample = [{}]",
             self.axes
                 .time_sample
@@ -789,18 +788,27 @@ organization = ["private", "adaptive"]
 l3_mb = [4, 8]
 l3_latency = ["14/19", "16/24"]
 mem_latency = ["258/260"]
-sample_shift = [0, 4]
 time_sample = ["0:0", "20000:80000"]
 "#;
 
     #[test]
     fn u32_axes_reject_out_of_range_values() {
-        // 2^32 + 16 must not truncate to a 16-way L3, nor 2^32 + 1 to
-        // shift 1.
+        // 2^32 + 16 must not truncate to a 16-way L3.
         let l3_assoc = SMOKE.replace("l3_mb = [4, 8]", "l3_mb = [4]\nl3_assoc = [4294967312]");
         expect_err(&l3_assoc, "`l3_assoc` value 4294967312 is out of range");
-        let shift = SMOKE.replace("sample_shift = [0, 4]", "sample_shift = [4294967297]");
-        expect_err(&shift, "`sample_shift` value 4294967297 is out of range");
+    }
+
+    #[test]
+    fn a_sample_shift_axis_is_refused_with_its_line_number() {
+        // Set-sampled simulation is gone; a spec that still asks for it
+        // must fail loudly rather than run every set in full detail.
+        let text = SMOKE.replace("[axes]\n", "[axes]\nsample_shift = [0]\n");
+        let line = text
+            .lines()
+            .position(|l| l.starts_with("sample_shift"))
+            .map(|i| i + 1);
+        expect_err(&text, &format!("line {}: ", line.unwrap_or(0)));
+        expect_err(&text, "unknown [axes] key `sample_shift`");
     }
 
     #[test]
@@ -812,6 +820,24 @@ time_sample = ["0:0", "20000:80000"]
         // Here the count itself overflows `usize`.
         let overflow = SMOKE.replace("mixes = 2", "mixes = 9223372036854775807");
         expect_err(&overflow, "at most 1048576 cells");
+    }
+
+    #[test]
+    fn a_window_that_overflows_the_clock_is_refused() {
+        // Each phase fits the spec's integers; their sum must fit the
+        // chip's 64-bit clock too.
+        let max = i64::MAX.to_string();
+        let phases = |measure: &str| {
+            SMOKE
+                .replace("warm = 60000", &format!("warm = {max}"))
+                .replace("warmup = 5000", &format!("warmup = {max}"))
+                .replace("measure = 20000", &format!("measure = {measure}"))
+        };
+        expect_err(&phases("2"), "run window");
+        assert!(
+            CampaignSpec::parse(&phases("1")).is_ok(),
+            "warm + warmup + measure = u64::MAX fits"
+        );
     }
 
     #[test]
@@ -862,7 +888,6 @@ time_sample = ["0:0", "20000:80000"]
                 }
             ]
         );
-        assert_eq!(spec.axes.sample_shift, vec![0, 4]);
         assert_eq!(
             spec.axes.time_sample,
             vec![

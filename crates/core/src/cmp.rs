@@ -67,7 +67,9 @@ pub struct CmpResult {
     pub memory: MemoryStats,
     /// Adaptive quota snapshot, when the organization is adaptive.
     pub quotas: Option<Vec<u32>>,
-    /// Set-sampling accuracy summary, when the run was set-sampled.
+    /// Always `None`: no organization is set-sampled. Kept only because
+    /// the benchmark's replay builds a `CmpResult` literal; ROADMAP item
+    /// 2(e) removes it.
     pub sampling: Option<SamplingReport>,
     /// Time-sampling accuracy summary, when the run was time-sampled
     /// (`None` for full-detail runs, including `--time-sample d:0`).
@@ -1092,20 +1094,16 @@ mod tests {
     fn batched_warm_matches_one_at_a_time() {
         // The chunked warm must evolve core state, organization state and
         // the memory channel bit-identically to the reference
-        // one-at-a-time loop, for every organization (and a set-sampled
-        // L3) and however many host threads run the core sides — pinned
-        // through the snapshot encoding, and through a timed window run
-        // on top.
+        // one-at-a-time loop, for every organization and however many
+        // host threads run the core sides — pinned through the snapshot
+        // encoding, and through a timed window run on top.
         let warm = 2 * FUNCTIONAL_CHUNK + 3;
-        let base = MachineConfig::baseline();
-        let mut sampled = MachineConfig::baseline();
-        sampled.l3.sample_shift = Some(2);
-        for (cfg, org) in [
-            (base, Organization::Private),
-            (base, Organization::Shared),
-            (base, Organization::adaptive()),
-            (base, Organization::Cooperative { seed: 7 }),
-            (sampled, Organization::adaptive()),
+        let cfg = MachineConfig::baseline();
+        for org in [
+            Organization::Private,
+            Organization::Shared,
+            Organization::adaptive(),
+            Organization::Cooperative { seed: 7 },
         ] {
             let reference = reference_warm(&cfg, org, 13, warm);
             for width in 1..=4 {
@@ -1675,21 +1673,14 @@ mod tests {
     fn snapshot_restore_run_matches_run_through() {
         // The campaign engine's core guarantee: warm, snapshot, restore
         // into a fresh chip, run — bit-identical to warming and running
-        // straight through, for every organization (and the sampled
-        // wrapper).
-        let mut sampled_cfg = MachineConfig::baseline();
-        sampled_cfg.l3.sample_shift = Some(2);
-        let cases = [
-            (MachineConfig::baseline(), Organization::Private),
-            (MachineConfig::baseline(), Organization::Shared),
-            (MachineConfig::baseline(), Organization::adaptive()),
-            (
-                MachineConfig::baseline(),
-                Organization::Cooperative { seed: 7 },
-            ),
-            (sampled_cfg, Organization::adaptive()),
-        ];
-        for (cfg, org) in cases {
+        // straight through, for every organization.
+        let cfg = MachineConfig::baseline();
+        for org in [
+            Organization::Private,
+            Organization::Shared,
+            Organization::adaptive(),
+            Organization::Cooperative { seed: 7 },
+        ] {
             let mix = quick_mix();
             let mut original = Cmp::new(&cfg, org, &mix, 21).unwrap();
             original.warm(6_000);

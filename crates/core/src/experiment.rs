@@ -11,17 +11,16 @@
 //!
 //! The run policy has one path. Every front end (`nuca-sim`, its
 //! `campaign` subcommand, `perf` and the simulating figure binaries)
-//! parses `--jobs`, `--sample-sets` and `--time-sample` with
-//! [`parse_jobs`], [`parse_sample_sets`] and [`parse_time_sample`];
-//! `nuca-sim` and the figure binaries match all five run-policy flags
-//! with [`ExperimentConfig::parse_flag`]. Every simulating caller builds
-//! its chip with [`build_chip`], the one place that applies an
-//! [`ExperimentConfig`] to a [`Cmp`].
+//! parses `--jobs` and `--time-sample` with [`parse_jobs`] and
+//! [`parse_time_sample`]; `nuca-sim` and the figure binaries match all
+//! four run-policy flags with [`ExperimentConfig::parse_flag`]. Every
+//! simulating caller builds its chip with [`build_chip`], the one place
+//! that applies an [`ExperimentConfig`] to a [`Cmp`].
 
 use std::borrow::Borrow;
 
 use simcore::config::{CacheGeometry, MachineConfig, MachineConfigBuilder};
-use simcore::error::Result;
+use simcore::error::{ConfigError, Result};
 use telemetry::{collector, NullSink, Recorder, Sink, Trace, TraceMeta};
 use tracegen::profile::AppProfile;
 use tracegen::spec::SpecApp;
@@ -71,17 +70,11 @@ pub struct ExperimentConfig {
     /// exactness-differential job); `false` is the `--no-fast-path`
     /// escape hatch that keeps the reference walks alive.
     pub fast_path: bool,
-    /// Set-sampled simulation: `Some(k)` simulates `1/2^k` of the
-    /// last-level sets in full detail and charges the rest a calibrated
-    /// latency estimate (see [`crate::l3::SampledL3`]). Unlike `jobs`
-    /// and `cycle_skip` this *is* part of the experiment's identity —
-    /// results are estimates with the confidence bounds carried in
-    /// [`CmpResult::sampling`]. `None` simulates every set.
-    pub sample_shift: Option<u32>,
     /// Time-sampled simulation: `Some((detail, gap))` alternates
     /// `detail` detailed cycles with `gap` functionally warmed cycles
-    /// (see [`Cmp::set_time_sample`]). Part of the experiment's identity
-    /// like `sample_shift`; the accuracy summary lands in
+    /// (see [`Cmp::set_time_sample`]). Unlike `jobs` and `cycle_skip`
+    /// this *is* part of the experiment's identity: results are
+    /// estimates, and the accuracy summary lands in
     /// [`CmpResult::time_sampling`]. `None` (or a zero gap) simulates
     /// every cycle in detail.
     pub time_sample: Option<(u64, u64)>,
@@ -97,7 +90,6 @@ impl Default for ExperimentConfig {
             jobs: 1,
             cycle_skip: true,
             fast_path: true,
-            sample_shift: None,
             time_sample: None,
         }
     }
@@ -172,17 +164,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Same experiment with set-sampled simulation: only `1/2^shift` of
-    /// the last-level sets are simulated in full detail (`None` turns
-    /// sampling off).
-    #[must_use]
-    pub fn with_sample_sets(&self, shift: Option<u32>) -> Self {
-        ExperimentConfig {
-            sample_shift: shift,
-            ..*self
-        }
-    }
-
     /// Same experiment with time-sampled simulation: alternate `detail`
     /// detailed cycles with `gap` functionally warmed cycles (`None`
     /// turns time sampling off).
@@ -194,9 +175,32 @@ impl ExperimentConfig {
         }
     }
 
-    /// Applies `flag` when it is one of the five run-policy flags —
-    /// `--jobs N`, `--no-skip`, `--no-fast-path`, `--sample-sets K`,
-    /// `--time-sample D:G` — taking its value from `args`. Returns
+    /// Checks that the run's window fits the chip's clock. The clock
+    /// counts through all three phases (the functional warm retires one
+    /// instruction per core per cycle), so `warm_instructions +
+    /// warmup_cycles + measure_cycles` must fit in a `u64`; a wrapped
+    /// sum would end the measured window before it began.
+    ///
+    /// # Errors
+    ///
+    /// A configuration error naming the window when the sum overflows.
+    pub fn check_window(&self) -> Result<()> {
+        self.warm_instructions
+            .checked_add(self.warmup_cycles)
+            .and_then(|n| n.checked_add(self.measure_cycles))
+            .map(|_| ())
+            .ok_or_else(|| {
+                ConfigError::new(format!(
+                    "the run window ({} warm instructions + {} warm-up + {} measured cycles) \
+                     overflows the 64-bit cycle clock",
+                    self.warm_instructions, self.warmup_cycles, self.measure_cycles
+                ))
+            })
+    }
+
+    /// Applies `flag` when it is one of the four run-policy flags —
+    /// `--jobs N`, `--no-skip`, `--no-fast-path`, `--time-sample D:G` —
+    /// taking its value from `args`. Returns
     /// whether it matched, so a front end can try its own flags next.
     /// `nuca-sim` and the simulating figure binaries parse these flags
     /// only here.
@@ -214,9 +218,6 @@ impl ExperimentConfig {
             "--no-fast-path" => self.fast_path = false,
             "--jobs" => {
                 self.jobs = simcore::parallel::resolve_jobs(parse_value(flag, args, parse_jobs)?)
-            }
-            "--sample-sets" => {
-                self.sample_shift = Some(parse_value(flag, args, parse_sample_sets)?)
             }
             "--time-sample" => self.time_sample = Some(parse_value(flag, args, parse_time_sample)?),
             _ => return Ok(false),
@@ -262,14 +263,6 @@ pub fn parse_jobs(v: &str) -> std::result::Result<usize, String> {
     count(v)
         .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| "want a worker count (0 = one per available core)".to_string())
-}
-
-/// Parses a `--sample-sets` value: the set-sampling shift `K`
-/// (simulate `1/2^K` of the last-level sets). A shift beyond 32 bits
-/// is an error, never truncated.
-pub fn parse_sample_sets(v: &str) -> std::result::Result<u32, String> {
-    let k = count(v).ok_or_else(|| "want a set-sampling shift such as 4".to_string())?;
-    u32::try_from(k).map_err(|_| "out of range (a shift fits in 32 bits)".to_string())
 }
 
 /// Parses a `--time-sample` value (also the campaign `time_sample`
@@ -322,9 +315,8 @@ pub fn initial_quotas(machine: &MachineConfig, org: Organization) -> Vec<u32> {
     }
 }
 
-/// Builds the chip for one cell under `exp`: copies
-/// [`ExperimentConfig::sample_shift`] into the machine (so the last
-/// level gets the set-sampling estimator), constructs the chip over
+/// Builds the chip for one cell under `exp`: checks the run's window
+/// (see [`ExperimentConfig::check_window`]), constructs the chip over
 /// `profiles` (one per core, each fast-forwarded by `forwards`) and
 /// applies the execution policy — cycle skipping, the hit fast path
 /// and the time-sampling schedule. This is the one site that turns an
@@ -332,7 +324,7 @@ pub fn initial_quotas(machine: &MachineConfig, org: Organization) -> Vec<u32> {
 ///
 /// # Errors
 ///
-/// Returns a configuration error if the sampled machine is invalid, the
+/// Returns a configuration error if the window overflows the clock, the
 /// workload does not match its core count, or the organization cannot
 /// be built.
 pub fn build_chip<S: Sink, P: Borrow<AppProfile>>(
@@ -343,12 +335,8 @@ pub fn build_chip<S: Sink, P: Borrow<AppProfile>>(
     exp: &ExperimentConfig,
     sink: S,
 ) -> Result<Cmp<S>> {
-    let mut machine = *machine;
-    if exp.sample_shift.is_some() {
-        machine.l3.sample_shift = exp.sample_shift;
-        machine.validate()?;
-    }
-    let mut cmp = Cmp::with_profiles_and_sink(&machine, org, profiles, forwards, exp.seed, sink)?;
+    exp.check_window()?;
+    let mut cmp = Cmp::with_profiles_and_sink(machine, org, profiles, forwards, exp.seed, sink)?;
     cmp.set_cycle_skip(exp.cycle_skip);
     cmp.set_fast_path(exp.fast_path);
     if let Some((detail, gap)) = exp.time_sample {
@@ -746,14 +734,12 @@ mod tests {
             Ok(exp)
         }
         let base = ExperimentConfig::quick();
-        let accepted: [(&[&str], ExperimentConfig); 10] = [
+        let accepted: [(&[&str], ExperimentConfig); 8] = [
             (&[], base),
             (&["--no-skip"], base.with_cycle_skip(false)),
             (&["--no-fast-path"], base.with_fast_path(false)),
             (&["--jobs", "3"], base.with_jobs(3)),
             (&["--jobs=3"], base.with_jobs(3)),
-            (&["--sample-sets", "4"], base.with_sample_sets(Some(4))),
-            (&["--sample-sets=0"], base.with_sample_sets(Some(0))),
             (
                 &["--time-sample", "1000:4000"],
                 base.with_time_sample(Some((1_000, 4_000))),
@@ -770,14 +756,12 @@ mod tests {
         for (args, want) in accepted {
             assert_eq!(parse(args), Ok(want), "{args:?}");
         }
-        let rejected: [(&[&str], &str); 11] = [
+        let rejected: [(&[&str], &str); 9] = [
             (&["--jobs", "many"], "worker count"),
             (&["--jobs=-1"], "worker count"),
             (&["--jobs"], "needs a value"),
             (&["--jobs", "--no-skip"], "needs a value"),
-            (&["--sample-sets", "-4"], "set-sampling shift"),
-            (&["--sample-sets", "4294967297"], "out of range"),
-            (&["--sample-sets="], "needs a value"),
+            (&["--sample-sets", "4"], "unknown argument"),
             (&["--time-sample", "0:5"], "detail must be > 0"),
             (&["--time-sample", "1000:x"], "detail:gap"),
             (&["--time-sample", "1000"], "detail:gap"),
@@ -787,6 +771,41 @@ mod tests {
             match parse(args) {
                 Err(e) => assert!(e.contains(message), "{args:?}: {e}"),
                 Ok(exp) => panic!("{args:?} must be rejected, parsed {exp:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn build_chip_refuses_a_window_that_overflows_the_clock() {
+        let machine = MachineConfig::baseline();
+        let mix = WorkloadPool::homogeneous(SpecApp::Gzip, 4, 1);
+        let build = |exp: &ExperimentConfig| {
+            build_chip(
+                &machine,
+                Organization::Private,
+                &mix.profiles(),
+                &mix.forwards,
+                exp,
+                NullSink,
+            )
+        };
+        let edge = ExperimentConfig {
+            warm_instructions: 10,
+            warmup_cycles: 10,
+            measure_cycles: u64::MAX - 20,
+            ..ExperimentConfig::quick()
+        };
+        assert!(build(&edge).is_ok(), "a sum of exactly u64::MAX fits");
+        for (warm, warmup, measure) in [(10, 10, u64::MAX), (u64::MAX, 1, 0), (1, u64::MAX, 0)] {
+            let exp = ExperimentConfig {
+                warm_instructions: warm,
+                warmup_cycles: warmup,
+                measure_cycles: measure,
+                ..edge
+            };
+            match build(&exp) {
+                Err(e) => assert!(e.message().contains("run window"), "{e}"),
+                Ok(_) => panic!("{warm} + {warmup} + {measure} must be refused"),
             }
         }
     }

@@ -223,12 +223,6 @@ impl<S: Sink> AdaptiveL3<S> {
         self.memory.stats()
     }
 
-    /// The memory channel itself — used by the set-sampling estimator to
-    /// charge phantom line fills so bus congestion stays fully modeled.
-    pub(crate) fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.memory
-    }
-
     /// Resets counters at the warm-up boundary (cache contents, quotas
     /// and learned state are kept).
     pub fn reset_stats(&mut self) {

@@ -22,13 +22,11 @@
 mod adaptive;
 mod cooperative;
 mod private;
-mod sampled;
 mod shared;
 
 pub use adaptive::{AdaptiveL3, AdaptiveStats, OccupancyRow};
 pub use cooperative::{CooperativeL3, CooperativeStats};
 pub use private::PrivateL3;
-pub use sampled::{SampledL3, SamplingReport};
 pub use shared::SharedL3;
 
 use cpusim::l3iface::{L3Outcome, LastLevel};
@@ -104,9 +102,31 @@ pub enum L3System<S: Sink = NullSink> {
     Adaptive(AdaptiveL3<S>),
     /// Cooperative caching.
     Cooperative(CooperativeL3<S>),
-    /// Any of the above behind the set-sampling estimator (built when
-    /// [`simcore::config::L3Config::sample_shift`] is set).
-    Sampled(SampledL3<S>),
+}
+
+/// Accuracy summary of a set-sampled measurement window. No
+/// organization is set-sampled, so no run produces one: the type stays
+/// only because the benchmark's replay names
+/// [`L3System::sampling_report`]; ROADMAP item 2(e) removes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SamplingReport {
+    /// The configured shift: `1/2^shift` of the sets are simulated.
+    pub shift: u32,
+    /// Number of sets simulated in full detail.
+    pub sampled_sets: u64,
+    /// Total last-level sets in the shared-geometry frame.
+    pub total_sets: u64,
+    /// Accesses that hit a sampled set (simulated fully).
+    pub sampled_accesses: u64,
+    /// Accesses charged the calibrated estimate.
+    pub estimated_accesses: u64,
+    /// Mean simulated latency over the window's sampled accesses.
+    pub mean_latency: f64,
+    /// SMARTS standard error of that mean.
+    pub std_error: f64,
+    /// Relative 95 % confidence half-width: `1.96 * std_error /
+    /// mean_latency` (0 when no sampled accesses were observed).
+    pub relative_error: f64,
 }
 
 impl L3System {
@@ -129,7 +149,7 @@ impl<S: Sink> L3System<S> {
     /// Returns a configuration error if derived geometries are invalid
     /// (e.g. a scaled capacity that is not a power-of-two set count).
     pub fn build_with_sink(org: Organization, cfg: &MachineConfig, sink: S) -> Result<Self> {
-        let built = match org {
+        Ok(match org {
             Organization::Private => {
                 L3System::Private(PrivateL3::with_sink(cfg, cfg.l3.private, sink))
             }
@@ -147,56 +167,30 @@ impl<S: Sink> L3System<S> {
             Organization::Cooperative { seed } => {
                 L3System::Cooperative(CooperativeL3::with_sink(cfg, seed, sink))
             }
-        };
-        Ok(match cfg.l3.sample_shift {
-            Some(shift) => L3System::Sampled(SampledL3::new(Box::new(built), cfg, shift)),
-            None => built,
         })
     }
 
-    /// The adaptive instance, when this system is adaptive (looking
-    /// through the sampling wrapper if present).
+    /// The adaptive instance, when this system is adaptive.
     pub fn as_adaptive(&self) -> Option<&AdaptiveL3<S>> {
         match self {
             L3System::Adaptive(a) => Some(a),
-            L3System::Sampled(s) => s.inner().as_adaptive(),
             _ => None,
         }
     }
 
-    /// The cooperative instance, when this system is cooperative
-    /// (looking through the sampling wrapper if present).
+    /// The cooperative instance, when this system is cooperative.
     pub fn as_cooperative(&self) -> Option<&CooperativeL3<S>> {
         match self {
             L3System::Cooperative(c) => Some(c),
-            L3System::Sampled(s) => s.inner().as_cooperative(),
             _ => None,
         }
     }
 
-    /// The set-sampling accuracy report, when sampling is active.
+    /// Always `None`: no organization is set-sampled. Kept, with its
+    /// signature, only because the benchmark's replay names it; ROADMAP
+    /// item 2(e) removes it.
     pub fn sampling_report(&self) -> Option<SamplingReport> {
-        match self {
-            L3System::Sampled(s) => Some(s.report()),
-            _ => None,
-        }
-    }
-
-    /// Issues a real line fill on the organization's memory bus without
-    /// touching any cache state, returning when the data would arrive.
-    /// The set-sampling estimator charges one of these for every
-    /// estimated access it attributes to memory, so bus occupancy and
-    /// queueing stay fully modeled even though 15/16 of the sets are
-    /// never simulated — without this, sampled runs of bus-bound mixes
-    /// overestimate IPC by integer factors.
-    pub(crate) fn phantom_memory_fill(&mut self, now: Cycle) -> Cycle {
-        match self {
-            L3System::Private(x) => x.memory_mut().request(now, true).data_ready,
-            L3System::Shared(x) => x.memory_mut().request(now, false).data_ready,
-            L3System::Adaptive(x) => x.memory_mut().request(now, false).data_ready,
-            L3System::Cooperative(x) => x.memory_mut().request(now, false).data_ready,
-            L3System::Sampled(x) => x.inner_mut().phantom_memory_fill(now),
-        }
+        None
     }
 
     /// Memory-channel statistics.
@@ -206,22 +200,14 @@ impl<S: Sink> L3System<S> {
             L3System::Shared(x) => x.memory_stats(),
             L3System::Adaptive(x) => x.memory_stats(),
             L3System::Cooperative(x) => x.memory_stats(),
-            L3System::Sampled(x) => x.memory_stats(),
         }
     }
 
     /// Freezes or unfreezes adaptive-quota re-evaluation (no-op for
     /// non-adaptive organizations).
     pub fn set_adaptation_frozen(&mut self, frozen: bool) {
-        match self {
-            L3System::Adaptive(a) => a.set_adaptation_frozen(frozen),
-            L3System::Sampled(s) => {
-                // The warm phase's inflated queueing latencies must not
-                // calibrate the estimator either.
-                s.set_calibration_frozen(frozen);
-                s.inner_mut().set_adaptation_frozen(frozen);
-            }
-            _ => {}
+        if let L3System::Adaptive(a) = self {
+            a.set_adaptation_frozen(frozen);
         }
     }
 
@@ -233,7 +219,6 @@ impl<S: Sink> L3System<S> {
             L3System::Shared(x) => x.quiesce(now),
             L3System::Adaptive(x) => x.quiesce(now),
             L3System::Cooperative(x) => x.quiesce(now),
-            L3System::Sampled(x) => x.inner_mut().quiesce(now),
         }
     }
 
@@ -256,10 +241,6 @@ impl<S: Sink> L3System<S> {
             }
             L3System::Cooperative(x) => {
                 w.put_u8(3);
-                x.save_state(w);
-            }
-            L3System::Sampled(x) => {
-                w.put_u8(4);
                 x.save_state(w);
             }
         }
@@ -286,8 +267,7 @@ impl<S: Sink> L3System<S> {
             (1, L3System::Shared(x)) => x.load_state(r)?,
             (2, L3System::Adaptive(x)) => x.load_state(r)?,
             (3, L3System::Cooperative(x)) => x.load_state(r)?,
-            (4, L3System::Sampled(x)) => x.load_state(r)?,
-            (0..=4, _) => return Err(SnapshotError::Mismatch("L3 organization variant")),
+            (0..=3, _) => return Err(SnapshotError::Mismatch("L3 organization variant")),
             _ => return Err(SnapshotError::Corrupt("unknown L3 organization tag")),
         }
         if self.audit().is_empty() {
@@ -306,7 +286,6 @@ impl<S: Sink> L3System<S> {
             L3System::Shared(x) => x.reset_stats(),
             L3System::Adaptive(x) => x.reset_stats(),
             L3System::Cooperative(x) => x.reset_stats(),
-            L3System::Sampled(x) => x.reset_stats(),
         }
     }
 }
@@ -318,7 +297,6 @@ impl<S: Sink> Invariant for L3System<S> {
             L3System::Shared(x) => x.component(),
             L3System::Adaptive(x) => x.component(),
             L3System::Cooperative(x) => x.component(),
-            L3System::Sampled(x) => x.component(),
         }
     }
 
@@ -328,7 +306,6 @@ impl<S: Sink> Invariant for L3System<S> {
             L3System::Shared(x) => x.audit(),
             L3System::Adaptive(x) => x.audit(),
             L3System::Cooperative(x) => x.audit(),
-            L3System::Sampled(x) => x.audit(),
         }
     }
 }
@@ -340,7 +317,6 @@ impl<S: Sink> LastLevel for L3System<S> {
             L3System::Shared(x) => x.access(core, addr, write, now),
             L3System::Adaptive(x) => x.access(core, addr, write, now),
             L3System::Cooperative(x) => x.access(core, addr, write, now),
-            L3System::Sampled(x) => x.access(core, addr, write, now),
         }
     }
 
@@ -350,7 +326,6 @@ impl<S: Sink> LastLevel for L3System<S> {
             L3System::Shared(x) => x.writeback(core, addr, now),
             L3System::Adaptive(x) => x.writeback(core, addr, now),
             L3System::Cooperative(x) => x.writeback(core, addr, now),
-            L3System::Sampled(x) => x.writeback(core, addr, now),
         }
     }
 }

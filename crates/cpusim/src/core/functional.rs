@@ -10,7 +10,7 @@
 //!
 //! This module owns the boundary between the two regimes:
 //!
-//! - [`Core::functional_data_access`] is the latency-free D-side walk of
+//! - `Core::functional_data_access` is the latency-free D-side walk of
 //!   the private hierarchy (shared by the warm path and the drain);
 //! - [`Core::drain_pipeline`] functionally retires whatever a detailed
 //!   window left in flight and resets the pipeline to the quiescent

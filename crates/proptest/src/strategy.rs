@@ -9,7 +9,8 @@ use crate::TestRng;
 /// Generates values of `Self::Value` from a deterministic stream.
 ///
 /// Object-safe: the combinator methods are `Self: Sized`, so
-/// `Box<dyn Strategy<Value = T>>` works (used by [`prop_oneof!`]).
+/// `Box<dyn Strategy<Value = T>>` works (used by
+/// [`prop_oneof!`](crate::prop_oneof)).
 pub trait Strategy {
     /// The type of generated values.
     type Value: Debug;
@@ -26,7 +27,8 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Type-erases the strategy (needed to mix arms in [`prop_oneof!`]).
+    /// Type-erases the strategy (needed to mix arms in
+    /// [`prop_oneof!`](crate::prop_oneof)).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
         Self: Sized + 'static,
@@ -78,7 +80,8 @@ impl<T: Clone + Debug> Strategy for Just<T> {
     }
 }
 
-/// Uniform choice between type-erased alternatives ([`prop_oneof!`]).
+/// Uniform choice between type-erased alternatives
+/// ([`prop_oneof!`](crate::prop_oneof)).
 pub struct Union<T> {
     arms: Vec<BoxedStrategy<T>>,
 }

@@ -2,10 +2,9 @@
 # Regenerates every table and figure. Characterization runs that are not
 # sweep grids (Table 1, the cost model, the single-app Figures 3 and 5,
 # and the ablation/parallel extensions) keep their dedicated binaries;
-# every mix-grid experiment (Figures 6-12, sampling accuracy, the
-# screened capacity sweep) runs through the campaign engine from the
-# committed specs under specs/, one JSONL manifest per spec in
-# results/campaign/. The fig6-fig12 binaries then render
+# every mix-grid experiment (Figures 6-12, the screened capacity sweep)
+# runs through the campaign engine from the committed specs under
+# specs/, one JSONL manifest per spec in results/campaign/. The fig6-fig12 binaries then render
 # results/fig6.txt-fig12.txt from those manifests without simulating.
 #
 # Every binary reads its settings from its command line only; this
@@ -15,13 +14,6 @@
 # JOBS controls the worker-thread count (default: all cores). Manifests
 # and figure outputs are bit-identical for any JOBS value.
 #
-# SAMPLE_SETS (optional) turns on set-sampled simulation everywhere:
-# simulating binaries and campaigns get --sample-sets $SAMPLE_SETS
-# (perf uses it for its sampled accuracy pass), simulating only
-# 1/2^SAMPLE_SETS of the last-level sets in full detail. Figures become
-# approximations with confidence bounds (DESIGN.md §8) — leave it unset
-# for publication runs. SAMPLE_SETS=0 is bit-identical to unset.
-#
 # TIME_SAMPLE (optional, "detail:gap" cycle counts, e.g. 10000:40000)
 # turns on time-sampled simulation everywhere: simulating binaries and
 # campaigns get --time-sample $TIME_SAMPLE (perf uses it for its
@@ -29,7 +21,7 @@
 # functionally warmed gaps (DESIGN.md §8). IPC becomes a SMARTS
 # estimate with confidence bounds — leave it unset for publication
 # runs. A zero gap (e.g. TIME_SAMPLE=10000:0) is bit-identical to
-# unset. Composes with SAMPLE_SETS.
+# unset.
 #
 # TRACE and METRICS_OUT (both optional) turn on telemetry for the
 # characterization binaries (--trace / --metrics-out): set them to the
@@ -38,7 +30,7 @@
 # P.<bin>.jsonl / P.<bin>.json, or leave them empty to run untraced.
 # (Campaign runs emit manifests, not event traces; perf records none.)
 #
-# Last, perf scores set and time sampling against the exact run on its
+# Last, perf scores time sampling against the exact run on its
 # fixed matrix and writes that accuracy report to results/perf.json.
 # It is not a speed benchmark: the repository's speed harness is
 # nucabench (BENCHMARK.json).
@@ -48,13 +40,8 @@ mkdir -p results results/campaign
 JOBS="${JOBS:-$(nproc)}"
 TRACE="${TRACE:-}"
 METRICS_OUT="${METRICS_OUT:-}"
-SAMPLE_SETS="${SAMPLE_SETS:-}"
 TIME_SAMPLE="${TIME_SAMPLE:-}"
 sample=()
-if [ -n "$SAMPLE_SETS" ]; then
-    sample+=(--sample-sets "$SAMPLE_SETS")
-    echo "set sampling on: 1/2^$SAMPLE_SETS of L3 sets simulated"
-fi
 if [ -n "$TIME_SAMPLE" ]; then
     sample+=(--time-sample "$TIME_SAMPLE")
     echo "time sampling on: $TIME_SAMPLE detailed:functional cycle schedule"
@@ -88,7 +75,7 @@ done
 
 echo "running campaigns with --jobs $JOBS"
 for spec in specs/paper.toml specs/fig8.toml specs/fig9.toml \
-            specs/fig10.toml specs/sampling.toml specs/sweep.toml; do
+            specs/fig10.toml specs/sweep.toml; do
     name="$(basename "$spec" .toml)"
     echo "=== campaign $name ==="
     rm -f "results/campaign/$name.jsonl"

@@ -41,7 +41,7 @@ pub struct SimRequest {
     /// Fast-forward per core.
     pub forwards: Vec<u64>,
     /// The windows, the seed and the run policy (`--jobs`, `--no-skip`,
-    /// `--no-fast-path`, `--sample-sets`, `--time-sample`).
+    /// `--no-fast-path`, `--time-sample`).
     pub exp: ExperimentConfig,
     /// Audit L3 structural invariants after every step (slow).
     pub paranoid: bool,
@@ -110,7 +110,7 @@ nuca-sim — simulate a multiprogrammed or parallel workload on a NUCA CMP
 USAGE:
     nuca-sim --org <ORGS> (--apps <A,B,C,D> | --parallel <APP:FRAC:KB>) [OPTIONS]
     nuca-sim campaign <spec.toml> [--out PATH] [--shard K/N] [--resume]
-                      [--jobs N] [--sample-sets K] [--fail-after N]
+                      [--jobs N] [--time-sample D:G] [--fail-after N]
     nuca-sim campaign merge <merged.jsonl> <shard.jsonl>...
 
     The campaign subcommand expands a declarative sweep spec (see
@@ -148,12 +148,6 @@ OPTIONS:
                            lookups, pipeline bookkeeping bypass) and run
                            the reference walks (bit-identical output,
                            slower; exists as a differential check)
-    --sample-sets <K>      simulate only 1/2^K of the L3 sets in full
-                           detail and charge the rest a calibrated
-                           latency estimate (SMARTS-style confidence
-                           bounds are reported; 0 = full membership
-                           through the estimator, bit-identical to
-                           omitting the flag)
     --time-sample <D:G>    alternate D cycle-accurate cycles with G
                            functionally warmed cycles (caches, quotas
                            and predictors stay warm; pipeline timing is
@@ -243,10 +237,7 @@ pub fn parse_args(args: &[String]) -> Result<SimRequest, CliError> {
     if tech_scaled {
         machine = machine.technology_scaled();
     }
-    if exp.sample_shift.is_some() {
-        machine.l3.sample_shift = exp.sample_shift;
-        machine.validate()?;
-    }
+    exp.check_window()?;
     let seed = exp.seed;
 
     let organizations = match org_name.as_deref() {
@@ -489,24 +480,6 @@ pub fn render(req: &SimRequest, org_label: &str, result: &CmpResult) -> String {
     if let Some(q) = &result.quotas {
         let _ = writeln!(out, "quotas       : {q:?}");
     }
-    // Shift 0 (full membership through the estimator) prints nothing, so
-    // its output stays byte-identical to a full run — the e2e
-    // differential test depends on that.
-    if let Some(samp) = &result.sampling {
-        if samp.shift > 0 {
-            let _ = writeln!(
-                out,
-                "sampling     : {}/{} sets (shift {}), {} sampled / {} estimated accesses, mean L3 {:.1} cyc, rel err {:.3}% (95% CI)",
-                samp.sampled_sets,
-                samp.total_sets,
-                samp.shift,
-                samp.sampled_accesses,
-                samp.estimated_accesses,
-                samp.mean_latency,
-                samp.relative_error * 100.0
-            );
-        }
-    }
     // A `None` report (full-detail runs, including a 0-gap schedule)
     // prints nothing, keeping `--time-sample d:0` output byte-identical
     // to a plain run — the e2e differential test depends on that.
@@ -556,42 +529,6 @@ mod tests {
         assert_eq!(req.exp.seed, 2007);
         assert_eq!(req.exp.jobs, 1);
         assert!(req.exp.cycle_skip);
-    }
-
-    #[test]
-    fn parses_sample_sets_and_validates_the_shift() {
-        let req = parse_args(&argv(
-            "--org shared --apps ammp,gzip,crafty,eon --sample-sets 4",
-        ))
-        .unwrap();
-        assert_eq!(req.exp.sample_shift, Some(4));
-        assert_eq!(req.machine.l3.sample_shift, Some(4));
-        let off = parse_args(&argv("--org shared --apps ammp,gzip,crafty,eon")).unwrap();
-        assert_eq!(off.exp.sample_shift, None);
-        assert_eq!(off.machine.l3.sample_shift, None);
-        // A shift that leaves no sampled sets is rejected up front.
-        assert!(parse_args(&argv(
-            "--org shared --apps ammp,gzip,crafty,eon --sample-sets 40",
-        ))
-        .is_err());
-    }
-
-    #[test]
-    fn sampled_run_reports_confidence_bounds() {
-        let mut req = parse_args(&argv(
-            "--org adaptive --apps ammp,gzip,crafty,eon --sample-sets 3",
-        ))
-        .unwrap();
-        req.exp.warm_instructions = 60_000;
-        req.exp.warmup_cycles = 5_000;
-        req.exp.measure_cycles = 80_000;
-        let result = run(&req).unwrap();
-        let samp = result.sampling.expect("sampled run carries a report");
-        assert_eq!(samp.shift, 3);
-        assert!(samp.sampled_accesses + samp.estimated_accesses > 0);
-        let text = render(&req, "adaptive", &result);
-        assert!(text.contains("sampling"), "render shows the accuracy line");
-        assert!(text.contains("95% CI"));
     }
 
     #[test]
@@ -735,14 +672,11 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_integers_instead_of_truncating() {
-        // 2^32 + 1 would truncate to shift 1, and (2^44 + 4) MiB would
-        // wrap the byte count back to a 4 MB L3.
-        let base = "--org shared --apps ammp,gzip,crafty,eon";
-        for flag in ["--sample-sets 4294967297", "--l3-mb 17592186044420"] {
-            match parse_args(&argv(&format!("{base} {flag}"))) {
-                Err(e) => assert!(e.to_string().contains("out of range"), "{flag}: {e}"),
-                Ok(_) => panic!("{flag} must be rejected"),
-            }
+        // (2^44 + 4) MiB would wrap the byte count back to a 4 MB L3.
+        let flag = "--org shared --apps ammp,gzip,crafty,eon --l3-mb 17592186044420";
+        match parse_args(&argv(flag)) {
+            Err(e) => assert!(e.to_string().contains("out of range"), "{flag}: {e}"),
+            Ok(_) => panic!("{flag} must be rejected"),
         }
     }
 

@@ -33,3 +33,52 @@ fn unknown_flag_exits_2_on_stderr() {
     assert!(stderr.contains("unknown argument: --bogus"), "{stderr}");
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn sample_sets_is_an_unknown_argument() {
+    // Set-sampled simulation is gone, at the simulator and at its
+    // campaign subcommand alike.
+    let out = nuca_sim(&[
+        "--org",
+        "adaptive",
+        "--apps",
+        "gzip,gzip,gzip,gzip",
+        "--sample-sets",
+        "4",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument: --sample-sets"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+
+    let out = nuca_sim(&["campaign", "specs/smoke.toml", "--sample-sets", "4"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --sample-sets"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_window_that_overflows_the_clock_exits_2() {
+    // 10 + 10 + (2^64 - 1) wraps: the run would measure nothing and
+    // still report a full window.
+    let out = nuca_sim(&[
+        "--org",
+        "private",
+        "--apps",
+        "gzip,gzip,gzip,gzip",
+        "--warm",
+        "10",
+        "--warmup",
+        "10",
+        "--measure",
+        "18446744073709551615",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("run window"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}

@@ -6,13 +6,16 @@
 // covers #[test] fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use nuca_repro::nuca_core::cmp::{Cmp, CmpResult};
+use nuca_repro::cachesim::shadow::SetSampling;
+use nuca_repro::nuca_core::cmp::Cmp;
+use nuca_repro::nuca_core::engine::AdaptiveParams;
 use nuca_repro::nuca_core::experiment::{
-    compare_schemes, run_mix, run_mix_traced, ExperimentConfig,
+    build_chip, compare_schemes, measure, run_mix, run_mix_traced, ExperimentConfig,
 };
 use nuca_repro::nuca_core::l3::Organization;
 use nuca_repro::simcore::config::MachineConfig;
 use nuca_repro::telemetry::export::render_jsonl;
+use nuca_repro::telemetry::NullSink;
 use nuca_repro::tracegen::spec::SpecApp;
 use nuca_repro::tracegen::workload::{Mix, WorkloadPool};
 
@@ -199,43 +202,88 @@ fn eight_megabyte_l3_reduces_misses() {
 #[test]
 fn time_sampling_composes_with_set_sampling() {
     // The two sampling dimensions are orthogonal: a run can estimate
-    // over time (detailed windows) and over space (a subset of L3 sets)
-    // at once. Both accuracy reports must be present and consistent,
-    // and the composition must stay deterministic.
+    // over time (detailed windows) while the adaptive engine estimates
+    // its gains over space (shadow tags in 1/16 of the sets, §4.6). The
+    // time-sampling report must be consistent, the shadow table must
+    // keep its sampled membership, and the composition must stay
+    // deterministic.
     let machine = MachineConfig::baseline();
+    let org = Organization::Adaptive(AdaptiveParams {
+        shadow_sampling: SetSampling::LowestIndex { shift: 4 },
+        ..AdaptiveParams::default()
+    });
+    let exp = exp().with_time_sample(Some((3_000, 9_000)));
+    let mix = mixed();
     let run = || {
-        run_mix(
+        let mut cmp = build_chip(
             &machine,
-            Organization::adaptive(),
-            &mixed(),
-            &exp()
-                .with_sample_sets(Some(2))
-                .with_time_sample(Some((3_000, 9_000))),
+            org,
+            &mix.profiles(),
+            &mix.forwards,
+            &exp,
+            NullSink,
         )
-        .unwrap()
+        .unwrap();
+        let result = measure(&mut cmp, &exp);
+        (cmp, result)
     };
-    let a = run();
-    let ts = a.result.time_sampling.expect("time-sampling report");
-    let samp = a.result.sampling.expect("set-sampling report");
+    let (cmp, a) = run();
+    let ts = a.time_sampling.expect("time-sampling report");
+    assert_eq!(a.sampling, None, "no organization is set-sampled");
     assert_eq!((ts.detail, ts.gap), (3_000, 9_000));
     assert!(ts.windows >= 2, "the quick window fits several periods");
     assert_eq!(
         ts.detailed_cycles + ts.functional_cycles,
-        exp().measure_cycles
+        exp.measure_cycles
     );
-    assert_eq!(samp.shift, 2);
     assert!(ts.mean_window_hmean_ipc > 0.0);
-    assert!(a.result.hmean_ipc > 0.0 && a.result.hmean_ipc <= 4.0);
+    assert!(a.hmean_ipc > 0.0 && a.hmean_ipc <= 4.0);
+    let engine = cmp.l3().as_adaptive().expect("adaptive").engine();
+    let sets = machine.l3.shared.sets() as usize;
+    assert!(engine.monitors_set(0) && engine.monitors_set(sets / 16 - 1));
+    assert!(!engine.monitors_set(sets / 16) && !engine.monitors_set(sets - 1));
     // Estimated IPC comes from detailed cycles only: what the windows
     // committed is a strict subset of the raw counter, which also
     // counts functional retires.
-    for (i, (_, s)) in a.result.per_core.iter().enumerate() {
-        let detailed_committed = a.result.ipc[i] * ts.detailed_cycles as f64;
+    for (i, (_, s)) in a.per_core.iter().enumerate() {
+        let detailed_committed = a.ipc[i] * ts.detailed_cycles as f64;
         assert!(detailed_committed > 0.0);
         assert!(detailed_committed < s.committed as f64);
     }
-    let b = run();
-    assert_eq!(a.result, b.result, "composition must stay deterministic");
+    let (_, b) = run();
+    assert_eq!(a, b, "composition must stay deterministic");
+}
+
+#[test]
+fn no_run_carries_a_set_sampling_report() {
+    // Set-sampled simulation is gone; `CmpResult::sampling` stays only
+    // as a field the benchmark's replay names, and is `None` for every
+    // organization, at full detail and time-sampled.
+    let machine = MachineConfig::baseline();
+    let quick = ExperimentConfig {
+        warm_instructions: 60_000,
+        warmup_cycles: 5_000,
+        measure_cycles: 30_000,
+        ..exp()
+    };
+    for org in [
+        Organization::Private,
+        Organization::Shared,
+        Organization::adaptive(),
+        Organization::Cooperative { seed: 1 },
+    ] {
+        for time_sample in [None, Some((2_000, 6_000))] {
+            let exp = quick.with_time_sample(time_sample);
+            let r = run_mix(&machine, org, &mixed(), &exp).unwrap();
+            assert_eq!(r.result.sampling, None, "{} {time_sample:?}", org.label());
+            assert_eq!(
+                r.result.time_sampling.is_some(),
+                time_sample.is_some(),
+                "{} {time_sample:?}",
+                org.label()
+            );
+        }
+    }
 }
 
 /// One exactness switch: an execution policy that must leave every
@@ -245,21 +293,6 @@ struct Variant {
     flags: &'static [&'static str],
     /// The same switch on the library surface.
     exp: fn(ExperimentConfig) -> ExperimentConfig,
-    /// Whether the run carries a (shift-0, identity) sampling report the
-    /// default run does not.
-    set_sampled: bool,
-}
-
-/// Strips the report a `--sample-sets 0` run carries after checking it
-/// is the identity: every set simulated, nothing estimated.
-fn take_identity_sampling(result: &mut CmpResult) {
-    let report = result.sampling.take();
-    assert!(
-        matches!(&report, Some(r) if r.shift == 0
-            && r.sampled_sets == r.total_sets
-            && r.estimated_accesses == 0),
-        "a shift-0 run must carry the identity sampling report, got {report:?}"
-    );
 }
 
 /// Checks that `v` is invisible end to end: for every organization kind,
@@ -302,20 +335,13 @@ fn assert_invisible_end_to_end(v: &Variant) {
 
     for org in orgs {
         let (ref_result, ref_trace) = traced(org, &exp());
-        let (mut result, trace) = traced(org, &cfg);
-        if v.set_sampled {
-            take_identity_sampling(&mut result);
-        }
+        let (result, trace) = traced(org, &cfg);
         assert_eq!(result, ref_result, "{name}: {} window", org.label());
         assert_eq!(trace, ref_trace, "{name}: {} telemetry JSONL", org.label());
     }
 
     let reference_rows = compare_schemes(&machine, &orgs, &mixed(), &exp()).unwrap();
-    let mut rows = compare_schemes(&machine, &orgs, &mixed(), &cfg).unwrap();
-    if v.set_sampled {
-        rows.iter_mut()
-            .for_each(|r| take_identity_sampling(&mut r.result));
-    }
+    let rows = compare_schemes(&machine, &orgs, &mixed(), &cfg).unwrap();
     assert_eq!(rows, reference_rows, "{name}: scheme-comparison rows");
 
     let reference_req = parse_args(&to_args(&[])).unwrap();
@@ -326,15 +352,12 @@ fn assert_invisible_end_to_end(v: &Variant) {
         (v.exp)(reference_req.exp),
         "{name}: the flags select the library switch"
     );
-    let mut cli = run(&req).unwrap();
+    let cli = run(&req).unwrap();
     assert_eq!(
         render(&req, "adaptive", &cli),
         render(&reference_req, "adaptive", &reference_cli),
         "{name}: rendered CLI report"
     );
-    if v.set_sampled {
-        take_identity_sampling(&mut cli);
-    }
     assert_eq!(cli, reference_cli, "{name}: CLI result");
 }
 
@@ -345,7 +368,6 @@ fn cycle_skip_is_invisible_end_to_end() {
     assert_invisible_end_to_end(&Variant {
         flags: &["--no-skip"],
         exp: |e| e.with_cycle_skip(false),
-        set_sampled: false,
     });
 }
 
@@ -356,7 +378,6 @@ fn no_fast_path_is_invisible_end_to_end() {
     assert_invisible_end_to_end(&Variant {
         flags: &["--no-fast-path"],
         exp: |e| e.with_fast_path(false),
-        set_sampled: false,
     });
 }
 
@@ -367,18 +388,6 @@ fn no_skip_and_no_fast_path_together_are_invisible_end_to_end() {
     assert_invisible_end_to_end(&Variant {
         flags: &["--no-skip", "--no-fast-path"],
         exp: |e| e.with_cycle_skip(false).with_fast_path(false),
-        set_sampled: false,
-    });
-}
-
-#[test]
-fn sample_sets_zero_is_byte_identical_to_a_full_run() {
-    // Shift 0 makes every set a member: the estimator wrapper forwards
-    // every access, so its sampling report is the identity.
-    assert_invisible_end_to_end(&Variant {
-        flags: &["--sample-sets", "0"],
-        exp: |e| e.with_sample_sets(Some(0)),
-        set_sampled: true,
     });
 }
 
@@ -389,6 +398,5 @@ fn time_sample_zero_gap_is_byte_identical_end_to_end() {
     assert_invisible_end_to_end(&Variant {
         flags: &["--time-sample", "5000:0"],
         exp: |e| e.with_time_sample(Some((5_000, 0))),
-        set_sampled: false,
     });
 }

@@ -1,8 +1,10 @@
 //! Tests of the parallel-workload extension (the paper's future work):
 //! read-shared regions across address spaces.
 
+use nuca_repro::cachesim::shadow::SetSampling;
 use nuca_repro::nuca_core::cmp::Cmp;
-use nuca_repro::nuca_core::experiment::{run_profiles, ExperimentConfig};
+use nuca_repro::nuca_core::engine::AdaptiveParams;
+use nuca_repro::nuca_core::experiment::{build_chip, measure, run_profiles, ExperimentConfig};
 use nuca_repro::nuca_core::l3::Organization;
 use nuca_repro::simcore::config::MachineConfig;
 use nuca_repro::simcore::rng::SimRng;
@@ -116,9 +118,16 @@ fn adaptive_invariants_hold_with_shared_blocks() {
 #[test]
 fn parallel_cells_honor_both_samplers() {
     // A parallel-workload cell goes through the same chip builder as a
-    // mix, so both sampling dimensions reach it and report.
+    // mix, so both samplers reach it: the adaptive engine's shadow tags
+    // in 1/16 of the sets (§4.6) and the experiment's time sampling,
+    // which reports. No organization is set-sampled, so `sampling` is
+    // always `None`.
     let machine = MachineConfig::baseline();
     let (profiles, forwards) = parallel_workload(SpecApp::Galgel, 4, 0.4, 1024, 7);
+    let org = Organization::Adaptive(AdaptiveParams {
+        shadow_sampling: SetSampling::LowestIndex { shift: 4 },
+        ..AdaptiveParams::default()
+    });
     let exp = ExperimentConfig {
         warm_instructions: 100_000,
         warmup_cycles: 5_000,
@@ -126,20 +135,20 @@ fn parallel_cells_honor_both_samplers() {
         seed: 7,
         ..ExperimentConfig::default()
     }
-    .with_sample_sets(Some(2))
     .with_time_sample(Some((2_000, 6_000)));
-    let (result, trace) = run_profiles(
-        &machine,
-        Organization::adaptive(),
-        &profiles,
-        &forwards,
-        &exp,
-    )
-    .unwrap();
+    let (result, trace) = run_profiles(&machine, org, &profiles, &forwards, &exp).unwrap();
     assert!(trace.is_none(), "no collector installed");
-    let samp = result.sampling.expect("set-sampling report");
-    assert_eq!(samp.shift, 2);
+    assert_eq!(result.sampling, None);
     let ts = result.time_sampling.expect("time-sampling report");
     assert_eq!((ts.detail, ts.gap), (2_000, 6_000));
     assert!(ts.windows >= 2);
+    let mut cmp = build_chip(&machine, org, &profiles, &forwards, &exp, NullSink).unwrap();
+    assert_eq!(
+        measure(&mut cmp, &exp),
+        result,
+        "run_profiles measures the chip build_chip makes"
+    );
+    let engine = cmp.l3().as_adaptive().expect("adaptive").engine();
+    let sets = machine.l3.shared.sets() as usize;
+    assert!(engine.monitors_set(0) && !engine.monitors_set(sets / 16));
 }
