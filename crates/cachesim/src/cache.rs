@@ -146,6 +146,18 @@ impl Cache {
         &self.geom
     }
 
+    /// Block-offset bits (log2 of the block size).
+    #[inline]
+    pub fn offset_bits(&self) -> u32 {
+        self.offset_bits
+    }
+
+    /// Hit latency in cycles.
+    #[inline]
+    pub fn latency(&self) -> u64 {
+        self.geom.latency()
+    }
+
     /// The set index for an address.
     #[inline]
     pub fn set_index(&self, addr: Address) -> usize {

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use cachesim::cache::Cache;
 use cachesim::mshr::MshrFile;
-use simcore::config::MachineConfig;
+use simcore::config::{MachineConfig, PipelineConfig};
 use simcore::stats::HitMiss;
 use simcore::types::{Address, CoreId, Cycle};
 use telemetry::{Event, NullSink, Sink};
@@ -193,12 +193,12 @@ struct IssueSlots {
 }
 
 impl IssueSlots {
-    fn new(cfg: &MachineConfig, mshr_blocked: bool) -> Self {
+    fn new(pipeline: &PipelineConfig, mshr_blocked: bool) -> Self {
         IssueSlots {
-            int_alu: cfg.pipeline.int_alus,
-            fp_alu: cfg.pipeline.fp_alus,
-            int_mul: cfg.pipeline.int_mul,
-            fp_mul: cfg.pipeline.fp_mul,
+            int_alu: pipeline.int_alus,
+            fp_alu: pipeline.fp_alus,
+            int_mul: pipeline.int_mul,
+            fp_mul: pipeline.fp_mul,
             mem_ports: MEM_PORTS,
             mshr_blocked,
             stall_emitted: false,
@@ -233,7 +233,9 @@ impl IssueSlots {
 #[repr(align(128))]
 pub struct Core<S: Sink = NullSink> {
     id: CoreId,
-    cfg: MachineConfig,
+    /// The only part of the machine configuration the core reads after
+    /// construction: its caches carry their own geometry and latency.
+    pipeline: PipelineConfig,
     gen: TraceGenerator,
     bp: BranchPredictor,
     itlb: Tlb,
@@ -317,7 +319,7 @@ impl<S: Sink> Core<S> {
     pub fn with_sink(id: CoreId, cfg: &MachineConfig, gen: TraceGenerator, sink: S) -> Self {
         Core {
             id,
-            cfg: *cfg,
+            pipeline: cfg.pipeline,
             gen,
             bp: BranchPredictor::new(cfg.branch),
             itlb: Tlb::new(cfg.tlb),
@@ -558,7 +560,7 @@ impl<S: Sink> Core<S> {
     fn warm_op_port(&mut self, now: Cycle, port: &mut impl WarmPort) {
         let mut op = self.gen.next_op();
         op.pc = op.pc.with_asid(self.id.asid());
-        let block = op.pc.block(self.cfg.l1i.offset_bits()).raw();
+        let block = op.pc.block(self.l1i.offset_bits()).raw();
         if block != self.last_fetch_block {
             self.last_fetch_block = block;
             let l1i_hit = if self.fast_path {
@@ -696,7 +698,7 @@ impl<S: Sink> Core<S> {
 
         // Fetch: an unblocked front end pulls new ops every cycle.
         if self.waiting_branch.is_none()
-            && self.fetch_queue.len() < self.cfg.pipeline.fetch_queue.max(self.cfg.pipeline.width)
+            && self.fetch_queue.len() < self.pipeline.fetch_queue.max(self.pipeline.width)
         {
             if self.fetch_resume_at <= now {
                 return None;
@@ -707,8 +709,8 @@ impl<S: Sink> Core<S> {
         // Dispatch: blocked only by ROB/LSQ pressure, which is
         // time-independent and only released by commit.
         if let Some(&(op, _)) = self.fetch_queue.front() {
-            let rob_full = self.rob.len() >= self.cfg.pipeline.ruu_size;
-            let lsq_blocked = op.class.is_mem() && self.lsq_occupancy >= self.cfg.pipeline.lsq_size;
+            let rob_full = self.rob.len() >= self.pipeline.ruu_size;
+            let lsq_blocked = op.class.is_mem() && self.lsq_occupancy >= self.pipeline.lsq_size;
             if !rob_full && !lsq_blocked {
                 return None;
             }
@@ -735,7 +737,7 @@ impl<S: Sink> Core<S> {
     }
 
     fn commit(&mut self, now: Cycle) {
-        for _ in 0..self.cfg.pipeline.width {
+        for _ in 0..self.pipeline.width {
             let ready = matches!(self.rob.front(), Some(e) if e.issued && e.ready_at <= now);
             if !ready {
                 break;
@@ -853,7 +855,7 @@ impl<S: Sink> Core<S> {
         if self.ready_set == 0 {
             return;
         }
-        let mut slots = IssueSlots::new(&self.cfg, self.mshr.is_full());
+        let mut slots = IssueSlots::new(&self.pipeline, self.mshr.is_full());
         let base = self.sched_head;
         let window_end = base + SCHED_WINDOW as u64;
         let rotate = (base % 64) as u32;
@@ -862,7 +864,7 @@ impl<S: Sink> Core<S> {
         // still selected this cycle, as the window scan would.
         let mut from = 0;
         let mut issued = 0;
-        while issued < self.cfg.pipeline.width {
+        while issued < self.pipeline.width {
             let pending = self.ready_set.rotate_right(rotate) >> from;
             if pending == 0 {
                 break;
@@ -925,7 +927,7 @@ impl<S: Sink> Core<S> {
         if entry.mispredicted {
             // Fetch restarts after the branch resolves plus the
             // misprediction penalty.
-            self.fetch_resume_at = ready_at + self.cfg.pipeline.mispredict_penalty;
+            self.fetch_resume_at = ready_at + self.pipeline.mispredict_penalty;
             self.waiting_branch = None;
         }
     }
@@ -948,7 +950,7 @@ impl<S: Sink> Core<S> {
             && fastpath::fused_hit(&mut self.dtlb, &mut self.l1d, addr, write)
         {
             self.fast.data_fast_hits += 1;
-            return now + self.cfg.l1d.latency();
+            return now + self.l1d.latency();
         }
         self.fast.data_slow += 1;
 
@@ -956,7 +958,7 @@ impl<S: Sink> Core<S> {
         if !self.dtlb.access(addr) {
             start += self.dtlb.miss_penalty();
         }
-        let blk = addr.block(self.cfg.l1d.offset_bits());
+        let blk = addr.block(self.l1d.offset_bits());
 
         // Outstanding fill for this block? Merge: timing comes from the
         // MSHR even though the block may already be installed state-wise.
@@ -965,19 +967,19 @@ impl<S: Sink> Core<S> {
                 self.sink.emit(now, Event::MshrMerge { core: self.id });
             }
             let _ = self.l1d.access(addr, write, self.id);
-            return merge.max(start + self.cfg.l1d.latency());
+            return merge.max(start + self.l1d.latency());
         }
 
         if self.l1d.access(addr, write, self.id).is_hit() {
-            return start + self.cfg.l1d.latency();
+            return start + self.l1d.latency();
         }
-        let after_l1 = start + self.cfg.l1d.latency();
+        let after_l1 = start + self.l1d.latency();
         if self.l2.access(addr, write, self.id).is_hit() {
             self.fill_l1d(addr, write);
-            return after_l1 + self.cfg.l2.latency();
+            return after_l1 + self.l2.latency();
         }
         // L2 miss: go to the last-level organization.
-        let l3_start = after_l1 + self.cfg.l2.latency();
+        let l3_start = after_l1 + self.l2.latency();
         let outcome = self.l3_request(addr, write, l3_start, l3);
         self.mshr.request(blk, outcome.data_ready);
         if S::ENABLED {
@@ -1004,7 +1006,7 @@ impl<S: Sink> Core<S> {
         if let Some(ev) = self.l1d.fill(addr, dirty, self.id) {
             if ev.dirty {
                 // Dirty L1 victim merges into L2.
-                let victim = ev.addr.first_byte(self.cfg.l1d.offset_bits());
+                let victim = ev.addr.first_byte(self.l1d.offset_bits());
                 if self.l2.fill(victim, true, self.id).is_some() {
                     // The merge itself displaced an L2 block; handled the
                     // same as any L2 eviction below (rare).
@@ -1031,7 +1033,7 @@ impl<S: Sink> Core<S> {
         now: Cycle,
     ) {
         if let Some(ev) = ev {
-            let victim = ev.addr.first_byte(self.cfg.l2.offset_bits());
+            let victim = ev.addr.first_byte(self.l2.offset_bits());
             // Maintain inclusion: drop the L1 copies.
             let l1_victim = self.l1d.invalidate(victim);
             let _ = self.l1i.invalidate(victim);
@@ -1043,15 +1045,15 @@ impl<S: Sink> Core<S> {
     }
 
     fn dispatch(&mut self, now: Cycle) {
-        let width = self.cfg.pipeline.width;
+        let width = self.pipeline.width;
         for _ in 0..width {
-            if self.rob.len() >= self.cfg.pipeline.ruu_size {
+            if self.rob.len() >= self.pipeline.ruu_size {
                 break;
             }
             let Some(&(op, mispredicted)) = self.fetch_queue.front() else {
                 break;
             };
-            if op.class.is_mem() && self.lsq_occupancy >= self.cfg.pipeline.lsq_size {
+            if op.class.is_mem() && self.lsq_occupancy >= self.pipeline.lsq_size {
                 break;
             }
             self.fetch_queue.pop_front();
@@ -1090,9 +1092,9 @@ impl<S: Sink> Core<S> {
         if self.waiting_branch.is_some() || now < self.fetch_resume_at {
             return;
         }
-        let width = self.cfg.pipeline.width;
+        let width = self.pipeline.width;
         for _ in 0..width {
-            if self.fetch_queue.len() >= self.cfg.pipeline.fetch_queue.max(width) {
+            if self.fetch_queue.len() >= self.pipeline.fetch_queue.max(width) {
                 break;
             }
             let mut op = self.gen.next_op();
@@ -1105,7 +1107,7 @@ impl<S: Sink> Core<S> {
             }
 
             // Instruction-side: one cache access per new fetch block.
-            let block = op.pc.block(self.cfg.l1i.offset_bits()).raw();
+            let block = op.pc.block(self.l1i.offset_bits()).raw();
             if block != self.last_fetch_block {
                 self.last_fetch_block = block;
                 if self.fast_path
@@ -1123,12 +1125,12 @@ impl<S: Sink> Core<S> {
                         start += self.itlb.miss_penalty();
                     }
                     if !self.l1i.access(op.pc, false, self.id).is_hit() {
-                        let after_l1 = start + self.cfg.l1i.latency();
+                        let after_l1 = start + self.l1i.latency();
                         let ready = if self.l2.access(op.pc, false, self.id).is_hit() {
-                            after_l1 + self.cfg.l2.latency()
+                            after_l1 + self.l2.latency()
                         } else {
                             let outcome =
-                                self.l3_request(op.pc, false, after_l1 + self.cfg.l2.latency(), l3);
+                                self.l3_request(op.pc, false, after_l1 + self.l2.latency(), l3);
                             self.fill_l2(op.pc, false, l3, now);
                             outcome.data_ready
                         };
@@ -1214,10 +1216,10 @@ impl<S: Sink> Core<S> {
         let end = (start + SCHED_WINDOW).min(self.rob.len());
         let first = self.next_seq - (self.rob.len() - start) as u64;
         let window_end = first + SCHED_WINDOW as u64;
-        let mut slots = IssueSlots::new(&self.cfg, self.mshr.is_full());
+        let mut slots = IssueSlots::new(&self.pipeline, self.mshr.is_full());
         let mut issued = 0;
         for idx in start..end {
-            if issued >= self.cfg.pipeline.width {
+            if issued >= self.pipeline.width {
                 break;
             }
             let e = self.rob[idx];

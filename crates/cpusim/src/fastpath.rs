@@ -99,18 +99,16 @@ pub fn fused_hit(tlb: &mut Tlb, l1: &mut Cache, addr: Address, write: bool) -> b
 /// caller owes only the L2-and-beyond reference sequence (plus the L1
 /// fill), never a TLB or L1 re-probe.
 ///
-/// Exactness: [`Tlb::access`] is literally `lookup` then
-/// `commit_hit`/`miss_install`, and [`Cache::access`] is literally
-/// `peek_hit_way` then `commit_hit_at`/`note_miss` — this walk performs
-/// the same statements in the same order, so the two structures end in
-/// the byte-identical states the sequential reference walk produces,
-/// for all four hit/miss combinations.
+/// Exactness: the TLB side is [`Tlb::access`] itself (one walk on a
+/// miss, finding the victim as it proves the page absent), and
+/// [`Cache::access`] is literally `peek_hit_way` then
+/// `commit_hit_at`/`note_miss` — this walk performs the same statements
+/// in the same order, so the two structures end in the byte-identical
+/// states the sequential reference walk produces, for all four hit/miss
+/// combinations.
 #[inline]
 pub fn functional_walk(tlb: &mut Tlb, l1: &mut Cache, addr: Address, write: bool) -> bool {
-    match tlb.lookup(addr) {
-        Some(slot) => tlb.commit_hit(slot),
-        None => tlb.miss_install(addr),
-    }
+    let _ = tlb.access(addr);
     match l1.peek_hit_way(addr) {
         Some(way) => {
             let _ = l1.commit_hit_at(addr, way, write);

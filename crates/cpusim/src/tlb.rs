@@ -90,20 +90,46 @@ impl Tlb {
         (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_BITS)) as usize
     }
 
+    /// The memo'd slot of `page`, when the memo read is enabled and the
+    /// slot still holds `page`.
+    #[inline]
+    fn memo_hit(&self, page: u64) -> Option<usize> {
+        if !self.memo_on {
+            return None;
+        }
+        let slot = (self.memo[Self::memo_slot(page)] as usize).checked_sub(1)?;
+        (self.pages.get(slot) == Some(&page)).then_some(slot)
+    }
+
     /// Finds the slot holding `page`, memo first when enabled. Pages are
     /// unique within the TLB, so the memo'd slot and the scan agree.
     #[inline]
     fn find(&self, page: u64) -> Option<usize> {
-        if self.memo_on {
-            let m = self.memo[Self::memo_slot(page)];
-            if m != 0 {
-                let slot = (m - 1) as usize;
-                if slot < self.pages.len() && self.pages[slot] == page {
-                    return Some(slot);
-                }
+        self.memo_hit(page)
+            .or_else(|| self.pages.iter().position(|&p| p == page))
+    }
+
+    /// One walk over the slots for `page`: `Ok` with the slot holding
+    /// it, or `Err` with the slot a miss installs it in — a fresh one
+    /// while the TLB has room, else the LRU victim. Stamps are unique,
+    /// so the victim is the same entry whatever order the walk takes.
+    fn scan(&self, page: u64) -> Result<usize, usize> {
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (slot, (&p, &stamp)) in self.pages.iter().zip(&self.stamps).enumerate() {
+            if p == page {
+                return Ok(slot);
+            }
+            if stamp < oldest {
+                oldest = stamp;
+                victim = slot;
             }
         }
-        self.pages.iter().position(|&p| p == page)
+        Err(if self.pages.len() < self.cfg.entries {
+            self.pages.len()
+        } else {
+            victim
+        })
     }
 
     /// Non-mutating residency probe: the slot translating `addr`, if any.
@@ -127,44 +153,39 @@ impl Tlb {
     }
 
     /// Translates `addr`; returns `true` on a hit. A miss installs the
-    /// page, evicting the LRU entry when full.
+    /// page, evicting the LRU entry when full. A lookup the memo does not
+    /// answer walks the slots once, finding the page or the victim.
     pub fn access(&mut self, addr: Address) -> bool {
-        if let Some(slot) = self.find(addr.page()) {
-            self.commit_hit(slot);
-            return true;
+        let page = addr.page();
+        let found = match self.memo_hit(page) {
+            Some(slot) => Ok(slot),
+            None => self.scan(page),
+        };
+        match found {
+            Ok(slot) => {
+                self.commit_hit(slot);
+                true
+            }
+            Err(slot) => {
+                self.install(page, slot);
+                false
+            }
         }
-        self.miss_install(addr);
-        false
     }
 
-    /// Applies the miss-side state updates for an address that
-    /// [`lookup`](Self::lookup) found absent: exactly what
-    /// [`access`](Self::access) does on a miss — count it, install the
-    /// page, and evict the LRU entry when full.
-    pub fn miss_install(&mut self, addr: Address) {
-        let page = addr.page();
+    /// The miss side of [`access`](Self::access): counts the miss and
+    /// puts `page` in `slot` (a fresh slot or the LRU victim, see
+    /// [`scan`](Self::scan)).
+    fn install(&mut self, page: u64, slot: usize) {
         self.stamp += 1;
         self.misses += 1;
-        let slot = if self.pages.len() >= self.cfg.entries {
-            // A full TLB always has a victim; `entries > 0` is asserted
-            // in the constructor. Stamps are unique, so the minimum is
-            // the same entry the ordered-map implementation evicted.
-            let mut victim = 0;
-            let mut best = u64::MAX;
-            for (i, &s) in self.stamps.iter().enumerate() {
-                if s < best {
-                    best = s;
-                    victim = i;
-                }
-            }
-            victim
+        if slot == self.pages.len() {
+            self.pages.push(page);
+            self.stamps.push(self.stamp);
         } else {
-            self.pages.push(0);
-            self.stamps.push(0);
-            self.pages.len() - 1
-        };
-        self.pages[slot] = page;
-        self.stamps[slot] = self.stamp;
+            self.pages[slot] = page;
+            self.stamps[slot] = self.stamp;
+        }
         self.memo[Self::memo_slot(page)] = slot as u32 + 1;
     }
 
