@@ -38,25 +38,13 @@ struct Entry {
 /// let blk = BlockAddr::new(0x10);
 /// assert_eq!(mshrs.request(blk, Cycle::new(100)), MshrOutcome::Allocated);
 /// assert_eq!(mshrs.request(blk, Cycle::new(120)), MshrOutcome::Merged(Cycle::new(100)));
-/// let done = mshrs.drain_ready(Cycle::new(100));
-/// assert_eq!(done, vec![blk]);
+/// mshrs.expire(Cycle::new(100));
+/// assert!(mshrs.is_empty());
 /// ```
-/// Lifetime counters of an [`MshrFile`], feeding the telemetry layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MshrStats {
-    /// Primary misses that allocated a fresh register.
-    pub allocations: u64,
-    /// Secondary misses merged onto an outstanding fill.
-    pub merges: u64,
-    /// Requests rejected because every register was occupied.
-    pub rejections: u64,
-}
-
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<Entry>,
-    stats: MshrStats,
 }
 
 impl MshrFile {
@@ -70,13 +58,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
-            stats: MshrStats::default(),
         }
-    }
-
-    /// Lifetime allocation/merge/rejection counters.
-    pub fn stats(&self) -> MshrStats {
-        self.stats
     }
 
     /// Number of outstanding fills.
@@ -111,24 +93,13 @@ impl MshrFile {
     /// full file reports [`MshrOutcome::Full`] and allocates nothing.
     pub fn request(&mut self, addr: BlockAddr, ready_at: Cycle) -> MshrOutcome {
         if let Some(existing) = self.lookup(addr) {
-            self.stats.merges += 1;
             return MshrOutcome::Merged(existing);
         }
         if self.is_full() {
-            self.stats.rejections += 1;
             return MshrOutcome::Full;
         }
         self.entries.push(Entry { addr, ready_at });
-        self.stats.allocations += 1;
         MshrOutcome::Allocated
-    }
-
-    /// Extends the completion time of an outstanding fill (used when the
-    /// bus pushes an already-allocated fill later).
-    pub fn postpone(&mut self, addr: BlockAddr, ready_at: Cycle) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.addr == addr) {
-            e.ready_at = e.ready_at.max(ready_at);
-        }
     }
 
     /// The earliest completion time among outstanding fills — the MSHR's
@@ -138,10 +109,7 @@ impl MshrFile {
         self.entries.iter().map(|e| e.ready_at).min()
     }
 
-    /// Releases the registers whose fills have completed by `now` without
-    /// collecting them — the allocation-free form of
-    /// [`drain_ready`](Self::drain_ready) used on the per-cycle hot path,
-    /// where the completion order is irrelevant.
+    /// Releases the registers whose fills have completed by `now`.
     pub fn expire(&mut self, now: Cycle) {
         self.entries.retain(|e| e.ready_at > now);
     }
@@ -149,26 +117,9 @@ impl MshrFile {
     /// Drops every outstanding fill without completing it — used when the
     /// time-sampling scheduler abandons pipeline timing at a window
     /// boundary (the blocks themselves were installed state-wise when the
-    /// misses issued; only their completion times die here). Lifetime
-    /// statistics are kept.
+    /// misses issued; only their completion times die here).
     pub fn clear(&mut self) {
         self.entries.clear();
-    }
-
-    /// Removes and returns the blocks whose fills have completed by `now`,
-    /// in completion order.
-    pub fn drain_ready(&mut self, now: Cycle) -> Vec<BlockAddr> {
-        let mut done: Vec<Entry> = Vec::new();
-        self.entries.retain(|e| {
-            if e.ready_at <= now {
-                done.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        done.sort_by_key(|e| e.ready_at);
-        done.into_iter().map(|e| e.addr).collect()
     }
 }
 
@@ -188,9 +139,11 @@ mod tests {
             MshrOutcome::Merged(Cycle::new(50))
         );
         assert_eq!(m.len(), 2);
-        assert_eq!(m.drain_ready(Cycle::new(55)), vec![a]);
+        m.expire(Cycle::new(55));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.drain_ready(Cycle::new(100)), vec![b]);
+        assert_eq!(m.lookup(a), None);
+        assert_eq!(m.lookup(b), Some(Cycle::new(60)));
+        m.expire(Cycle::new(100));
         assert!(m.is_empty());
     }
 
@@ -213,55 +166,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_in_completion_order() {
-        let mut m = MshrFile::new(4);
-        m.request(BlockAddr::new(1), Cycle::new(30));
-        m.request(BlockAddr::new(2), Cycle::new(10));
-        m.request(BlockAddr::new(3), Cycle::new(20));
-        assert_eq!(
-            m.drain_ready(Cycle::new(30)),
-            vec![BlockAddr::new(2), BlockAddr::new(3), BlockAddr::new(1)]
-        );
-    }
-
-    #[test]
-    fn postpone_moves_completion_later_only() {
-        let mut m = MshrFile::new(2);
-        m.request(BlockAddr::new(1), Cycle::new(10));
-        m.postpone(BlockAddr::new(1), Cycle::new(25));
-        assert_eq!(m.lookup(BlockAddr::new(1)), Some(Cycle::new(25)));
-        m.postpone(BlockAddr::new(1), Cycle::new(5));
-        assert_eq!(m.lookup(BlockAddr::new(1)), Some(Cycle::new(25)));
-        assert!(m.drain_ready(Cycle::new(10)).is_empty());
-    }
-
-    #[test]
-    fn stats_count_allocations_merges_and_rejections() {
-        let mut m = MshrFile::new(1);
-        m.request(BlockAddr::new(1), Cycle::new(10));
-        m.request(BlockAddr::new(1), Cycle::new(20));
-        m.request(BlockAddr::new(2), Cycle::new(20));
-        let s = m.stats();
-        assert_eq!(s.allocations, 1);
-        assert_eq!(s.merges, 1);
-        assert_eq!(s.rejections, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one")]
     fn zero_capacity_panics() {
         let _ = MshrFile::new(0);
     }
 
     #[test]
-    fn clear_drops_fills_but_keeps_stats() {
+    fn clear_drops_fills() {
         let mut m = MshrFile::new(4);
         m.request(BlockAddr::new(1), Cycle::new(30));
         m.request(BlockAddr::new(2), Cycle::new(10));
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.next_completion(), None);
-        assert_eq!(m.stats().allocations, 2);
         // The file is immediately reusable.
         assert_eq!(
             m.request(BlockAddr::new(1), Cycle::new(50)),
@@ -280,19 +197,5 @@ mod tests {
         assert_eq!(m.next_completion(), Some(Cycle::new(30)));
         m.expire(Cycle::new(9999));
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn expire_matches_drain_ready() {
-        let mut a = MshrFile::new(4);
-        let mut b = MshrFile::new(4);
-        for (blk, at) in [(1u64, 30u64), (2, 10), (3, 20)] {
-            a.request(BlockAddr::new(blk), Cycle::new(at));
-            b.request(BlockAddr::new(blk), Cycle::new(at));
-        }
-        a.expire(Cycle::new(20));
-        let _ = b.drain_ready(Cycle::new(20));
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.lookup(BlockAddr::new(1)), b.lookup(BlockAddr::new(1)));
     }
 }

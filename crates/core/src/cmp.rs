@@ -2026,17 +2026,43 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_wrong_organization_and_corruption() {
+        // Private and shared are one organization type told apart only by
+        // the snapshot tag, and private, `private4x` and cooperative all
+        // lead with a private slice: every cross-organization restore
+        // must still be refused.
         let cfg = MachineConfig::baseline();
         let mix = quick_mix();
+        let orgs = [
+            Organization::Private,
+            Organization::PrivateScaled { factor: 4 },
+            Organization::Shared,
+            Organization::adaptive(),
+            Organization::Cooperative { seed: 7 },
+        ];
+        for (i, from) in orgs.into_iter().enumerate() {
+            let mut cmp = Cmp::new(&cfg, from, &mix, 5).unwrap();
+            cmp.warm(1_000);
+            let bytes = cmp.save_chip_state().unwrap();
+            for (j, to) in orgs.into_iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let mut wrong = Cmp::new(&cfg, to, &mix, 5).unwrap();
+                assert!(
+                    matches!(
+                        wrong.load_chip_state(&bytes),
+                        Err(simcore::snapshot::SnapshotError::Mismatch(_))
+                    ),
+                    "{} restored into {}",
+                    from.label(),
+                    to.label()
+                );
+            }
+        }
+
         let mut cmp = Cmp::new(&cfg, Organization::Shared, &mix, 5).unwrap();
         cmp.warm(1_000);
         let bytes = cmp.save_chip_state().unwrap();
-
-        let mut wrong = Cmp::new(&cfg, Organization::Private, &mix, 5).unwrap();
-        assert!(matches!(
-            wrong.load_chip_state(&bytes),
-            Err(simcore::snapshot::SnapshotError::Mismatch(_))
-        ));
 
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;

@@ -36,13 +36,14 @@
 
 use cachesim::lru::Recency;
 use cachesim::percore::PerCoreTable;
-use cpusim::l3iface::{L3Outcome, L3Source, LastLevel};
-use memsim::{MainMemory, MemoryStats};
+use cpusim::l3iface::{L3Outcome, L3Source};
 use simcore::config::MachineConfig;
 use simcore::invariant::{Invariant, Violation};
+use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::types::{Address, BlockAddr, CoreId, Cycle};
 use telemetry::{CoreOccupancy, Event, NullSink, Sink};
 
+use super::Memory;
 use crate::engine::{AdaptiveParams, SharingEngine};
 
 /// Aggregate statistics of the adaptive organization.
@@ -83,23 +84,28 @@ impl OccupancyRow {
     }
 }
 
-/// The adaptive shared/private NUCA last-level cache.
+/// The adaptive shared/private NUCA last-level cache, built by
+/// [`L3System`](super::L3System) from
+/// [`Organization::Adaptive`](super::Organization::Adaptive).
 ///
 /// # Example
 ///
 /// ```
 /// use nuca_core::engine::AdaptiveParams;
-/// use nuca_core::l3::AdaptiveL3;
+/// use nuca_core::l3::{L3System, Organization};
 /// use cpusim::l3iface::LastLevel;
 /// use simcore::config::MachineConfig;
 /// use simcore::types::{Address, CoreId, Cycle};
 ///
 /// let cfg = MachineConfig::baseline();
-/// let mut l3 = AdaptiveL3::new(&cfg, AdaptiveParams::default());
+/// let org = Organization::Adaptive(AdaptiveParams::default());
+/// let mut l3 = L3System::build(org, &cfg)?;
 /// let c0 = CoreId::from_index(0);
 /// l3.access(c0, Address::new(0x1000), false, Cycle::new(0));   // miss
 /// let out = l3.access(c0, Address::new(0x1000), false, Cycle::new(500));
 /// assert_eq!(out.data_ready.raw(), 514);                        // private hit
+/// assert_eq!(l3.as_adaptive().map(|a| a.stats().private_hits), Some(1));
+/// # Ok::<(), simcore::error::ConfigError>(())
 /// ```
 /// The `S` parameter selects the telemetry sink; the default
 /// [`NullSink`] has `ENABLED == false`, so every emission site
@@ -132,7 +138,6 @@ pub struct AdaptiveL3<S: Sink = NullSink> {
     /// cross-checked against a full recount by [`Invariant::audit`].
     owned: PerCoreTable<u32>,
     engine: SharingEngine,
-    memory: MainMemory,
     cores: usize,
     offset_bits: u32,
     /// Precomputed `sets - 1` mask — the set index is computed on every
@@ -149,16 +154,9 @@ pub struct AdaptiveL3<S: Sink = NullSink> {
     sink: S,
 }
 
-impl AdaptiveL3 {
-    /// Builds the untraced adaptive organization for the given machine.
-    pub fn new(cfg: &MachineConfig, params: AdaptiveParams) -> Self {
-        AdaptiveL3::with_sink(cfg, params, NullSink)
-    }
-}
-
 impl<S: Sink> AdaptiveL3<S> {
     /// Builds the adaptive organization emitting telemetry into `sink`.
-    pub fn with_sink(cfg: &MachineConfig, params: AdaptiveParams, sink: S) -> Self {
+    pub(super) fn new(cfg: &MachineConfig, params: AdaptiveParams, sink: S) -> Self {
         let geom = cfg.l3.shared;
         let sets = geom.sets() as usize;
         let ways = geom.total_ways() as usize;
@@ -178,7 +176,6 @@ impl<S: Sink> AdaptiveL3<S> {
                 cfg.l3.private.total_ways(),
                 params,
             ),
-            memory: MainMemory::new(cfg.memory, geom.block_bytes()),
             cores: cfg.cores,
             offset_bits: geom.offset_bits(),
             index_mask: (1u64 << geom.index_bits()) - 1,
@@ -213,21 +210,10 @@ impl<S: Sink> AdaptiveL3<S> {
         s
     }
 
-    /// Declares the memory bus idle (warm/timed boundary).
-    pub fn quiesce(&mut self, now: Cycle) {
-        self.memory.quiesce(now);
-    }
-
-    /// Memory-channel statistics.
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.memory.stats()
-    }
-
     /// Resets counters at the warm-up boundary (cache contents, quotas
     /// and learned state are kept).
-    pub fn reset_stats(&mut self) {
+    pub(super) fn reset_stats(&mut self) {
         self.stats = AdaptiveStats::default();
-        self.memory.reset_stats();
     }
 
     #[inline]
@@ -464,10 +450,10 @@ impl<S: Sink> AdaptiveL3<S> {
         self.is_consistent()
     }
 
-    /// Writes the cache arrays, partition stacks, engine, memory bus and
-    /// statistics to a snapshot. Geometry and latencies are
-    /// reconstructed from configuration and are not encoded.
-    pub fn save_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
+    /// Writes the cache arrays, partition stacks, engine and statistics
+    /// to a snapshot. Geometry and latencies are reconstructed from
+    /// configuration and are not encoded.
+    pub(super) fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.tags.len());
         for &t in &self.tags {
             w.put_u64(t.raw());
@@ -492,7 +478,6 @@ impl<S: Sink> AdaptiveL3<S> {
             }
         }
         self.engine.save_state(w);
-        self.memory.save_state(w);
         w.put_u64(self.stats.private_hits);
         w.put_u64(self.stats.shared_hits);
         w.put_u64(self.stats.misses);
@@ -502,17 +487,9 @@ impl<S: Sink> AdaptiveL3<S> {
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into an
-    /// organization built from the same machine configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`simcore::snapshot::SnapshotError::Mismatch`] on geometry
-    /// differences; decode errors otherwise.
-    pub fn load_state(
-        &mut self,
-        r: &mut simcore::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), simcore::snapshot::SnapshotError> {
-        use simcore::snapshot::SnapshotError;
+    /// organization built from the same machine configuration:
+    /// [`SnapshotError::Mismatch`] on geometry differences.
+    pub(super) fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         if r.get_usize()? != self.tags.len() {
             return Err(SnapshotError::Mismatch("adaptive L3 tag array size"));
         }
@@ -553,7 +530,6 @@ impl<S: Sink> AdaptiveL3<S> {
             }
         }
         self.engine.load_state(r)?;
-        self.memory.load_state(r)?;
         self.stats.private_hits = r.get_u64()?;
         self.stats.shared_hits = r.get_u64()?;
         self.stats.misses = r.get_u64()?;
@@ -682,8 +658,17 @@ impl<S: Sink> Invariant for AdaptiveL3<S> {
     }
 }
 
-impl<S: Sink> LastLevel for AdaptiveL3<S> {
-    fn access(&mut self, core: CoreId, addr: Address, write: bool, now: Cycle) -> L3Outcome {
+impl<S: Sink> AdaptiveL3<S> {
+    /// Serves `core`'s access to `addr` at `now` (Section 2.3's private
+    /// hit, shared hit and miss), fetching a missing line over `memory`.
+    pub(super) fn access(
+        &mut self,
+        memory: &mut Memory<S>,
+        core: CoreId,
+        addr: Address,
+        write: bool,
+        now: Cycle,
+    ) -> L3Outcome {
         let blk = addr.block(self.offset_bits);
         let set_idx = self.set_index(blk);
 
@@ -742,17 +727,10 @@ impl<S: Sink> LastLevel for AdaptiveL3<S> {
         // Miss: gain estimation, re-evaluation tick, fetch and install.
         let obs = self.engine.observe_miss(set_idx, core, blk);
         self.stats.misses += 1;
-        let resp = self.memory.request(now, false);
         if S::ENABLED {
             self.emit_miss_observation(obs, core, set_idx, now);
-            self.sink.emit(
-                now,
-                Event::MemoryFill {
-                    core,
-                    queue_delay: resp.queue_delay,
-                },
-            );
         }
+        let data_ready = memory.fetch(core, now, false);
 
         // The free-way pick only triggers during cold fill; a full valid
         // mask short-circuits it in the steady state.
@@ -768,7 +746,7 @@ impl<S: Sink> LastLevel for AdaptiveL3<S> {
             self.engine
                 .record_eviction(set_idx, victim_owner, self.tags[base + way]);
             if victim_dirty {
-                self.memory.writeback(now);
+                memory.writeback(now);
             }
             self.shared[set_idx].remove(way as u8);
             self.stats.evictions += 1;
@@ -790,18 +768,20 @@ impl<S: Sink> LastLevel for AdaptiveL3<S> {
 
         self.install(set_idx, victim_way, blk, write, core, now);
         L3Outcome {
-            data_ready: resp.data_ready,
+            data_ready,
             source: L3Source::Memory,
         }
     }
 
-    fn writeback(&mut self, _core: CoreId, addr: Address, now: Cycle) {
+    /// Absorbs an L2 writeback of `addr`: a resident block turns dirty,
+    /// any other line goes to memory.
+    pub(super) fn writeback(&mut self, memory: &mut Memory<S>, addr: Address, now: Cycle) {
         let blk = addr.block(self.offset_bits);
         let set_idx = self.set_index(blk);
         if let Some(way) = self.find(set_idx, blk) {
             self.dirty[set_idx] |= 1 << way;
         } else {
-            self.memory.writeback(now);
+            memory.writeback(now);
         }
     }
 }
@@ -809,7 +789,45 @@ impl<S: Sink> LastLevel for AdaptiveL3<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::MemoryStats;
     use simcore::config::MachineConfigBuilder;
+    use std::ops::Deref;
+
+    /// An adaptive organization with its own memory channel, standing in
+    /// for the `L3System` that owns both on a chip.
+    struct Rig {
+        l3: AdaptiveL3,
+        memory: Memory<NullSink>,
+    }
+
+    impl Rig {
+        fn new(cfg: &MachineConfig, params: AdaptiveParams) -> Self {
+            Rig {
+                l3: AdaptiveL3::new(cfg, params, NullSink),
+                memory: Memory::new(cfg, cfg.l3.shared, NullSink),
+            }
+        }
+
+        fn access(&mut self, core: CoreId, addr: Address, write: bool, now: Cycle) -> L3Outcome {
+            self.l3.access(&mut self.memory, core, addr, write, now)
+        }
+
+        fn writeback(&mut self, _core: CoreId, addr: Address, now: Cycle) {
+            self.l3.writeback(&mut self.memory, addr, now);
+        }
+
+        fn memory_stats(&self) -> MemoryStats {
+            self.memory.bus.stats()
+        }
+    }
+
+    impl Deref for Rig {
+        type Target = AdaptiveL3;
+
+        fn deref(&self) -> &AdaptiveL3 {
+            &self.l3
+        }
+    }
 
     fn machine() -> MachineConfig {
         MachineConfig::baseline()
@@ -834,7 +852,7 @@ mod tests {
 
     #[test]
     fn miss_then_private_hit() {
-        let mut l3 = AdaptiveL3::new(&machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&machine(), AdaptiveParams::default());
         let a = Address::new(0x8000);
         let out = l3.access(c(0), a, false, Cycle::new(0));
         assert_eq!(out.source, L3Source::Memory);
@@ -847,7 +865,7 @@ mod tests {
 
     #[test]
     fn overflow_demotes_to_shared_and_hits_at_19() {
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&tiny_machine(), AdaptiveParams::default());
         // Private capacity is 3; the fourth fill demotes the first block.
         for t in 0..4u64 {
             l3.access(c(0), addr(0, t), false, Cycle::new(t * 1000));
@@ -865,7 +883,7 @@ mod tests {
 
     #[test]
     fn shared_hit_swaps_back_into_private() {
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&tiny_machine(), AdaptiveParams::default());
         for t in 0..4u64 {
             l3.access(c(0), addr(0, t), false, Cycle::new(t * 1000));
         }
@@ -882,7 +900,7 @@ mod tests {
 
     #[test]
     fn cores_cannot_hit_each_others_private_blocks() {
-        let mut l3 = AdaptiveL3::new(&machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&machine(), AdaptiveParams::default());
         // ASID-tagged addresses differ per core, so core 1 misses on the
         // "same" address core 0 loaded.
         let a0 = Address::new(0x8000).with_asid(0);
@@ -894,7 +912,7 @@ mod tests {
 
     #[test]
     fn eviction_records_shadow_tag_and_gain_counts() {
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&tiny_machine(), AdaptiveParams::default());
         // Fill set 0 completely from core 0 (16 ways: 3 private + shared).
         for t in 0..16u64 {
             l3.access(c(0), addr(0, t), false, Cycle::new(t * 100));
@@ -915,7 +933,7 @@ mod tests {
 
     #[test]
     fn greedy_core_is_bounded_by_quota_under_algorithm1() {
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&tiny_machine(), AdaptiveParams::default());
         // Core 1 establishes a modest working set in set 0.
         for t in 0..3u64 {
             l3.access(
@@ -964,7 +982,7 @@ mod tests {
             reeval_period: u64::MAX,
             ..AdaptiveParams::default()
         };
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), params);
+        let mut l3 = Rig::new(&tiny_machine(), params);
         for t in 0..3u64 {
             l3.access(
                 c(1),
@@ -1005,7 +1023,7 @@ mod tests {
 
     #[test]
     fn writeback_marks_dirty_or_goes_to_memory() {
-        let mut l3 = AdaptiveL3::new(&machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&machine(), AdaptiveParams::default());
         let a = Address::new(0x8000);
         l3.access(c(0), a, false, Cycle::new(0));
         let busy = l3.memory_stats().busy_cycles;
@@ -1021,7 +1039,7 @@ mod tests {
             reeval_period: 1,
             ..AdaptiveParams::default()
         };
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), params);
+        let mut l3 = Rig::new(&tiny_machine(), params);
         // Make core 0 the perpetual gainer: cycling over 17 tags in a
         // 16-way set means every eviction is re-referenced one access
         // later — each miss hits the shadow tag.
@@ -1054,7 +1072,7 @@ mod tests {
             reeval_period: 1,
             ..AdaptiveParams::default()
         };
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), params);
+        let mut l3 = Rig::new(&tiny_machine(), params);
         // Core 1 fills private blocks.
         for t in 0..3u64 {
             l3.access(c(1), addr(0, t).with_asid(1), false, Cycle::new(t * 100));
@@ -1080,7 +1098,7 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_resident_blocks() {
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), AdaptiveParams::default());
+        let mut l3 = Rig::new(&tiny_machine(), AdaptiveParams::default());
         for t in 0..6u64 {
             l3.access(c(0), addr(0, t), false, Cycle::new(t * 100));
         }
@@ -1098,7 +1116,7 @@ mod tests {
             reeval_period: 50,
             ..AdaptiveParams::default()
         };
-        let mut l3 = AdaptiveL3::new(&tiny_machine(), params);
+        let mut l3 = Rig::new(&tiny_machine(), params);
         let mut rng = SimRng::seed_from(31);
         for i in 0..20_000u64 {
             let core = rng.below(4) as u8;

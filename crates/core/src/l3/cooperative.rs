@@ -12,13 +12,15 @@
 
 use cachesim::cache::Cache;
 use cachesim::percore::PerCore;
-use cpusim::l3iface::{L3Outcome, L3Source, LastLevel};
-use memsim::{MainMemory, MemoryStats};
+use cpusim::l3iface::{L3Outcome, L3Source};
 use simcore::config::MachineConfig;
 use simcore::invariant::{Invariant, Violation};
 use simcore::rng::SimRng;
+use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::types::{Address, CoreId, Cycle};
 use telemetry::{Event, NullSink, Sink};
+
+use super::Memory;
 
 /// Statistics specific to the cooperative scheme.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,7 +40,6 @@ pub struct CooperativeStats {
 pub struct CooperativeL3<S: Sink = NullSink> {
     slices: PerCore<Cache>,
     rng: SimRng,
-    memory: MainMemory,
     cores: usize,
     local_latency: u64,
     neighbor_latency: u64,
@@ -46,21 +47,13 @@ pub struct CooperativeL3<S: Sink = NullSink> {
     sink: S,
 }
 
-impl CooperativeL3 {
-    /// Builds the untraced cooperative organization.
-    pub fn new(cfg: &MachineConfig, seed: u64) -> Self {
-        CooperativeL3::with_sink(cfg, seed, NullSink)
-    }
-}
-
 impl<S: Sink> CooperativeL3<S> {
     /// Builds the cooperative organization emitting telemetry into
     /// `sink`.
-    pub fn with_sink(cfg: &MachineConfig, seed: u64, sink: S) -> Self {
+    pub(super) fn new(cfg: &MachineConfig, seed: u64, sink: S) -> Self {
         CooperativeL3 {
             slices: PerCore::from_fn(cfg.cores, |_| Cache::new(cfg.l3.private)),
             rng: SimRng::seed_from(seed ^ 0xc0de_cafe),
-            memory: MainMemory::new(cfg.memory, cfg.l3.private.block_bytes()),
             cores: cfg.cores,
             local_latency: cfg.l3.private.latency(),
             neighbor_latency: cfg.l3.neighbor_latency,
@@ -74,33 +67,21 @@ impl<S: Sink> CooperativeL3<S> {
         self.stats
     }
 
-    /// Declares the memory bus idle (warm/timed boundary).
-    pub fn quiesce(&mut self, now: Cycle) {
-        self.memory.quiesce(now);
-    }
-
-    /// Memory-channel statistics.
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.memory.stats()
-    }
-
     /// Resets statistics at the warm-up boundary.
-    pub fn reset_stats(&mut self) {
+    pub(super) fn reset_stats(&mut self) {
         self.stats = CooperativeStats::default();
-        self.memory.reset_stats();
         for s in self.slices.iter_mut() {
             s.reset_stats();
         }
     }
 
-    /// Writes the slice contents, spill RNG, memory-bus state and
-    /// statistics to a snapshot.
-    pub fn save_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
+    /// Writes the slice contents, spill RNG and statistics to a
+    /// snapshot.
+    pub(super) fn save_state(&self, w: &mut SnapshotWriter) {
         for slice in self.slices.iter() {
             slice.save_state(w);
         }
         self.rng.save_state(w);
-        self.memory.save_state(w);
         w.put_u64(self.stats.spills);
         w.put_u64(self.stats.ripple_drops);
         w.put_u64(self.stats.migrations);
@@ -108,20 +89,11 @@ impl<S: Sink> CooperativeL3<S> {
     }
 
     /// Restores state written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`simcore::snapshot::SnapshotError`] on geometry mismatch or
-    /// decode failure.
-    pub fn load_state(
-        &mut self,
-        r: &mut simcore::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), simcore::snapshot::SnapshotError> {
+    pub(super) fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         for slice in self.slices.iter_mut() {
             slice.load_state(r)?;
         }
         self.rng.load_state(r)?;
-        self.memory.load_state(r)?;
         self.stats.spills = r.get_u64()?;
         self.stats.ripple_drops = r.get_u64()?;
         self.stats.migrations = r.get_u64()?;
@@ -137,7 +109,13 @@ impl<S: Sink> CooperativeL3<S> {
 
     /// Applies the spill rules to a block evicted from `core`'s slice by
     /// `core`'s own access.
-    fn handle_eviction(&mut self, core: CoreId, ev: cachesim::cache::EvictedBlock, now: Cycle) {
+    fn handle_eviction(
+        &mut self,
+        memory: &mut Memory<S>,
+        core: CoreId,
+        ev: cachesim::cache::EvictedBlock,
+        now: Cycle,
+    ) {
         let offset_bits = self.slices[core].geometry().offset_bits();
         if ev.owner == core {
             // Loaded by this core: spill to a random neighbor as MRU.
@@ -165,7 +143,7 @@ impl<S: Sink> CooperativeL3<S> {
                     );
                 }
                 if victim.dirty {
-                    self.memory.writeback(now);
+                    memory.writeback(now);
                 }
             }
         } else {
@@ -175,7 +153,7 @@ impl<S: Sink> CooperativeL3<S> {
                 self.sink.emit(now, Event::Eviction { owner: ev.owner });
             }
             if ev.dirty {
-                self.memory.writeback(now);
+                memory.writeback(now);
             }
         }
     }
@@ -200,8 +178,17 @@ impl<S: Sink> Invariant for CooperativeL3<S> {
     }
 }
 
-impl<S: Sink> LastLevel for CooperativeL3<S> {
-    fn access(&mut self, core: CoreId, addr: Address, write: bool, now: Cycle) -> L3Outcome {
+impl<S: Sink> CooperativeL3<S> {
+    /// Serves `core`'s access to `addr` at `now`: a local hit, a neighbor
+    /// hit migrated home, or a line fetched over `memory`.
+    pub(super) fn access(
+        &mut self,
+        memory: &mut Memory<S>,
+        core: CoreId,
+        addr: Address,
+        write: bool,
+        now: Cycle,
+    ) -> L3Outcome {
         if self.slices[core].access(addr, write, core).is_hit() {
             return L3Outcome {
                 data_ready: now + self.local_latency,
@@ -223,7 +210,7 @@ impl<S: Sink> LastLevel for CooperativeL3<S> {
                 self.stats.migrations += 1;
                 // Migrate home: the requester becomes the owner again.
                 if let Some(ev) = self.slices[core].fill(addr, meta.dirty || write, core) {
-                    self.handle_eviction(core, ev, now);
+                    self.handle_eviction(memory, core, ev, now);
                 }
                 return L3Outcome {
                     data_ready: now + self.neighbor_latency,
@@ -233,26 +220,19 @@ impl<S: Sink> LastLevel for CooperativeL3<S> {
         }
         // Miss: fetch from memory (260-cycle first chunk — the global
         // lookup precedes the memory access).
-        let resp = self.memory.request(now, false);
-        if S::ENABLED {
-            self.sink.emit(
-                now,
-                Event::MemoryFill {
-                    core,
-                    queue_delay: resp.queue_delay,
-                },
-            );
-        }
+        let data_ready = memory.fetch(core, now, false);
         if let Some(ev) = self.slices[core].fill(addr, write, core) {
-            self.handle_eviction(core, ev, now);
+            self.handle_eviction(memory, core, ev, now);
         }
         L3Outcome {
-            data_ready: resp.data_ready,
+            data_ready,
             source: L3Source::Memory,
         }
     }
 
-    fn writeback(&mut self, core: CoreId, addr: Address, now: Cycle) {
+    /// Absorbs an L2 writeback of `addr`: the block turns dirty in
+    /// whichever slice holds it, any other line goes to memory.
+    pub(super) fn writeback(&mut self, memory: &mut Memory<S>, addr: Address, now: Cycle) {
         for i in 0..self.cores {
             let c = CoreId::from_index(i as u8);
             if self.slices[c].probe(addr) {
@@ -262,23 +242,28 @@ impl<S: Sink> LastLevel for CooperativeL3<S> {
                 }
             }
         }
-        let _ = core;
-        self.memory.writeback(now);
+        memory.writeback(now);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{L3System, Organization};
     use super::*;
+    use cpusim::l3iface::LastLevel;
     use simcore::config::MachineConfigBuilder;
 
     /// Tiny slices: 4 sets x 4 ways each, 4 cores.
-    fn tiny() -> CooperativeL3 {
+    fn tiny() -> L3System {
         let cfg = MachineConfigBuilder::new()
             .l3_capacity(4 * 4 * 4 * 64)
             .build()
             .unwrap();
-        CooperativeL3::new(&cfg, 7)
+        L3System::build(Organization::Cooperative { seed: 7 }, &cfg).unwrap()
+    }
+
+    fn stats(l3: &L3System) -> CooperativeStats {
+        l3.as_cooperative().unwrap().stats()
     }
 
     fn c(i: u8) -> CoreId {
@@ -308,11 +293,11 @@ mod tests {
         for t in 0..5u64 {
             l3.access(c(0), addr(0, t, 0), false, Cycle::new(t * 1000));
         }
-        assert_eq!(l3.stats().spills, 1);
+        assert_eq!(stats(&l3).spills, 1);
         // Tag 0 was evicted and spilled: a new access hits remotely.
         let out = l3.access(c(0), addr(0, 0, 0), false, Cycle::new(100_000));
         assert_eq!(out.source, L3Source::RemoteHit);
-        assert_eq!(l3.stats().migrations, 1);
+        assert_eq!(stats(&l3).migrations, 1);
         // And it is now local again.
         let out = l3.access(c(0), addr(0, 0, 0), false, Cycle::new(200_000));
         assert_eq!(out.source, L3Source::LocalHit);
@@ -327,7 +312,7 @@ mod tests {
         for t in 0..64u64 {
             l3.access(c(0), addr(0, t, 0), false, Cycle::new(t * 1000));
         }
-        let s = l3.stats();
+        let s = stats(&l3);
         assert!(s.spills > 10);
         // Spill victims displaced by later spills are dropped without
         // rippling (counted either as ripple drops at fill time or as
@@ -344,11 +329,11 @@ mod tests {
                 l3.access(c(i), addr(0, 100 + t, i), false, Cycle::new(t));
             }
         }
-        let before = l3.stats().spills;
+        let before = stats(&l3).spills;
         for t in 0..12u64 {
             l3.access(c(0), addr(0, t, 0), false, Cycle::new(10_000 + t * 1000));
         }
-        let s = l3.stats();
+        let s = stats(&l3);
         assert!(s.spills > before);
         assert!(s.ripple_drops > 0, "displaced neighbor blocks were dropped");
     }
@@ -385,7 +370,7 @@ mod tests {
                     Cycle::new(t * 10),
                 );
             }
-            l3.stats()
+            stats(&l3)
         };
         assert_eq!(run(), run());
     }

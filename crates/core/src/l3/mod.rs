@@ -1,13 +1,13 @@
 //! The last-level cache organizations evaluated by the paper.
 //!
-//! All four organizations manage the same silicon — per-core slices that
-//! together form the aggregate L3 capacity of Table 1 — but differ in who
-//! may use which blocks:
+//! All of them manage the same silicon — per-core slices that together
+//! form the aggregate L3 capacity of Table 1 — and share the chip's one
+//! memory channel, but differ in who may use which blocks:
 //!
-//! - [`PrivateL3`]: each core owns its slice outright (14-cycle hits,
-//!   258-cycle memory); no sharing, no pollution, no flexibility.
-//! - [`SharedL3`]: one big LRU cache used by everyone (19-cycle hits);
-//!   flexible but slower and unprotected against pollution.
+//! - *Private* and *shared* ([`Organization::Private`],
+//!   [`Organization::Shared`]): plain LRU slices, either one per core
+//!   (14-cycle local hits, 258-cycle memory) or one for everyone
+//!   (19-cycle hits, 260-cycle memory).
 //! - [`CooperativeL3`]: Chang & Sohi's scheme as described in §4.7 —
 //!   private slices that spill evicted blocks into a random neighbor,
 //!   with uncontrolled sharing ("random replacement").
@@ -15,29 +15,29 @@
 //!   controlled shared partition, quota-driven replacement (Algorithm 1)
 //!   and the sharing engine adjusting quotas online.
 //!
-//! [`Organization`] describes which to build; [`L3System`] is the built
-//! instance that plugs into the cores via
-//! [`cpusim::l3iface::LastLevel`].
+//! [`Organization`] describes which to build; [`L3System`] is the only
+//! way to build one. It owns the memory channel, hands it to the
+//! organization on every access and writeback, and plugs into the cores
+//! via [`cpusim::l3iface::LastLevel`].
 
 mod adaptive;
 mod cooperative;
-mod private;
-mod shared;
+mod plain;
 
 pub use adaptive::{AdaptiveL3, AdaptiveStats, OccupancyRow};
 pub use cooperative::{CooperativeL3, CooperativeStats};
-pub use private::PrivateL3;
-pub use shared::SharedL3;
 
 use cpusim::l3iface::{L3Outcome, LastLevel};
-use memsim::MemoryStats;
+use memsim::{MainMemory, MemoryStats};
 use simcore::config::{CacheGeometry, MachineConfig};
 use simcore::error::Result;
 use simcore::invariant::{Invariant, Violation};
+use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::types::{Address, CoreId, Cycle};
-use telemetry::{NullSink, Sink};
+use telemetry::{Event, NullSink, Sink};
 
 use crate::engine::AdaptiveParams;
+use plain::PlainL3;
 
 /// Which last-level organization to build.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,22 +86,71 @@ impl Organization {
     }
 }
 
-/// A built last-level cache system: the organization plus the main-memory
-/// channel behind it.
-///
-/// Exactly one `L3System` exists per simulated chip, so the size
-/// difference between variants is irrelevant.
+/// The chip's one memory channel: the off-chip bus every organization
+/// fetches lines and writes dirty victims through, and the
+/// [`Event::MemoryFill`] each line fetch emits.
+#[derive(Debug)]
+struct Memory<S: Sink> {
+    bus: MainMemory,
+    sink: S,
+}
+
+impl<S: Sink> Memory<S> {
+    /// A channel for `geometry`'s lines.
+    fn new(cfg: &MachineConfig, geometry: CacheGeometry, sink: S) -> Self {
+        Memory {
+            bus: MainMemory::new(cfg.memory, geometry.block_bytes()),
+            sink,
+        }
+    }
+
+    /// Fetches the line `core` missed on at `now` and returns when its
+    /// first chunk arrives. `private_org` selects the 258-cycle first
+    /// chunk of per-core slices, which skip the global lookup; every
+    /// other organization pays 260 cycles.
+    fn fetch(&mut self, core: CoreId, now: Cycle, private_org: bool) -> Cycle {
+        let resp = self.bus.request(now, private_org);
+        if S::ENABLED {
+            self.sink.emit(
+                now,
+                Event::MemoryFill {
+                    core,
+                    queue_delay: resp.queue_delay,
+                },
+            );
+        }
+        resp.data_ready
+    }
+
+    /// Writes a dirty line back: it occupies the bus, nothing waits on it.
+    fn writeback(&mut self, now: Cycle) {
+        self.bus.writeback(now);
+    }
+}
+
+/// The organization an [`L3System`] drives. One exists per chip, so
+/// the size difference between variants is irrelevant.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
-pub enum L3System<S: Sink = NullSink> {
-    /// Private slices.
-    Private(PrivateL3<S>),
-    /// One shared cache.
-    Shared(SharedL3<S>),
+enum Org<S: Sink> {
+    /// Private or shared LRU slices.
+    Plain(PlainL3<S>),
     /// The adaptive scheme.
     Adaptive(AdaptiveL3<S>),
     /// Cooperative caching.
     Cooperative(CooperativeL3<S>),
+}
+
+/// A built last-level cache system: the organization plus the main-memory
+/// channel behind it.
+///
+/// Exactly one `L3System` exists per simulated chip; it is the only way
+/// to build an organization and the only organization that implements
+/// [`LastLevel`].
+#[derive(Debug)]
+pub struct L3System<S: Sink = NullSink> {
+    org: Org<S>,
+    memory: Memory<S>,
 }
 
 /// Accuracy summary of a set-sampled measurement window. No
@@ -142,46 +191,53 @@ impl L3System {
 }
 
 impl<S: Sink> L3System<S> {
-    /// Builds the organization emitting telemetry into `sink`.
+    /// Builds the organization emitting telemetry into `sink`. The bus
+    /// moves lines of the organization's own geometry.
     ///
     /// # Errors
     ///
     /// Returns a configuration error if derived geometries are invalid
     /// (e.g. a scaled capacity that is not a power-of-two set count).
     pub fn build_with_sink(org: Organization, cfg: &MachineConfig, sink: S) -> Result<Self> {
-        Ok(match org {
-            Organization::Private => {
-                L3System::Private(PrivateL3::with_sink(cfg, cfg.l3.private, sink))
-            }
+        let l3 = &cfg.l3;
+        let plain = |geometry, private| {
+            let org = Org::Plain(PlainL3::new(cfg, geometry, private, sink.clone()));
+            (org, geometry)
+        };
+        let (org, geometry) = match org {
+            Organization::Private => plain(l3.private, true),
             Organization::PrivateScaled { factor } => {
-                let geom = cfg.l3.private.scaled_capacity(factor)?;
-                L3System::Private(PrivateL3::with_sink(cfg, geom, sink))
+                plain(l3.private.scaled_capacity(factor)?, true)
             }
-            Organization::PrivateCustom { geometry } => {
-                L3System::Private(PrivateL3::with_sink(cfg, geometry, sink))
-            }
-            Organization::Shared => L3System::Shared(SharedL3::with_sink(cfg, sink)),
-            Organization::Adaptive(params) => {
-                L3System::Adaptive(AdaptiveL3::with_sink(cfg, params, sink))
-            }
-            Organization::Cooperative { seed } => {
-                L3System::Cooperative(CooperativeL3::with_sink(cfg, seed, sink))
-            }
+            Organization::PrivateCustom { geometry } => plain(geometry, true),
+            Organization::Shared => plain(l3.shared, false),
+            Organization::Adaptive(params) => (
+                Org::Adaptive(AdaptiveL3::new(cfg, params, sink.clone())),
+                l3.shared,
+            ),
+            Organization::Cooperative { seed } => (
+                Org::Cooperative(CooperativeL3::new(cfg, seed, sink.clone())),
+                l3.private,
+            ),
+        };
+        Ok(L3System {
+            org,
+            memory: Memory::new(cfg, geometry, sink),
         })
     }
 
     /// The adaptive instance, when this system is adaptive.
     pub fn as_adaptive(&self) -> Option<&AdaptiveL3<S>> {
-        match self {
-            L3System::Adaptive(a) => Some(a),
+        match &self.org {
+            Org::Adaptive(a) => Some(a),
             _ => None,
         }
     }
 
     /// The cooperative instance, when this system is cooperative.
     pub fn as_cooperative(&self) -> Option<&CooperativeL3<S>> {
-        match self {
-            L3System::Cooperative(c) => Some(c),
+        match &self.org {
+            Org::Cooperative(c) => Some(c),
             _ => None,
         }
     }
@@ -195,18 +251,13 @@ impl<S: Sink> L3System<S> {
 
     /// Memory-channel statistics.
     pub fn memory_stats(&self) -> MemoryStats {
-        match self {
-            L3System::Private(x) => x.memory_stats(),
-            L3System::Shared(x) => x.memory_stats(),
-            L3System::Adaptive(x) => x.memory_stats(),
-            L3System::Cooperative(x) => x.memory_stats(),
-        }
+        self.memory.bus.stats()
     }
 
     /// Freezes or unfreezes adaptive-quota re-evaluation (no-op for
     /// non-adaptive organizations).
     pub fn set_adaptation_frozen(&mut self, frozen: bool) {
-        if let L3System::Adaptive(a) = self {
+        if let Org::Adaptive(a) = &mut self.org {
             a.set_adaptation_frozen(frozen);
         }
     }
@@ -214,36 +265,30 @@ impl<S: Sink> L3System<S> {
     /// Declares the memory bus idle as of `now` — call after functional
     /// warm-up so the timed phase starts uncongested.
     pub fn quiesce(&mut self, now: Cycle) {
-        match self {
-            L3System::Private(x) => x.quiesce(now),
-            L3System::Shared(x) => x.quiesce(now),
-            L3System::Adaptive(x) => x.quiesce(now),
-            L3System::Cooperative(x) => x.quiesce(now),
+        self.memory.bus.quiesce(now);
+    }
+
+    /// The snapshot discriminant of the organization: private 0, shared
+    /// 1, adaptive 2, cooperative 3.
+    fn tag(&self) -> u8 {
+        match &self.org {
+            Org::Plain(p) => u8::from(!p.is_private()),
+            Org::Adaptive(_) => 2,
+            Org::Cooperative(_) => 3,
         }
     }
 
     /// Writes the organization's full state to a snapshot, prefixed by a
     /// variant discriminant so a restore into a different organization
-    /// fails loudly instead of mis-decoding.
-    pub fn save_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
-        match self {
-            L3System::Private(x) => {
-                w.put_u8(0);
-                x.save_state(w);
-            }
-            L3System::Shared(x) => {
-                w.put_u8(1);
-                x.save_state(w);
-            }
-            L3System::Adaptive(x) => {
-                w.put_u8(2);
-                x.save_state(w);
-            }
-            L3System::Cooperative(x) => {
-                w.put_u8(3);
-                x.save_state(w);
-            }
+    /// fails loudly instead of mis-decoding, and followed by the bus.
+    pub fn save_state(&self, w: &mut SnapshotWriter) {
+        w.put_u8(self.tag());
+        match &self.org {
+            Org::Plain(x) => x.save_state(w),
+            Org::Adaptive(x) => x.save_state(w),
+            Org::Cooperative(x) => x.save_state(w),
         }
+        self.memory.bus.save_state(w);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -251,25 +296,28 @@ impl<S: Sink> L3System<S> {
     ///
     /// # Errors
     ///
-    /// [`simcore::snapshot::SnapshotError::Mismatch`] when the snapshot
-    /// was taken from a different organization variant or geometry;
-    /// [`simcore::snapshot::SnapshotError::Corrupt`] when the restored
-    /// structure fails its own [`Invariant::audit`] (a payload that
-    /// decodes but that no run can produce); decode errors otherwise.
+    /// [`SnapshotError::Mismatch`] when the snapshot was taken from a
+    /// different organization variant or geometry;
+    /// [`SnapshotError::Corrupt`] when the restored structure fails its
+    /// own [`Invariant::audit`] (a payload that decodes but that no run
+    /// can produce); decode errors otherwise.
     pub fn load_state(
         &mut self,
-        r: &mut simcore::snapshot::SnapshotReader<'_>,
-    ) -> std::result::Result<(), simcore::snapshot::SnapshotError> {
-        use simcore::snapshot::SnapshotError;
+        r: &mut SnapshotReader<'_>,
+    ) -> std::result::Result<(), SnapshotError> {
         let tag = r.get_u8()?;
-        match (tag, &mut *self) {
-            (0, L3System::Private(x)) => x.load_state(r)?,
-            (1, L3System::Shared(x)) => x.load_state(r)?,
-            (2, L3System::Adaptive(x)) => x.load_state(r)?,
-            (3, L3System::Cooperative(x)) => x.load_state(r)?,
-            (0..=3, _) => return Err(SnapshotError::Mismatch("L3 organization variant")),
-            _ => return Err(SnapshotError::Corrupt("unknown L3 organization tag")),
+        if tag > 3 {
+            return Err(SnapshotError::Corrupt("unknown L3 organization tag"));
         }
+        if tag != self.tag() {
+            return Err(SnapshotError::Mismatch("L3 organization variant"));
+        }
+        match &mut self.org {
+            Org::Plain(x) => x.load_state(r)?,
+            Org::Adaptive(x) => x.load_state(r)?,
+            Org::Cooperative(x) => x.load_state(r)?,
+        }
+        self.memory.bus.load_state(r)?;
         if self.audit().is_empty() {
             Ok(())
         } else {
@@ -279,53 +327,52 @@ impl<S: Sink> L3System<S> {
         }
     }
 
-    /// Resets memory statistics at the warm-up boundary.
+    /// Resets the organization's and the bus's statistics at the warm-up
+    /// boundary (cache contents and learned state are kept).
     pub fn reset_stats(&mut self) {
-        match self {
-            L3System::Private(x) => x.reset_stats(),
-            L3System::Shared(x) => x.reset_stats(),
-            L3System::Adaptive(x) => x.reset_stats(),
-            L3System::Cooperative(x) => x.reset_stats(),
+        self.memory.bus.reset_stats();
+        match &mut self.org {
+            Org::Plain(x) => x.reset_stats(),
+            Org::Adaptive(x) => x.reset_stats(),
+            Org::Cooperative(x) => x.reset_stats(),
         }
     }
 }
 
 impl<S: Sink> Invariant for L3System<S> {
     fn component(&self) -> &'static str {
-        match self {
-            L3System::Private(x) => x.component(),
-            L3System::Shared(x) => x.component(),
-            L3System::Adaptive(x) => x.component(),
-            L3System::Cooperative(x) => x.component(),
+        match &self.org {
+            Org::Plain(x) => x.component(),
+            Org::Adaptive(x) => x.component(),
+            Org::Cooperative(x) => x.component(),
         }
     }
 
     fn audit(&self) -> Vec<Violation> {
-        match self {
-            L3System::Private(x) => x.audit(),
-            L3System::Shared(x) => x.audit(),
-            L3System::Adaptive(x) => x.audit(),
-            L3System::Cooperative(x) => x.audit(),
+        match &self.org {
+            Org::Plain(x) => x.audit(),
+            Org::Adaptive(x) => x.audit(),
+            Org::Cooperative(x) => x.audit(),
         }
     }
 }
 
 impl<S: Sink> LastLevel for L3System<S> {
     fn access(&mut self, core: CoreId, addr: Address, write: bool, now: Cycle) -> L3Outcome {
-        match self {
-            L3System::Private(x) => x.access(core, addr, write, now),
-            L3System::Shared(x) => x.access(core, addr, write, now),
-            L3System::Adaptive(x) => x.access(core, addr, write, now),
-            L3System::Cooperative(x) => x.access(core, addr, write, now),
+        let memory = &mut self.memory;
+        match &mut self.org {
+            Org::Plain(x) => x.access(memory, core, addr, write, now),
+            Org::Adaptive(x) => x.access(memory, core, addr, write, now),
+            Org::Cooperative(x) => x.access(memory, core, addr, write, now),
         }
     }
 
     fn writeback(&mut self, core: CoreId, addr: Address, now: Cycle) {
-        match self {
-            L3System::Private(x) => x.writeback(core, addr, now),
-            L3System::Shared(x) => x.writeback(core, addr, now),
-            L3System::Adaptive(x) => x.writeback(core, addr, now),
-            L3System::Cooperative(x) => x.writeback(core, addr, now),
+        let memory = &mut self.memory;
+        match &mut self.org {
+            Org::Plain(x) => x.writeback(memory, core, addr, now),
+            Org::Adaptive(x) => x.writeback(memory, addr, now),
+            Org::Cooperative(x) => x.writeback(memory, addr, now),
         }
     }
 }

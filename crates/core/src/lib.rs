@@ -26,10 +26,11 @@
 //!
 //! ## Crate layout
 //!
-//! - [`l3`] — the four last-level organizations the paper evaluates:
-//!   [`l3::AdaptiveL3`] (the contribution), [`l3::PrivateL3`],
-//!   [`l3::SharedL3`], and [`l3::CooperativeL3`] (Chang & Sohi's scheme as
-//!   described in §4.7, "random replacement").
+//! - [`l3`] — the last-level organizations the paper evaluates, built
+//!   by [`l3::L3System`] around the chip's one memory channel: private
+//!   and shared LRU slices, [`l3::AdaptiveL3`] (the contribution) and
+//!   [`l3::CooperativeL3`] (Chang & Sohi's scheme as described in §4.7,
+//!   "random replacement").
 //! - [`engine`] — the sharing engine: per-core counters, shadow-tag
 //!   integration and the re-evaluation rule.
 //! - [`cmp`] — the four-core chip: cores, organization and memory bound
@@ -65,4 +66,4 @@ pub mod l3;
 
 pub use cmp::{Cmp, CmpResult};
 pub use engine::{AdaptiveParams, SharingEngine};
-pub use l3::{AdaptiveL3, CooperativeL3, L3System, Organization, PrivateL3, SharedL3};
+pub use l3::{AdaptiveL3, CooperativeL3, L3System, Organization};

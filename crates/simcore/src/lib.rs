@@ -10,7 +10,7 @@
 //!   with a builder and the derived configurations used by the evaluation
 //!   (8-MByte last-level cache for Figure 9, technology-scaled latencies for
 //!   Figure 10).
-//! - [`stats`] — counters, histograms and the summary statistics the paper
+//! - [`stats`] — hit/miss tallies and the summary statistics the paper
 //!   reports (harmonic and arithmetic mean of per-core IPC).
 //! - [`parallel`] — a deterministic scoped-thread runner for independent
 //!   simulation cells (the only sanctioned way to spawn threads; see

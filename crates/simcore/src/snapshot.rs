@@ -33,7 +33,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"NUCS");
 
 /// Current encoding version. Bump on any layout change; readers reject
 /// other versions outright instead of guessing.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Byte length of the header (magic + version).
 const HEADER_BYTES: usize = 8;

@@ -1,62 +1,12 @@
-//! Counters, histograms and the summary statistics the paper reports.
+//! Hit/miss tallies and the summary statistics the paper reports.
 //!
 //! The paper evaluates schemes by the **harmonic mean** of per-core IPC
 //! (Section 2.6 argues this is the right objective for multiprogrammed
 //! CMPs, citing Smith), with the arithmetic mean reported alongside.
-//! This module provides those reductions plus the bookkeeping types used by
-//! the cache and pipeline models.
+//! This module provides those reductions plus the hit/miss tally used by
+//! the cache models.
 
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use simcore::stats::Counter;
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub const fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero, returning the previous value.
-    pub fn reset(&mut self) -> u64 {
-        std::mem::take(&mut self.0)
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
-    }
-}
 
 /// Hit/miss bookkeeping for one cache (or one core's view of a cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,72 +55,6 @@ impl fmt::Display for HitMiss {
             self.misses,
             self.miss_ratio() * 100.0
         )
-    }
-}
-
-/// A fixed-bucket histogram over `u64` samples; the last bucket collects
-/// overflow. Used for reuse-distance and latency distributions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bucket_width: u64,
-    counts: Vec<u64>,
-    samples: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero or `bucket_width` is zero.
-    pub fn new(buckets: usize, bucket_width: u64) -> Self {
-        assert!(
-            buckets > 0 && bucket_width > 0,
-            "histogram needs nonzero shape"
-        );
-        Histogram {
-            bucket_width,
-            counts: vec![0; buckets],
-            samples: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = value / self.bucket_width;
-        let idx = usize::try_from(bucket)
-            .unwrap_or(usize::MAX)
-            .min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.samples += 1;
-    }
-
-    /// Number of recorded samples.
-    pub const fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The smallest value `v` such that at least `q` (0..=1) of samples are
-    /// `< v + bucket_width` — an upper bound on the `q`-quantile.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        // Clamping to [0, samples] bounds the float before the integer
-        // conversion, so the cast is exact (samples fits f64's mantissa for
-        // any run length this simulator reaches).
-        let samples_f = self.samples as f64;
-        let target = (samples_f * q.clamp(0.0, 1.0)).ceil().clamp(0.0, samples_f) as u64;
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as u64 + 1) * self.bucket_width;
-            }
-        }
-        self.counts.len() as u64 * self.bucket_width
     }
 }
 
@@ -241,16 +125,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.reset(), 10);
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
     fn hit_miss_ratio_and_merge() {
         let mut a = HitMiss { hits: 3, misses: 1 };
         assert!((a.miss_ratio() - 0.25).abs() < 1e-12);
@@ -258,26 +132,6 @@ mod tests {
         assert_eq!(a.accesses(), 8);
         assert!((a.miss_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(HitMiss::new().miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(4, 10);
-        for v in [0, 5, 10, 25, 39, 40, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.samples(), 7);
-        assert_eq!(h.counts(), &[2, 1, 1, 3]);
-    }
-
-    #[test]
-    fn histogram_quantile_bound() {
-        let mut h = Histogram::new(10, 1);
-        for v in 0..10 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile_upper_bound(0.5), 5);
-        assert_eq!(h.quantile_upper_bound(1.0), 10);
     }
 
     #[test]

@@ -278,36 +278,6 @@ impl From<u64> for Cycle {
     }
 }
 
-/// The kind of a memory access as seen by the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// An instruction fetch.
-    Fetch,
-    /// A data load.
-    Load,
-    /// A data store (write-allocate, write-back hierarchy).
-    Store,
-}
-
-impl AccessKind {
-    /// Whether the access writes the block.
-    #[inline]
-    pub const fn is_write(self) -> bool {
-        matches!(self, AccessKind::Store)
-    }
-}
-
-impl fmt::Display for AccessKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            AccessKind::Fetch => "fetch",
-            AccessKind::Load => "load",
-            AccessKind::Store => "store",
-        };
-        f.write_str(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,13 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn access_kind_write_classification() {
-        assert!(AccessKind::Store.is_write());
-        assert!(!AccessKind::Load.is_write());
-        assert!(!AccessKind::Fetch.is_write());
-    }
-
-    #[test]
     fn page_number_uses_4k_pages() {
         assert_eq!(Address::new(0x3000).page(), 3);
         assert_eq!(Address::new(0x3fff).page(), 3);
@@ -371,6 +334,5 @@ mod tests {
         assert!(!format!("{}", BlockAddr::new(0)).is_empty());
         assert!(!format!("{}", CoreId::from_index(0)).is_empty());
         assert!(!format!("{}", Cycle::ZERO).is_empty());
-        assert!(!format!("{}", AccessKind::Load).is_empty());
     }
 }

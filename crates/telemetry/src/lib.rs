@@ -22,8 +22,8 @@
 //!   reconstructs `SharingEngine::quotas()` from the event stream — the
 //!   bit-for-bit property CI enforces) and the `--metrics-out` document
 //!   ([`export::metrics_json`]).
-//! - [`Registry`] / [`Counter`] / [`Gauge`] / [`Family`]: hierarchical
-//!   metric aggregation behind the JSON export.
+//! - [`Registry`]: the insertion-ordered `/`-path counters behind the
+//!   JSON export.
 //! - [`collector`]: opt-in process-wide collection used by the figure
 //!   binaries (`--trace <path>`); traces are gathered
 //!   in cell order, so output is identical for every `--jobs` value.
@@ -39,5 +39,5 @@ pub mod registry;
 pub mod sink;
 
 pub use event::{CoreOccupancy, Event, EventKind, TraceRecord};
-pub use registry::{Counter, Family, Gauge, Registry};
+pub use registry::Registry;
 pub use sink::{NullSink, Recorder, Sink, Trace, TraceMeta, Tracer};

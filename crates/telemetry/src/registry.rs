@@ -1,114 +1,17 @@
-//! Hierarchical counter/gauge registry.
+//! Hierarchical counter registry.
 //!
 //! Metric names are `/`-separated paths (`"events/lru_hit/core0"`,
-//! `"l3/miss_rate"`). The registry stores entries in first-insertion
+//! `"campaign/ran"`). The registry stores counters in first-insertion
 //! order in a plain `Vec` — no hash containers, per the workspace
 //! determinism rules — and [`Registry::to_json`] folds the paths into a
 //! nested JSON object for the `--metrics-out` export.
 
 use crate::json::Json;
 
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// A point-in-time measurement (rates, ratios, positions).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub const fn new() -> Self {
-        Gauge(0.0)
-    }
-
-    /// Replaces the value.
-    #[inline]
-    pub fn set(&mut self, value: f64) {
-        self.0 = value;
-    }
-
-    /// The current value.
-    #[inline]
-    pub const fn get(self) -> f64 {
-        self.0
-    }
-}
-
-/// A per-core family of counters sharing one metric name.
+/// Insertion-ordered hierarchical counter store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Family {
-    counters: Vec<Counter>,
-}
-
-impl Family {
-    /// A family with one counter per core.
-    pub fn new(cores: usize) -> Self {
-        Family {
-            counters: vec![Counter::new(); cores],
-        }
-    }
-
-    /// Increments the counter of `core` (ignored when out of range).
-    #[inline]
-    pub fn inc(&mut self, core: usize) {
-        if let Some(c) = self.counters.get_mut(core) {
-            c.inc();
-        }
-    }
-
-    /// The count for `core` (zero when out of range).
-    pub fn get(&self, core: usize) -> u64 {
-        self.counters.get(core).map_or(0, |c| c.get())
-    }
-
-    /// Sum over all cores.
-    pub fn total(&self) -> u64 {
-        self.counters.iter().map(|c| c.get()).sum()
-    }
-
-    /// Per-core counts in core order.
-    pub fn values(&self) -> Vec<u64> {
-        self.counters.iter().map(|c| c.get()).collect()
-    }
-}
-
-/// One registered value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Counter(Counter),
-    Gauge(Gauge),
-}
-
-/// Insertion-ordered hierarchical metric store.
-#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    entries: Vec<(String, Value)>,
+    entries: Vec<(String, u64)>,
 }
 
 impl Registry {
@@ -118,65 +21,20 @@ impl Registry {
     }
 
     /// Adds `n` to the counter at `path`, creating it at zero first if
-    /// needed. A gauge already registered under the same path is left
-    /// untouched.
+    /// needed.
     pub fn add(&mut self, path: &str, n: u64) {
         match self.entries.iter_mut().find(|(k, _)| k == path) {
-            Some((_, Value::Counter(c))) => c.add(n),
-            Some((_, Value::Gauge(_))) => {}
-            None => {
-                let mut c = Counter::new();
-                c.add(n);
-                self.entries.push((path.to_string(), Value::Counter(c)));
-            }
+            Some((_, c)) => *c += n,
+            None => self.entries.push((path.to_string(), n)),
         }
     }
 
-    /// Sets the gauge at `path`, creating it if needed. A counter already
-    /// registered under the same path is left untouched.
-    pub fn set(&mut self, path: &str, value: f64) {
-        match self.entries.iter_mut().find(|(k, _)| k == path) {
-            Some((_, Value::Gauge(g))) => g.set(value),
-            Some((_, Value::Counter(_))) => {}
-            None => {
-                let mut g = Gauge::new();
-                g.set(value);
-                self.entries.push((path.to_string(), Value::Gauge(g)));
-            }
-        }
-    }
-
-    /// The counter value at `path`, if a counter is registered there.
+    /// The counter value at `path`, if one is registered there.
     pub fn counter(&self, path: &str) -> Option<u64> {
-        self.entries.iter().find(|(k, _)| k == path).and_then(|e| {
-            if let Value::Counter(c) = e.1 {
-                Some(c.get())
-            } else {
-                None
-            }
-        })
-    }
-
-    /// The gauge value at `path`, if a gauge is registered there.
-    pub fn gauge(&self, path: &str) -> Option<f64> {
-        self.entries.iter().find(|(k, _)| k == path).and_then(|e| {
-            if let Value::Gauge(g) = e.1 {
-                Some(g.get())
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Merges a per-core [`Family`] under `path` (total) and
-    /// `path/core<i>` (per core).
-    pub fn add_family(&mut self, path: &str, family: &Family) {
-        self.add(path, family.total());
-        for (core, value) in family.values().into_iter().enumerate() {
-            if value > 0 {
-                self.add(&format!("{path}/core{core}"), value);
-            }
-        }
+        self.entries
+            .iter()
+            .find(|(k, _)| k == path)
+            .map(|&(_, c)| c)
     }
 
     /// Number of registered metrics.
@@ -195,13 +53,7 @@ impl Registry {
         let flat: Vec<(&str, Json)> = self
             .entries
             .iter()
-            .map(|(k, v)| {
-                let value = match v {
-                    Value::Counter(c) => Json::num(c.get() as f64),
-                    Value::Gauge(g) => Json::num(g.get()),
-                };
-                (k.as_str(), value)
-            })
+            .map(|(k, c)| (k.as_str(), Json::num(*c as f64)))
             .collect();
         nest(&flat)
     }
@@ -254,32 +106,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_gauges_replace() {
+    fn counters_accumulate() {
         let mut reg = Registry::new();
         reg.add("a/b", 2);
         reg.add("a/b", 3);
-        reg.set("a/r", 0.5);
-        reg.set("a/r", 0.75);
         assert_eq!(reg.counter("a/b"), Some(5));
-        assert_eq!(reg.gauge("a/r"), Some(0.75));
-        assert_eq!(reg.counter("a/r"), None);
-        assert_eq!(reg.gauge("a/b"), None);
-    }
-
-    #[test]
-    fn family_tracks_per_core_counts() {
-        let mut fam = Family::new(4);
-        fam.inc(0);
-        fam.inc(2);
-        fam.inc(2);
-        fam.inc(9); // out of range: ignored
-        assert_eq!(fam.total(), 3);
-        assert_eq!(fam.values(), vec![1, 0, 2, 0]);
-        let mut reg = Registry::new();
-        reg.add_family("hits", &fam);
-        assert_eq!(reg.counter("hits"), Some(3));
-        assert_eq!(reg.counter("hits/core2"), Some(2));
-        assert_eq!(reg.counter("hits/core1"), None);
+        assert_eq!(reg.counter("a"), None);
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]

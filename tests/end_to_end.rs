@@ -400,3 +400,110 @@ fn time_sample_zero_gap_is_byte_identical_end_to_end() {
         exp: |e| e.with_time_sample(Some((5_000, 0))),
     });
 }
+
+/// One cell of [`every_organization_matches_its_fingerprints`]: a label,
+/// the organization, whether it is time-sampled `10000:40000`, and the
+/// FNV-1a hashes of its window's `Debug` rendering and of its recorded
+/// run's JSONL.
+type Fingerprint = (&'static str, Organization, bool, u64, u64);
+
+#[test]
+fn every_organization_matches_its_fingerprints() {
+    // Pins each organization's exact outputs on one intensive mix: the
+    // measured window (bus statistics and per-core L3 counters included)
+    // and the event stream of a recorded run of the same cell, whose
+    // order the organization and the memory channel share. The hashes
+    // were taken before the organizations shared one memory channel.
+    use nuca_repro::simcore::snapshot::fnv1a64;
+    use nuca_repro::telemetry::Recorder;
+    let machine = MachineConfig::baseline();
+    let mix = Mix {
+        apps: vec![SpecApp::Gzip, SpecApp::Twolf, SpecApp::Art, SpecApp::Mcf],
+        forwards: vec![600_000_000, 700_000_000, 800_000_000, 900_000_000],
+    };
+    let exact = ExperimentConfig {
+        warm_instructions: 200_000,
+        warmup_cycles: 50_000,
+        measure_cycles: 150_000,
+        ..exp()
+    };
+    // A short re-evaluation period, so the window holds repartitions.
+    let adaptive = Organization::Adaptive(AdaptiveParams {
+        reeval_period: 250,
+        ..AdaptiveParams::default()
+    });
+    let cells: [Fingerprint; 6] = [
+        (
+            "private",
+            Organization::Private,
+            false,
+            0x63404ee0d032d2a8,
+            0xb209faf301ca2d90,
+        ),
+        (
+            "private4x",
+            Organization::PrivateScaled { factor: 4 },
+            false,
+            0x8baef5bed60eb032,
+            0xecb7337a5ad75342,
+        ),
+        (
+            "shared",
+            Organization::Shared,
+            false,
+            0xfa6184a95f5b1d7c,
+            0xa2d583a7ece05cc4,
+        ),
+        (
+            "adaptive",
+            adaptive,
+            false,
+            0xf1942e57ec8ed82b,
+            0x1f4e679e051c5bf9,
+        ),
+        (
+            "cooperative",
+            Organization::Cooperative { seed: 1 },
+            false,
+            0x74592411a43cc12e,
+            0x8694ae2c16aecd7e,
+        ),
+        (
+            "adaptive-ts",
+            adaptive,
+            true,
+            0xc419d8851c263ad7,
+            0x8911ad3c99678998,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, org, sampled, _, _) in cells {
+        let exp = exact.with_time_sample(sampled.then_some((10_000, 40_000)));
+        let window = run_mix(&machine, org, &mix, &exp).unwrap().result;
+        let (traced, trace) =
+            run_mix_traced(&machine, org, &mix, &exp, Recorder::DEFAULT_CAPACITY).unwrap();
+        assert_eq!(traced.result, window, "{name}: tracing is invisible");
+        let count = |kind: &str| {
+            trace
+                .counts
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .map_or(0, |&(_, n)| n)
+        };
+        match name {
+            "adaptive" | "adaptive-ts" => {
+                assert!(count("repartition") > 0, "{name} repartitions");
+            }
+            "cooperative" => assert!(count("spill") > 0, "cooperative spills"),
+            _ => {}
+        }
+        got.push((
+            name,
+            org,
+            sampled,
+            fnv1a64(format!("{window:?}").as_bytes()),
+            fnv1a64(render_jsonl(std::slice::from_ref(&trace)).as_bytes()),
+        ));
+    }
+    assert_eq!(got, cells, "window and trace fingerprints");
+}

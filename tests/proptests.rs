@@ -7,7 +7,7 @@ use nuca_repro::cachesim::cache::Cache;
 use nuca_repro::cachesim::lru::LruStack;
 use nuca_repro::cpusim::l3iface::LastLevel;
 use nuca_repro::nuca_core::engine::{AdaptiveParams, SharingEngine};
-use nuca_repro::nuca_core::l3::{AdaptiveL3, L3System};
+use nuca_repro::nuca_core::l3::{L3System, Organization};
 use nuca_repro::simcore::config::{CacheGeometry, MachineConfigBuilder};
 use nuca_repro::simcore::rng::SimRng;
 use nuca_repro::simcore::stats::{arithmetic_mean, geometric_mean, harmonic_mean};
@@ -155,15 +155,16 @@ proptest! {
             .build()
             .unwrap();
         let params = AdaptiveParams { reeval_period: period, ..AdaptiveParams::default() };
-        let mut l3 = AdaptiveL3::new(&cfg, params);
+        let mut l3 = L3System::build(Organization::Adaptive(params), &cfg).unwrap();
         let mut rng = SimRng::seed_from(seed);
         for i in 0..4_000u64 {
             let core = CoreId::from_index(rng.below(4) as u8);
             let addr = Address::new(rng.below(1 << 13) * 64).with_asid(core.asid());
             l3.access(core, addr, rng.chance(0.3), Cycle::new(i * 7));
         }
-        prop_assert!(l3.check_invariants());
-        let quotas = l3.quotas();
+        let adaptive = l3.as_adaptive().unwrap();
+        prop_assert!(adaptive.check_invariants());
+        let quotas = adaptive.quotas();
         prop_assert_eq!(quotas.iter().sum::<u32>(), 16);
     }
 }
@@ -197,7 +198,7 @@ proptest! {
             .build()
             .unwrap();
         let params = AdaptiveParams { reeval_period: period, ..AdaptiveParams::default() };
-        let mut l3 = AdaptiveL3::new(&cfg, params);
+        let mut l3 = L3System::build(Organization::Adaptive(params), &cfg).unwrap();
         let mut rng = SimRng::seed_from(seed);
         for i in 0..1_500u64 {
             let core = CoreId::from_index(rng.below(4) as u8);
@@ -213,7 +214,7 @@ proptest! {
             );
         }
         // The bool wrapper and the structured audit must agree.
-        prop_assert!(l3.check_invariants());
+        prop_assert!(l3.as_adaptive().unwrap().check_invariants());
     }
 }
 
@@ -451,10 +452,11 @@ fn l3_layout(
     let section = w.finish().len() - 16;
     let end = bytes.len() - 8;
     let start = end - section;
+    use nuca_repro::simcore::invariant::Invariant;
     let adaptive = cmp.l3().as_adaptive();
     // Private and cooperative organizations lead with core 0's slice.
-    let geom = match cmp.l3() {
-        L3System::Shared(_) | L3System::Adaptive(_) => cfg.l3.shared,
+    let geom = match cmp.l3().component() {
+        "shared-l3" | "adaptive-l3" => cfg.l3.shared,
         _ => cfg.l3.private,
     };
     let (sets, ways) = (geom.sets() as usize, geom.total_ways() as usize);

@@ -21,8 +21,9 @@ use proptest::prelude::*;
 use nuca_repro::cpusim::l3iface::LastLevel;
 use nuca_repro::nuca_core::engine::AdaptiveParams;
 use nuca_repro::nuca_core::experiment::{initial_quotas, run_mix_traced, ExperimentConfig};
-use nuca_repro::nuca_core::l3::{AdaptiveL3, Organization};
+use nuca_repro::nuca_core::l3::{L3System, Organization};
 use nuca_repro::simcore::config::MachineConfig;
+use nuca_repro::simcore::error::ConfigError;
 use nuca_repro::simcore::rng::SimRng;
 use nuca_repro::simcore::types::{Address, CoreId, Cycle};
 use nuca_repro::telemetry::export::{render_jsonl, validate_jsonl, JsonlReport};
@@ -38,14 +39,19 @@ fn replay(trace: &Trace) -> Result<JsonlReport, Vec<String>> {
 /// Hammers a recorded adaptive L3 with `accesses` random accesses using
 /// a short re-evaluation period so repartitions actually happen, then
 /// returns the recorder and the final engine quotas.
-fn hammer_adaptive(seed: u64, accesses: u64, span: u64) -> (Recorder, Vec<u32>, u64) {
+fn hammer_adaptive(
+    seed: u64,
+    accesses: u64,
+    span: u64,
+) -> Result<(Recorder, Vec<u32>, u64), ConfigError> {
     let cfg = MachineConfig::baseline();
     let params = AdaptiveParams {
         reeval_period: 50,
         ..AdaptiveParams::default()
     };
     let recorder = Recorder::with_capacity(4096);
-    let mut l3 = AdaptiveL3::with_sink(&cfg, params, recorder.clone());
+    let org = Organization::Adaptive(params);
+    let mut l3 = L3System::build_with_sink(org, &cfg, recorder.clone())?;
     let mut rng = SimRng::seed_from(seed);
     for i in 0..accesses {
         // Skewed traffic: core 0 touches a wide range (many misses),
@@ -62,12 +68,13 @@ fn hammer_adaptive(seed: u64, accesses: u64, span: u64) -> (Recorder, Vec<u32>, 
         let _ = l3.access(core, addr, write, Cycle::new(i));
     }
     let total = u64::from(cfg.l3.shared.total_ways());
-    (recorder, l3.quotas(), total)
+    let quotas = l3.as_adaptive().map(|a| a.quotas()).unwrap_or_default();
+    Ok((recorder, quotas, total))
 }
 
 #[test]
 fn repartitions_conserve_quota_and_replay_to_engine_state() {
-    let (recorder, final_quotas, total) = hammer_adaptive(7, 60_000, 1 << 22);
+    let (recorder, final_quotas, total) = hammer_adaptive(7, 60_000, 1 << 22).unwrap();
     let meta = TraceMeta {
         org: "adaptive".into(),
         cores: 4,
@@ -91,7 +98,7 @@ fn repartitions_conserve_quota_and_replay_to_engine_state() {
 
 #[test]
 fn epoch_snapshots_match_the_repartition_trajectory() {
-    let (recorder, final_quotas, _) = hammer_adaptive(11, 40_000, 1 << 21);
+    let (recorder, final_quotas, _) = hammer_adaptive(11, 40_000, 1 << 21).unwrap();
     let meta = TraceMeta {
         org: "adaptive".into(),
         cores: 4,
@@ -152,7 +159,7 @@ proptest! {
         seed in 0u64..1_000_000,
         accesses in 10_000u64..40_000,
     ) {
-        let (recorder, final_quotas, total) = hammer_adaptive(seed, accesses, 1 << 21);
+        let (recorder, final_quotas, total) = hammer_adaptive(seed, accesses, 1 << 21).unwrap();
         let meta = TraceMeta {
             org: "adaptive".into(),
             cores: 4,
@@ -178,7 +185,8 @@ fn replay_survives_ring_pressure() {
         ..AdaptiveParams::default()
     };
     let recorder = Recorder::with_capacity(16); // tiny ring: most events drop
-    let mut l3 = AdaptiveL3::with_sink(&cfg, params, recorder.clone());
+    let org = Organization::Adaptive(params);
+    let mut l3 = L3System::build_with_sink(org, &cfg, recorder.clone()).unwrap();
     let mut rng = SimRng::seed_from(3);
     for i in 0..50_000u64 {
         let core = CoreId::from_index((rng.next_u64() % 4) as u8);
@@ -186,7 +194,7 @@ fn replay_survives_ring_pressure() {
         let addr = Address::new((rng.next_u64() % range) * 64);
         let _ = l3.access(core, addr, false, Cycle::new(i));
     }
-    let final_quotas = l3.quotas();
+    let final_quotas = l3.as_adaptive().unwrap().quotas();
     let trace = recorder.finish(
         TraceMeta {
             org: "adaptive".into(),
